@@ -1,28 +1,27 @@
-"""Curve fitting, historical data, and table rendering for the harness."""
+"""Curve fitting, historical data, and table rendering for the harness.
 
-from repro.analysis.fitting import (
-    ExponentialFit,
-    LinearFit,
-    NormalCdfFit,
-    fit_exponential,
-    fit_linear,
-    fit_retention_normal,
-)
-from repro.analysis.historical import Figure1Data, historical_trends
-from repro.analysis.report import generate_report
-from repro.analysis.tables import format_percent, format_series, format_table
+The names below load on first access (PEP 562): the fitting module
+pulls in scipy, which the table renderers the CLI imports never need.
+"""
 
-__all__ = [
-    "ExponentialFit",
-    "LinearFit",
-    "NormalCdfFit",
-    "fit_exponential",
-    "fit_linear",
-    "fit_retention_normal",
-    "Figure1Data",
-    "historical_trends",
-    "generate_report",
-    "format_percent",
-    "format_series",
-    "format_table",
-]
+from repro._lazy import lazy_exports
+
+#: public name -> defining submodule
+_EXPORTS = {
+    "ExponentialFit": "fitting",
+    "LinearFit": "fitting",
+    "NormalCdfFit": "fitting",
+    "fit_exponential": "fitting",
+    "fit_linear": "fitting",
+    "fit_retention_normal": "fitting",
+    "Figure1Data": "historical",
+    "historical_trends": "historical",
+    "generate_report": "report",
+    "format_percent": "tables",
+    "format_series": "tables",
+    "format_table": "tables",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -3,7 +3,12 @@
 from repro.beam.ancode import AN_CONSTANT, an_check, an_decode, an_encode
 from repro.beam.campaign import BeamCampaign, CampaignConfig, CampaignResult, refresh_sweep
 from repro.beam.displacement import DamageParameters, DisplacementDamageModel
-from repro.beam.engine import ENGINES, StatisticsResult, run_statistics_campaign
+from repro.beam.engine import (
+    ENGINES,
+    StatisticsResult,
+    resolve_stats_mode,
+    run_statistics_campaign,
+)
 from repro.beam.events import (
     BatchEventSynthesis,
     EventClass,
@@ -47,7 +52,8 @@ __all__ = [
     "AN_CONSTANT", "an_check", "an_decode", "an_encode",
     "BeamCampaign", "CampaignConfig", "CampaignResult", "refresh_sweep",
     "DamageParameters", "DisplacementDamageModel",
-    "ENGINES", "StatisticsResult", "run_statistics_campaign",
+    "ENGINES", "StatisticsResult", "resolve_stats_mode",
+    "run_statistics_campaign",
     "BatchEventSynthesis", "interval_class_mixture",
     "EventClass", "EventParameters", "SoftErrorEvent", "SoftErrorEventGenerator",
     "FlipTable", "RecordTable",

@@ -86,7 +86,7 @@ from repro.faults import faultpoint
 from repro.obs import Tracer, stage_totals
 
 __all__ = ["StatisticsResult", "run_statistics_campaign", "ENGINES",
-           "STATS_MODES"]
+           "STATS_MODES", "resolve_stats_mode"]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -102,6 +102,27 @@ ENGINES = ("shm", "columnar", "reference")
 #: folds each job into a fixed-size accumulator worker-side and merges
 #: states — same floats, O(state) transport, flat host memory
 STATS_MODES = ("materialize", "streaming")
+
+
+def resolve_stats_mode(engine: str, stats: str | None = None) -> str:
+    """The statistics mode a campaign entry point runs ``engine`` with.
+
+    ``None`` picks the engine's default: ``streaming`` on the vectorized
+    engines, ``materialize`` on the scalar reference engine, which has
+    no streaming path.  An explicit ``streaming`` on the reference
+    engine is a :class:`ValueError`.
+    """
+    if stats is None:
+        return "materialize" if engine == "reference" else "streaming"
+    if stats not in STATS_MODES:
+        raise ValueError(f"stats must be one of {STATS_MODES}")
+    if stats == "streaming" and engine == "reference":
+        raise ValueError(
+            "the reference engine has no streaming statistics path; "
+            "use engine 'shm' or 'columnar', or stats 'materialize'"
+        )
+    return stats
+
 
 #: the record columns every engine's chunk evaluation produces
 _COLUMN_KEYS = ("time_s", "write_cycle", "entry_index",
@@ -128,7 +149,7 @@ _SHM_JOB_HEADROOM = 1 << 20
 
 _STAGES = ("synthesize", "scan", "postprocess")
 #: streaming pipeline stages: the scout sweep (entry placement replay →
-#: occupancy bitmap), the evaluation sweep's synthesis (plus ``scan`` on
+#: occupancy index), the evaluation sweep's synthesis (plus ``scan`` on
 #: the columnar engine, which still runs its device pass), and the folds
 _STREAM_STAGES = ("scout", "synthesize", "scan", "fold")
 
@@ -806,7 +827,7 @@ def _scout_job(
     Replays only the sized entry-placement streams (no mode/severity
     draws, no flip materialization) and reports the slice's entry
     multiset as ``[unique_entries, entries_hit_twice_locally]`` — exactly
-    what the host needs to fold into the global occupancy bitmap.  The
+    what the host needs to fold into the global occupancy index.  The
     payload is a *list* on purpose: the host folds it and clears the
     slots, so the requeue bookkeeping retains O(1) shells rather than
     O(sites) arrays.
@@ -1116,10 +1137,13 @@ def _run_scout(
     warm_pool=None,
 ):
     """Scout sweep: fold every job's entry multiset into one occupancy
-    bitmap as results land; returns ``(damaged_entries, report)``.
+    index as results land; returns ``(damaged_entries, report)``.
 
-    The bitmap is O(device) — one bit per entry — and the payloads are
-    cleared as they fold, so peak memory is independent of campaign size.
+    The index is a sorted set for small campaigns (8 B per distinct
+    entry, up to half the device bitmap) and one bit per entry past that
+    (peaking under 1.5× the bitmap at the switch), and the payloads are
+    cleared as they fold, so peak memory is bounded by the device
+    whatever the campaign size.
     """
     from repro.stats import EntryOccupancy
 
@@ -1447,8 +1471,8 @@ def run_statistics_campaign(
     ``stats="streaming"`` replaces the materialize-then-postprocess tail
     with two sweeps: a *scout* pass replays only the entry-placement
     streams and answers the global intermittent filter with an
-    O(device) occupancy bitmap, then the evaluation sweep folds each
-    job's records into a fixed-size :class:`repro.stats
+    occupancy index bounded by the device, then the evaluation sweep
+    folds each job's records into a fixed-size :class:`repro.stats
     .CampaignAccumulator` worker-side.  Host memory stays flat in the
     event count, and every statistic is float-identical to
     ``stats="materialize"`` (the tallies are integers; the floats are
@@ -1462,11 +1486,7 @@ def run_statistics_campaign(
         raise ValueError(f"engine must be one of {ENGINES}")
     if stats not in STATS_MODES:
         raise ValueError(f"stats must be one of {STATS_MODES}")
-    if stats == "streaming" and engine == "reference":
-        raise ValueError(
-            "the reference engine has no streaming statistics path; "
-            "use engine='shm' or engine='columnar'"
-        )
+    resolve_stats_mode(engine, stats)  # rejects reference + streaming
     geometry = geometry or HBM2Geometry.for_gpu(32)
     parameters = parameters or EventParameters()
     pattern_name = pattern if isinstance(pattern, str) else pattern.name

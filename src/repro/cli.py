@@ -181,17 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--events", type=int, default=3000,
                           help="generator-truth events for the statistics")
     campaign.add_argument("--engine", choices=["shm", "columnar", "reference"],
-                          default="columnar",
+                          default="shm",
                           help="statistics-campaign implementation "
-                               "(bit-identical results; shm is the fused "
-                               "shared-memory fast path, columnar the "
-                               "vectorized per-chunk one)")
+                               "(bit-identical results; default shm, the "
+                               "fused shared-memory fast path; columnar "
+                               "is the vectorized per-chunk one, "
+                               "reference the scalar oracle)")
     campaign.add_argument("--stats", choices=["materialize", "streaming"],
-                          default="materialize",
-                          help="statistics path: materialize per-event "
-                               "columns, or stream mergeable accumulators "
-                               "in bounded memory (identical numbers; "
-                               "streaming drops the per-event table)")
+                          default=None,
+                          help="statistics path: stream mergeable "
+                               "accumulators in bounded memory (default), "
+                               "or materialize per-event columns "
+                               "(identical numbers; the default and only "
+                               "choice on --engine reference)")
     campaign.add_argument("--workers", type=int, default=None, metavar="N",
                           help="fan statistics chunks out over N worker "
                                "processes (bit-identical to the serial run)")
@@ -231,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.faults.chaos import add_chaos_parser
     from repro.runs.cli import add_runs_parser
-    from repro.serve.client import add_client_parsers
-    from repro.serve.server import add_serve_parser
+    from repro.serve.options import add_client_parsers, add_serve_parser
 
     add_runs_parser(sub)
     add_chaos_parser(sub)
@@ -563,12 +564,11 @@ def _cmd_campaign(args, out=print):
 
     from repro.beam import (
         BeamCampaign,
-        breadth_class_fractions,
-        derive_table1,
         filter_intermittent,
         group_events,
         run_statistics_campaign,
     )
+    from repro.stats import CampaignAccumulator
 
     if getattr(args, "fleet_size", None):
         # fail fast, before the beam simulation runs
@@ -618,35 +618,30 @@ def _cmd_campaign(args, out=print):
             f"{len(observed)} observed | "
             f"{len(filtered.damaged_entries)} damaged entries filtered")
 
-        stats_mode = getattr(args, "stats", "materialize")
         with session.stage("statistics"):
             statistics = run_statistics_campaign(
-                cfg["events"], seed=cfg["seed"],
-                engine=args.engine, stats=stats_mode, workers=args.workers,
+                cfg["events"], seed=cfg["seed"], engine=args.engine,
+                stats=args.stats, workers=args.workers,
                 chunk_timeout=getattr(args, "chunk_timeout", None),
                 tracer=session.tracer,
                 heartbeat=_make_heartbeat(
                     args, "campaign statistics", "chunks"),
                 warm_pool=_warm_pool(args.workers),
             )
-            if statistics.stats_mode != "streaming":
-                observed += statistics.observed_events
         session.record_counters(statistics.counters())
-        if statistics.stats_mode == "streaming":
-            # The statistics sweep never materialized events; fold the
-            # beam run's observed events into a fresh accumulator and
-            # merge the streamed state in.  Tally merging makes the
-            # report identical to the materialized concatenation.
-            from repro.stats import CampaignAccumulator
-
-            accumulator = CampaignAccumulator()
-            accumulator.update_from_events(observed)
-            final = accumulator.merge(statistics.accumulator).finalize()
-            class_fractions = final["class_fractions"]
-            table1 = final["table1"]
+        # One fold for every path: the beam run's observed events plus
+        # the statistics campaign's (streamed state, or its materialized
+        # events).  Tally merging makes the report identical to deriving
+        # it from the concatenated events.
+        accumulator = CampaignAccumulator()
+        accumulator.update_from_events(observed)
+        if statistics.accumulator is not None:
+            accumulator = accumulator.merge(statistics.accumulator)
         else:
-            class_fractions = breadth_class_fractions(observed)
-            table1 = derive_table1(observed)
+            accumulator.update_from_events(statistics.observed_events)
+        final = accumulator.finalize()
+        class_fractions = final["class_fractions"]
+        table1 = final["table1"]
         out("\nEvent classes (Figure 4a):")
         for klass, fraction in class_fractions.items():
             out(f"  {klass.name}: {fraction:.1%}")
@@ -757,7 +752,15 @@ def _cmd_search(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "engine"):  # campaign, chaos: the engine's stats mode
+        from repro.beam.engine import resolve_stats_mode
+
+        try:
+            args.stats = resolve_stats_mode(args.engine, args.stats)
+        except ValueError as exc:
+            parser.error(str(exc))
     _install_fault_plan(args)
     from repro.core.pool import install_shutdown_hooks
 

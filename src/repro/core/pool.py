@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import atexit
 import logging
+import multiprocessing
 import os
 import random
 import signal
@@ -358,8 +359,19 @@ class _WarmHandle:
             self._pool._retire(self._executor)
 
 
+#: how often a pool worker checks that the process that forked it lives
+_PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def pool_worker_init() -> None:
-    """Reset inherited signal state in a freshly forked pool worker.
+    """Reset inherited signal state in a freshly forked pool worker, and
+    make it exit once its host process is gone.
 
     Forked workers inherit the parent's signal dispositions — including,
     when the parent is the ``repro serve`` daemon, asyncio's wakeup-fd
@@ -371,6 +383,12 @@ def pool_worker_init() -> None:
     masquerading as a shutdown request.  Detaching the wakeup fd and
     restoring default dispositions confines signals to the process they
     were sent to.
+
+    A host killed on its own (SIGKILL, the OOM killer) never shuts its
+    pool down, and its workers never see EOF on the pool's pipes: each
+    inherited its siblings' ends, so they would block forever.  A daemon
+    thread polls the worker's parent pid and exits the worker when the
+    host is gone (within ``_PARENT_POLL_S``).
     """
     try:
         signal.set_wakeup_fd(-1)
@@ -381,6 +399,10 @@ def pool_worker_init() -> None:
             signal.signal(signum, signal.SIG_DFL)
         except (ValueError, OSError):  # pragma: no cover - exotic host
             pass
+    parent = multiprocessing.parent_process()
+    if parent is not None:  # a pool worker, not a direct call
+        threading.Thread(target=_exit_when_orphaned, args=(parent.pid,),
+                         name="repro-orphan-watch", daemon=True).start()
 
 
 class WarmPool:

@@ -92,6 +92,9 @@ _SUBPROCESS_TIMEOUT_S = 600.0
 
 #: daemon must write its ready file within this window
 _SERVE_START_TIMEOUT_S = 60.0
+#: a killed daemon's pool workers must exit on their own within this
+#: window (they poll their parent every ``core.pool._PARENT_POLL_S``)
+_ORPHAN_EXIT_TIMEOUT_S = 10.0
 
 
 def add_chaos_parser(sub) -> None:
@@ -108,9 +111,15 @@ def add_chaos_parser(sub) -> None:
     chaos.add_argument("--seed", type=int, default=2021)
     chaos.add_argument("--workers", type=int, default=2)
     chaos.add_argument("--engine", choices=["shm", "columnar", "reference"],
-                       default="columnar",
-                       help="statistics engine for both campaigns; 'shm' "
-                            "additionally exercises the shared-memory "
+                       default="shm",
+                       help="statistics engine for both campaigns "
+                            "(default shm)")
+    chaos.add_argument("--stats", choices=["materialize", "streaming"],
+                       default=None,
+                       help="statistics path for both campaigns (default "
+                            "streaming; materialize on --engine "
+                            "reference).  '--engine shm --stats "
+                            "materialize' exercises the shared-memory "
                             "arena faultpoints (shm.arena.*)")
     chaos.add_argument("--inject-faults", default=DEFAULT_SPEC,
                        metavar="SPEC",
@@ -145,17 +154,27 @@ def add_chaos_parser(sub) -> None:
                             "duplicate computation")
 
 
+def _engine_params(args) -> dict:
+    """The campaigns' ``engine`` and ``stats`` (None: the engine's
+    default, resolved by the campaign itself)."""
+    return {"engine": getattr(args, "engine", "shm"),
+            "stats": getattr(args, "stats", None)}
+
+
 def _campaign_argv(args, store: Path) -> list[str]:
+    engine = _engine_params(args)
     argv = [
         sys.executable, "-m", "repro", "campaign",
         "--runs", str(args.runs),
         "--events", str(args.events),
         "--seed", str(args.seed),
         "--workers", str(args.workers),
-        "--engine", getattr(args, "engine", "columnar"),
+        "--engine", engine["engine"],
         "--heartbeat", "0",
         "--runs-dir", str(store),
     ]
+    if engine["stats"] is not None:
+        argv += ["--stats", engine["stats"]]
     if args.chunk_timeout is not None:
         argv += ["--chunk-timeout", str(args.chunk_timeout)]
     return argv
@@ -350,7 +369,9 @@ def _start_daemon(argv: list[str], env: dict, ready: Path,
     """Launch the daemon and wait for its ready file (or early death)."""
     ready.unlink(missing_ok=True)
     log = open(log_path, "a")
-    daemon = subprocess.Popen(argv, env=env, stdout=log, stderr=log)
+    # its own session: the daemon's pid is its pool workers' group id
+    daemon = subprocess.Popen(argv, env=env, stdout=log, stderr=log,
+                              start_new_session=True)
     log.close()  # the child holds its own descriptor
     deadline = time.monotonic() + _SERVE_START_TIMEOUT_S
     while time.monotonic() < deadline:
@@ -364,6 +385,38 @@ def _start_daemon(argv: list[str], env: dict, ready: Path,
     daemon.kill()
     raise RuntimeError(f"daemon not ready after "
                        f"{_SERVE_START_TIMEOUT_S:.0f}s (log: {log_path})")
+
+
+def _kill_daemon_group(daemon: subprocess.Popen) -> None:
+    """SIGKILL the daemon together with its pool workers (cleanup)."""
+    try:
+        os.killpg(daemon.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    daemon.wait()
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids in process group ``pgid`` that still run (zombies waiting for
+    a reaper excluded); empty where there is no Linux ``/proc``."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _wait_group_gone(pgid: int, timeout_s: float) -> list[int]:
+    """Poll until no member of ``pgid`` runs; returns the stragglers."""
+    deadline = time.monotonic() + timeout_s
+    while (members := _live_group_members(pgid)) \
+            and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return members
 
 
 def _serve_job_once(url: str, params: dict):
@@ -437,8 +490,7 @@ def run_chaos_serve(args, out=print) -> int:
 
         params = {
             "runs": args.runs, "events": args.events, "seed": args.seed,
-            "workers": args.workers,
-            "engine": getattr(args, "engine", "columnar"),
+            "workers": args.workers, **_engine_params(args),
         }
         if args.chunk_timeout is not None:
             params["chunk_timeout"] = args.chunk_timeout
@@ -551,8 +603,7 @@ def run_chaos_serve(args, out=print) -> int:
         return 1
     finally:
         if daemon is not None and daemon.poll() is None:
-            daemon.kill()
-            daemon.wait()
+            _kill_daemon_group(daemon)
         if args.keep:
             out(f"[repro chaos] kept scratch dir {work}")
         else:
@@ -593,6 +644,20 @@ def _wait_job_state(client, job_id: str, states: frozenset | set,
                        f"within {timeout_s:.0f}s")
 
 
+def _wait_interrupted_run(store: Path, timeout_s: float) -> str:
+    """Poll until a campaign run is open in ``store``: a ``running`` job
+    writes its run manifest only once its thread has set up, and a kill
+    before that would leave nothing to resume."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        run_id = _resume_id(store)
+        if run_id is not None:
+            return run_id
+        time.sleep(0.05)
+    raise RuntimeError(f"no campaign run opened in {store} "
+                       f"within {timeout_s:.0f}s")
+
+
 def run_chaos_serve_kill(args, out=print) -> int:
     """SIGKILL the daemon mid-campaign; the journal must make it whole.
 
@@ -601,6 +666,8 @@ def run_chaos_serve_kill(args, out=print) -> int:
     submission of A's content key attached.  The daemon is SIGKILL'd,
     restarted against the same store, and the verdict requires:
 
+    * the daemon's pool workers, left running by a SIGKILL of the
+      daemon alone, exit on their own;
     * journal replay requeues both jobs (A marked recovered-from-running);
     * A's content key, resubmitted after the restart, attaches to the
       *original* job id (dedupe survives the crash);
@@ -648,8 +715,7 @@ def run_chaos_serve_kill(args, out=print) -> int:
 
         base_params = {
             "runs": args.runs, "events": args.events,
-            "workers": args.workers,
-            "engine": getattr(args, "engine", "columnar"),
+            "workers": args.workers, **_engine_params(args),
         }
         if args.chunk_timeout is not None:
             base_params["chunk_timeout"] = args.chunk_timeout
@@ -671,6 +737,7 @@ def run_chaos_serve_kill(args, out=print) -> int:
             return 1
         job_a = payload["job"]["job_id"]
         _wait_job_state(client, job_a, {"running"}, 30.0)
+        _wait_interrupted_run(chaos_store, 30.0)
         status, payload = client.submit("campaign", params_b)
         if status != 201:
             out(f"[repro chaos] FAIL: job B not accepted "
@@ -686,8 +753,23 @@ def run_chaos_serve_kill(args, out=print) -> int:
         out(f"[repro chaos] staged: {job_a} running, {job_b} queued, "
             f"one deduplicated attach; sending SIGKILL")
 
+        # the daemon alone, as the OOM killer would: its pool workers
+        # must notice and exit on their own
+        workers = [pid for pid in _live_group_members(daemon.pid)
+                   if pid != daemon.pid]
         daemon.kill()
         daemon.wait()
+        orphans = _wait_group_gone(daemon.pid, _ORPHAN_EXIT_TIMEOUT_S)
+        if orphans:
+            os.killpg(daemon.pid, signal.SIGKILL)
+            out(f"[repro chaos] FAIL: pool workers {orphans} outlived the "
+                f"killed daemon by {_ORPHAN_EXIT_TIMEOUT_S:.0f}s")
+            return 1
+        if workers:
+            out(f"[repro chaos] pool workers exited with the killed "
+                f"daemon ({len(workers)})")
+        else:
+            out("[repro chaos] no pool workers were up at the kill")
 
         daemon = _start_daemon(argv, env, ready, serve_log)
         url = ready.read_text().strip()
@@ -804,8 +886,7 @@ def run_chaos_serve_kill(args, out=print) -> int:
         return 1
     finally:
         if daemon is not None and daemon.poll() is None:
-            daemon.kill()
-            daemon.wait()
+            _kill_daemon_group(daemon)
         if args.keep:
             out(f"[repro chaos] kept scratch dir {work}")
         else:

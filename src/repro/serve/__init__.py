@@ -17,25 +17,30 @@ Layers (stdlib-only, no web framework):
 * :mod:`repro.serve.server` — the asyncio HTTP daemon (``repro serve``);
 * :mod:`repro.serve.client` — the thin retrying client (``repro
   submit``, ``repro jobs``).
+
+The exports below load on first access (PEP 562), so the CLI can
+import the subcommand parsers in :mod:`repro.serve.options` without
+pulling in asyncio.
 """
 
-from repro.serve.jobs import JobError, JobRegistry, UnknownJobError
-from repro.serve.journal import JobJournal, JournalReplay
-from repro.serve.runner import JobCancelled, execute_job, job_keys
-from repro.serve.scheduler import FairShareScheduler, QueueFull
-from repro.serve.sse import BroadcastChannel, encode_sse
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BroadcastChannel",
-    "FairShareScheduler",
-    "JobCancelled",
-    "JobError",
-    "JobJournal",
-    "JobRegistry",
-    "JournalReplay",
-    "QueueFull",
-    "UnknownJobError",
-    "encode_sse",
-    "execute_job",
-    "job_keys",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "BroadcastChannel": "sse",
+    "FairShareScheduler": "scheduler",
+    "JobCancelled": "runner",
+    "JobError": "jobs",
+    "JobJournal": "journal",
+    "JobRegistry": "jobs",
+    "JournalReplay": "journal",
+    "QueueFull": "scheduler",
+    "UnknownJobError": "jobs",
+    "encode_sse": "sse",
+    "execute_job": "runner",
+    "job_keys": "runner",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -3,8 +3,8 @@
 :class:`ServeClient` wraps ``http.client`` (one connection per request —
 the daemon speaks ``Connection: close``) and exposes the API as plain
 methods; :meth:`ServeClient.watch` parses the SSE stream into event
-dicts.  The ``repro submit`` / ``repro jobs`` subcommands are wired here
-via :func:`add_client_parsers`.
+dicts.  The ``repro submit`` / ``repro jobs`` subcommands run here; their
+parsers live in :mod:`repro.serve.options`.
 
 Transient failures are survivable: connection-refused and 429
 (queue-full) answers are retried with the pool's own
@@ -22,7 +22,6 @@ The daemon URL resolves, in order: explicit ``--url``, the
 
 from __future__ import annotations
 
-import argparse
 import http.client
 import json
 import os
@@ -32,17 +31,15 @@ import time
 from urllib.parse import urlencode, urlsplit
 
 from repro.core.pool import RetryPolicy
+from repro.serve.options import DEFAULT_URL
 
 __all__ = [
     "DEFAULT_URL",
     "ServeClient",
     "ServeError",
-    "add_client_parsers",
     "cmd_jobs",
     "cmd_submit",
 ]
-
-DEFAULT_URL = "http://127.0.0.1:8023"
 
 #: events that end a watch
 _TERMINAL = {"completed", "failed", "cancelled"}
@@ -320,61 +317,6 @@ def _parse_param(pair: str) -> tuple[str, object]:
     except ValueError:
         value = raw  # bare strings (e.g. scheme=on_die_ecc) stay strings
     return name, value
-
-
-def add_client_parsers(sub) -> None:
-    """Register ``submit`` and ``jobs`` on the main CLI's subparsers."""
-    submit = sub.add_parser(
-        "submit", help="submit a job to a running repro serve daemon")
-    submit.add_argument("kind", choices=("campaign", "evaluate", "fig8"))
-    submit.add_argument("params", nargs="*", metavar="NAME=VALUE",
-                        help="job parameters, e.g. scheme=on_die_ecc "
-                             "samples=20000")
-    submit.add_argument("--url", default=None,
-                        help="daemon URL (default: $REPRO_SERVE_URL or "
-                             f"{DEFAULT_URL})")
-    submit.add_argument("--tenant", default="default")
-    submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget from submission; the "
-                             "daemon cancels the job once exceeded")
-    submit.add_argument("--retries", type=int, default=2, metavar="N",
-                        help="extra attempts for connection-refused / "
-                             "queue-full answers, with exponential "
-                             "backoff (default 2)")
-    submit.add_argument("--watch", action="store_true",
-                        help="stream progress to stderr and print the "
-                             "final report to stdout")
-    submit.add_argument("--timeout", type=float, default=3600.0,
-                        help="watch timeout in seconds (default 3600)")
-
-    jobs = sub.add_parser(
-        "jobs", help="inspect or control jobs on a repro serve daemon")
-    jobs.add_argument("--url", default=None,
-                      help="daemon URL (default: $REPRO_SERVE_URL or "
-                           f"{DEFAULT_URL})")
-    actions = jobs.add_subparsers(dest="action", required=True)
-    listing = actions.add_parser("list", help="list known jobs")
-    listing.add_argument("--tenant", default=None)
-    listing.add_argument("--state", default=None,
-                         choices=("queued", "running", "completed",
-                                  "failed", "cancelled"))
-    show = actions.add_parser("show", help="one job, result included")
-    show.add_argument("job_id")
-    watch = actions.add_parser("watch", help="stream a job's SSE events "
-                               "(reconnects across daemon restarts)")
-    watch.add_argument("job_id")
-    watch.add_argument("--timeout", type=float, default=3600.0)
-    cancel = actions.add_parser("cancel",
-                                help="cancel a queued or running job")
-    cancel.add_argument("job_id")
-    # accept --url after the subaction too (`repro jobs list --url ...`);
-    # SUPPRESS keeps an unset subaction flag from clobbering the parent's
-    for action in (listing, show, watch, cancel):
-        action.add_argument("--url", default=argparse.SUPPRESS,
-                            help="daemon URL (default: $REPRO_SERVE_URL "
-                                 f"or {DEFAULT_URL})")
 
 
 def _watch_to_end(client: ServeClient, job_id: str,

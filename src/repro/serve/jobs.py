@@ -23,6 +23,7 @@ from __future__ import annotations
 import secrets
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.serve.sse import BroadcastChannel
@@ -66,6 +67,16 @@ class _Param:
     #: identity params feed the dedupe key; the rest only shape execution
     identity: bool = True
     choices: tuple = ()
+    #: final value from ``(coerced value, params normalized before it)``;
+    #: a ValueError it raises rejects the submission
+    resolve: Callable[[object, dict], object] | None = None
+
+
+def _resolve_stats(stats: str | None, params: dict) -> str:
+    """A campaign's stats mode: unset picks the engine's default."""
+    from repro.beam.engine import resolve_stats_mode
+
+    return resolve_stats_mode(params["engine"], stats)
 
 
 #: accepted parameters per job kind — defaults mirror the CLI parsers, so
@@ -76,10 +87,11 @@ JOB_KINDS: dict[str, tuple[_Param, ...]] = {
         _Param("runs", int, 3),
         _Param("seed", int, 2021),
         _Param("events", int, 3000),
-        _Param("engine", str, "columnar", identity=False,
+        _Param("engine", str, "shm", identity=False,
                choices=("shm", "columnar", "reference")),
-        _Param("stats", str, "materialize", identity=False,
-               choices=("materialize", "streaming")),
+        _Param("stats", str, None, identity=False,
+               choices=("materialize", "streaming"),
+               resolve=_resolve_stats),
         _Param("workers", int, None, identity=False),
         _Param("chunk_timeout", float, None, identity=False),
         _Param("fleet_size", int, None),
@@ -145,7 +157,16 @@ def normalize_params(kind: str, params: dict | None) -> dict:
     if unknown:
         raise JobError(f"unknown parameter(s) for {kind!r}: "
                        f"{', '.join(unknown)}")
-    return {p.name: _coerce(p, params.get(p.name)) for p in spec}
+    normalized: dict = {}
+    for param in spec:
+        value = _coerce(param, params.get(param.name))
+        if param.resolve is not None:
+            try:
+                value = param.resolve(value, normalized)
+            except ValueError as exc:
+                raise JobError(str(exc)) from None
+        normalized[param.name] = value
+    return normalized
 
 
 def job_identity(kind: str, params: dict) -> dict:

@@ -78,7 +78,7 @@ from repro.serve.runner import JobCancelled, execute_job, job_keys
 from repro.serve.scheduler import FairShareScheduler, QueueFull
 from repro.serve.sse import encode_sse
 
-__all__ = ["ServeApp", "add_serve_parser", "cmd_serve", "serve_forever"]
+__all__ = ["ServeApp", "cmd_serve", "serve_forever"]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -674,54 +674,6 @@ class ServeApp:
 # ---------------------------------------------------------------------------
 # CLI wiring
 # ---------------------------------------------------------------------------
-
-def add_serve_parser(sub) -> None:
-    """Register the ``serve`` subcommand on the main CLI's subparsers."""
-    serve = sub.add_parser(
-        "serve",
-        help="run the multi-tenant campaign service (HTTP/JSON + SSE)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8023,
-                       help="TCP port (0 picks a free one; default 8023)")
-    serve.add_argument("--runs-dir", default=None, metavar="DIR",
-                       help="run-store root (default: $REPRO_RUNS_DIR or "
-                            "~/.cache/repro-runs)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="default process fan-out for jobs that don't "
-                            "set their own 'workers' parameter")
-    serve.add_argument("--slots", type=int, default=1, metavar="N",
-                       help="jobs run concurrently (default 1; each job "
-                            "fans out over the shared warm pool itself)")
-    serve.add_argument("--max-queue", type=int, default=64, metavar="N",
-                       help="pending-job bound before submissions get "
-                            "429 backpressure (default 64)")
-    serve.add_argument("--quantum", type=float, default=1.0,
-                       help="fair-share deficit quantum per scheduling "
-                            "visit (default 1.0)")
-    serve.add_argument("--tenant-weight", action="append", default=[],
-                       metavar="TENANT=WEIGHT",
-                       help="fair-share weight for one tenant "
-                            "(repeatable; unlisted tenants weigh 1.0)")
-    serve.add_argument("--history", type=int, default=256, metavar="N",
-                       help="finished jobs kept for list/show (default "
-                            "256)")
-    serve.add_argument("--progress-interval", type=float, default=1.0,
-                       metavar="SECONDS",
-                       help="SSE progress-event cadence (default 1.0)")
-    serve.add_argument("--grace", type=float, default=None,
-                       metavar="SECONDS",
-                       help="shutdown wait for running jobs (default: "
-                            "wait until they finish)")
-    serve.add_argument("--ready-file", default=None, metavar="FILE",
-                       help="write the listening URL here once ready "
-                            "(atomic; for harnesses and scripts)")
-    serve.add_argument("--inject-faults", default=None, metavar="SPEC",
-                       help="deterministic fault injection inside the "
-                            "daemon (see DESIGN.md)")
-    serve.add_argument("--faults-seed", type=int, default=0)
-    serve.add_argument("--faults-ledger", default=None, metavar="FILE")
-
 
 def _parse_weights(pairs: list[str]) -> dict[str, float]:
     weights: dict[str, float] = {}

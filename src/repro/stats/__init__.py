@@ -3,8 +3,8 @@
 Bounded-memory campaign analytics: :class:`CampaignAccumulator` holds
 every Figure 4/5 and Table 1 statistic as fixed-size integer tallies with
 an exact (associative, commutative) ``merge``; :class:`EntryOccupancy`
-answers the global intermittent-filter question in one bit per device
-entry; :mod:`repro.stats.table1` is the canonical tally → float helper
+answers the global intermittent-filter question in a sorted entry set,
+or one bit per device entry once that is smaller; :mod:`repro.stats.table1` is the canonical tally → float helper
 shared with the materialized oracles in :mod:`repro.beam.postprocess`.
 """
 

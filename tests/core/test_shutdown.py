@@ -1,6 +1,12 @@
-"""Process-exit cleanup: shutdown hooks, arena release, worker signal reset."""
+"""Process-exit cleanup: shutdown hooks, arena release, worker signal
+reset, and pool workers exiting with a host killed on its own."""
 
+import os
 import signal as signal_module
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +136,59 @@ class TestPoolWorkerInit:
         monkeypatch.setattr(pool_module.signal, "set_wakeup_fd", boom)
         monkeypatch.setattr(pool_module.signal, "signal", boom)
         pool_worker_init()  # must not raise
+
+
+#: a host that forks a two-worker pool, prints the worker pids, and
+#: waits to be killed
+_HOST_CODE = """
+import os, time
+from concurrent.futures import ProcessPoolExecutor
+from repro.core.pool import pool_worker_init
+
+def nap_pid(_):
+    time.sleep(0.3)
+    return os.getpid()
+
+pool = ProcessPoolExecutor(max_workers=2, initializer=pool_worker_init)
+pids = set()
+while len(pids) < 2:
+    pids.update(pool.map(nap_pid, range(2)))
+print(*sorted(pids), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs a Linux /proc")
+def test_pool_workers_exit_when_their_host_is_killed_alone():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    host = subprocess.Popen([sys.executable, "-c", _HOST_CODE],
+                            stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        workers = [int(pid) for pid in host.stdout.readline().split()]
+        assert len(workers) == 2
+        assert all(_running(pid) for pid in workers)
+        host.kill()  # the host alone: no shutdown, no group signal
+        host.wait()
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _running(pid)]
+    finally:
+        host.kill()
+        host.wait()
+        host.stdout.close()
+    for pid in orphans:
+        os.kill(pid, signal_module.SIGKILL)
+    assert orphans == []

@@ -3,11 +3,18 @@ campaign must recover, account for every incident, and reproduce the
 clean run's statistics byte for byte."""
 
 import argparse
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.faults.chaos import (
     DEFAULT_SPEC,
+    _campaign_argv,
+    _live_group_members,
+    _wait_group_gone,
     cmd_chaos,
     run_chaos,
     run_chaos_serve_kill,
@@ -50,16 +57,50 @@ def test_shm_arena_leak_is_reclaimed_on_resume():
     # shared-memory segment exists — a deliberate leak.  The --resume
     # recovery must reclaim it (run_chaos fails on any surviving
     # repro-shm segment) and still end bit-identical to the clean run.
+    # Only the materialized shm path ships results through an arena.
     lines = []
     spec = ("pool.worker.crash:mode=exit,times=1;"
             "shm.arena.create:mode=exit,host=1,times=1")
     assert run_chaos(
-        _args(engine="shm", inject_faults=spec), out=lines.append) == 0
+        _args(engine="shm", stats="materialize", inject_faults=spec),
+        out=lines.append) == 0
     report = "\n".join(lines)
     assert "PASS" in report
     assert "shm.arena.create: 1" in report
     assert any("campaign killed" in line for line in lines)
     assert "statistics bit-identical to the clean run" in report
+
+
+def test_campaigns_get_the_engine_and_stats_forwarded(tmp_path):
+    argv = _campaign_argv(_args(engine="shm", stats="materialize"),
+                          tmp_path)
+    flags = dict(zip(argv[4::2], argv[5::2]))
+    assert (flags["--engine"], flags["--stats"]) == ("shm", "materialize")
+    # unset, the campaign picks the engine's default itself
+    assert "--stats" not in _campaign_argv(_args(engine="shm"), tmp_path)
+
+
+@pytest.mark.slow
+def test_reference_engine_runs_materialized():
+    # the scalar engine has no streaming path; unset --stats must not
+    # hand it the streaming default
+    lines = []
+    assert run_chaos(
+        _args(engine="reference", events=600,
+              inject_faults="pool.worker.crash:mode=exit,times=1"),
+        out=lines.append) == 0
+    report = "\n".join(lines)
+    assert "PASS" in report
+    assert "statistics bit-identical to the clean run" in report
+
+
+def test_reference_engine_with_streaming_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--engine", "reference", "--stats", "streaming"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "no streaming statistics path" in err
+    assert "Traceback" not in err
 
 
 def test_kill_daemon_dispatch_fails_fast_on_a_bad_spec(capsys):
@@ -70,6 +111,23 @@ def test_kill_daemon_dispatch_fails_fast_on_a_bad_spec(capsys):
     out = capsys.readouterr().out
     assert "bad fault spec" in out
     assert "scratch dir" not in out
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs a Linux /proc")
+def test_group_watch_sees_a_process_group_until_it_exits():
+    # what the kill leg uses to tell that a killed daemon's pool workers
+    # exited on their own
+    proc = subprocess.Popen([sys.executable, "-c",
+                             "import time; time.sleep(60)"],
+                            start_new_session=True)
+    try:
+        assert _live_group_members(proc.pid) == [proc.pid]
+        assert _wait_group_gone(proc.pid, 0.2) == [proc.pid]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert _wait_group_gone(proc.pid, 5.0) == []
 
 
 @pytest.mark.slow
@@ -83,6 +141,7 @@ def test_daemon_sigkill_recovers_through_the_journal():
     report = "\n".join(lines)
     assert "PASS" in report
     assert "sending SIGKILL" in report
+    assert "pool workers exited with the killed daemon" in report
     assert "journal replay after restart" in report
     assert "compacted journal" in report
 

@@ -141,23 +141,37 @@ class TestRunsSubcommand:
 
 
 class TestTraceSubcommand:
-    def _seed_campaign(self, root, capsys):
+    def _seed_campaign(self, root, capsys, *flags):
         main(["campaign", "--runs", "1", "--events", "1200", "--workers",
-              "2", "--runs-dir", str(root)])
+              "2", "--runs-dir", str(root), *flags])
         capsys.readouterr()
         return RunStore(root).list_runs()[0]
 
-    def test_trace_renders_the_stage_tree_with_worker_spans(self, root,
-                                                            capsys):
-        manifest = self._seed_campaign(root, capsys)
+    def _render_trace(self, root, capsys, stages, *flags):
+        manifest = self._seed_campaign(root, capsys, *flags)
         assert main(["runs", "--runs-dir", str(root), "trace",
                      manifest.run_id]) == 0
         out = capsys.readouterr().out
         assert f"trace of run {manifest.run_id}" in out
-        for name in ("campaign", "statistics", "chunk", "synthesize",
-                     "scan", "postprocess"):
+        for name in ("campaign", "statistics", "chunk", *stages):
             assert name in out
+        return out
+
+    def test_trace_renders_the_stage_tree_with_worker_spans(self, root,
+                                                            capsys):
+        # the default streamed path: scout sweep, then synthesize + fold
+        out = self._render_trace(root, capsys,
+                                 ("scout", "synthesize", "fold"))
         assert "[pid:" in out  # worker provenance made it into the render
+        assert "slowest" in out
+
+    def test_trace_of_a_materialized_campaign_shows_scan_and_postprocess(
+            self, root, capsys):
+        out = self._render_trace(root, capsys,
+                                 ("synthesize", "scan", "postprocess"),
+                                 "--engine", "columnar",
+                                 "--stats", "materialize")
+        assert "[pid:" in out
         assert "slowest" in out
 
     def test_show_advertises_the_stored_trace(self, root, capsys):

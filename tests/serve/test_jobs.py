@@ -19,7 +19,7 @@ class TestNormalization:
     def test_defaults_filled(self):
         params = normalize_params("campaign", {})
         assert params == {"runs": 3, "seed": 2021, "events": 3000,
-                          "engine": "columnar", "stats": "materialize",
+                          "engine": "shm", "stats": "streaming",
                           "workers": None, "chunk_timeout": None,
                           "fleet_size": None, "fleet_scheme": "trio"}
 
@@ -51,6 +51,18 @@ class TestNormalization:
     def test_choices_enforced(self):
         with pytest.raises(JobError, match="one of"):
             normalize_params("campaign", {"engine": "warp"})
+
+    def test_reference_engine_implies_materialize(self):
+        params = normalize_params("campaign", {"engine": "reference"})
+        assert params["stats"] == "materialize"
+        explicit = normalize_params("campaign", {"engine": "columnar",
+                                                 "stats": "materialize"})
+        assert explicit["stats"] == "materialize"
+
+    def test_reference_engine_rejects_streaming(self):
+        with pytest.raises(JobError, match="no streaming statistics path"):
+            normalize_params("campaign", {"engine": "reference",
+                                          "stats": "streaming"})
 
 
 class TestIdentity:

@@ -1,5 +1,8 @@
 """The serve runner: content keys, resume discovery, CLI-identical reports."""
 
+import contextlib
+import io
+
 import pytest
 
 from repro.runs.session import RunSession
@@ -84,6 +87,33 @@ class TestExecuteJob:
         assert second["cache_misses"] == 0
         assert report_lines(first["report"]) \
             == report_lines(second["report"])
+
+    @pytest.mark.parametrize("seed", [3, 11, 2021])
+    def test_default_campaign_job_matches_scalar_reference(self, tmp_path,
+                                                           seed):
+        # a served campaign on the default path (shm engine, streamed
+        # statistics) against the CLI's scalar oracle, byte for byte
+        from repro.cli import main
+
+        params = normalize_params("campaign", {"runs": 1, "events": 400,
+                                               "seed": seed})
+        assert (params["engine"], params["stats"]) == ("shm", "streaming")
+        served = execute_job("campaign", params, runs_dir=tmp_path / "a")
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert main(["campaign", "--runs", "1", "--events", "400",
+                         "--seed", str(seed), "--engine", "reference",
+                         "--stats", "materialize", "--heartbeat", "0",
+                         "--runs-dir", str(tmp_path / "b")]) == 0
+        assert report_lines(served["report"]) \
+            == report_lines(sink.getvalue())
+        assert "Derived Table 1" in served["report"]
+
+    def test_reference_engine_job_runs_materialized(self, tmp_path):
+        params = normalize_params("campaign", {"runs": 1, "events": 200,
+                                               "engine": "reference"})
+        result = execute_job("campaign", params, runs_dir=tmp_path)
+        assert "Derived Table 1" in result["report"]
 
     def test_progress_callback_is_threaded_through(self, tmp_path):
         lines = []

@@ -115,6 +115,80 @@ class TestCommands:
         assert "MTBF" in streamed and "FIT" in streamed
         assert streamed == materialized  # byte-identical reports
 
+    def test_reference_engine_implies_materialize(self, capsys):
+        assert main(["campaign", "--runs", "1", "--events", "200",
+                     "--seed", "3", "--engine", "reference",
+                     "--no-cache"]) == 0
+        assert "Derived Table 1" in capsys.readouterr().out
+
+    def test_reference_engine_rejects_streaming_with_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--events", "200", "--engine", "reference",
+                  "--stats", "streaming"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "no streaming statistics path" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [3, 11, 2021])
+    def test_default_report_matches_scalar_reference(self, capsys, seed):
+        # the default path (shm engine, streamed statistics) against the
+        # scalar oracle, byte for byte
+        argv = ["campaign", "--runs", "1", "--events", "400", "--seed",
+                str(seed), "--no-cache", "--heartbeat", "0"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--engine", "reference",
+                     "--stats", "materialize"]) == 0
+        assert default == capsys.readouterr().out
+        assert "Derived Table 1" in default
+
+    def test_default_report_statistics_match_the_scalar_derivation(
+            self, capsys):
+        # the CLI derives every path's statistics through one accumulator
+        # fold; hold that fold to the scalar derive_table1 /
+        # breadth_class_fractions over the reference run's events
+        from repro.beam import (
+            BeamCampaign,
+            breadth_class_fractions,
+            derive_table1,
+            filter_intermittent,
+            group_events,
+            run_statistics_campaign,
+        )
+        from repro.cli import beam_campaign_config
+        from repro.stats import CampaignAccumulator
+
+        seed, events = 11, 400
+        config = beam_campaign_config({"runs": 1, "seed": seed})
+        beam_observed = group_events(filter_intermittent(
+            BeamCampaign(config).run().records).soft_records)
+        reference = run_statistics_campaign(events, seed=seed,
+                                            engine="reference")
+        observed = beam_observed + reference.observed_events
+        table1 = derive_table1(observed)
+        class_fractions = breadth_class_fractions(observed)
+
+        streamed = run_statistics_campaign(events, seed=seed, engine="shm",
+                                           stats="streaming")
+        accumulator = CampaignAccumulator()
+        accumulator.update_from_events(beam_observed)
+        final = accumulator.merge(streamed.accumulator).finalize()
+        assert final["table1"] == table1  # exact floats
+        assert final["class_fractions"] == class_fractions
+
+        assert main(["campaign", "--runs", "1", "--events", str(events),
+                     "--seed", str(seed), "--no-cache",
+                     "--heartbeat", "0"]) == 0
+        rendered = "\n".join(
+            ["Event classes (Figure 4a):",
+             *(f"  {klass.name}: {fraction:.1%}"
+               for klass, fraction in class_fractions.items()),
+             "", "Derived Table 1:",
+             *(f"  {pattern.value:8s}: {probability:.2%}"
+               for pattern, probability in table1.items())])
+        assert rendered in capsys.readouterr().out
+
     def test_system(self, capsys):
         assert main(["system", "--scheme", "trio", "--samples", "500",
                      "--exaflops", "1.0"]) == 0
@@ -149,3 +223,37 @@ class TestReport:
         assert "report written" in capsys.readouterr().out
         content = target.read_text()
         assert "TrioECC" in content
+
+
+class TestStartupImports:
+    """The CLI's start-up must not load what most commands never use."""
+
+    @pytest.mark.parametrize("code", [
+        "import repro.cli",
+        "from repro.cli import build_parser; build_parser()",
+    ], ids=["import", "build_parser"])
+    def test_no_asyncio_or_scipy(self, code):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        probe = (f"{code}\nimport sys\n"
+                 "print(sorted(m for m in ('asyncio', 'scipy') "
+                 "if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+    def test_lazy_analysis_names_still_import(self):
+        from repro.analysis import fit_exponential, format_table
+        from repro.analysis.fitting import fit_exponential as direct
+
+        assert fit_exponential is direct
+        assert callable(format_table)
