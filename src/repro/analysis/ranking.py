@@ -75,25 +75,26 @@ def ranking_rows(
 ) -> list[RankedScheme]:
     """Evaluate and synthesize every registry scheme; returns ranked rows.
 
-    Evaluation reuses the Table-2 Monte Carlo harness cell by cell (so a
+    Evaluation is one Table-2 Monte Carlo sweep over every scheme (so a
     populated run-store cache makes re-ranking nearly free), and the
     hardware columns come from :func:`repro.hardware.expansion.
     scheme_hardware` at the performance design point.
     """
     from repro.core.registry import get_scheme, known_scheme_names
-    from repro.errormodel import evaluate_scheme, weighted_outcomes
+    from repro.errormodel import sdc_risk_table, weighted_outcomes
     from repro.hardware.expansion import scheme_hardware
 
     hardware = scheme_hardware()
+    schemes = [get_scheme(name) for name in known_scheme_names()]
+    table = sdc_risk_table(
+        schemes, samples=samples, seed=seed, workers=workers, cache=cache,
+        cell_timeout=cell_timeout, tracer=tracer, heartbeat=heartbeat,
+        warm_pool=warm_pool,
+    )
     rows = []
-    for name in known_scheme_names():
-        scheme = get_scheme(name)
-        per_pattern = evaluate_scheme(
-            scheme, samples=samples, seed=seed, workers=workers, cache=cache,
-            cell_timeout=cell_timeout, tracer=tracer, heartbeat=heartbeat,
-            warm_pool=warm_pool,
-        )
-        outcome = weighted_outcomes(scheme, per_pattern=per_pattern)
+    for scheme in schemes:
+        name = scheme.name
+        outcome = weighted_outcomes(scheme, per_pattern=table[name])
         encoder, decoder = hardware[name]
         rows.append(RankedScheme(
             name=name,

@@ -1,7 +1,7 @@
 """One-shot reproduction report generator.
 
 Builds a self-contained Markdown report covering the paper's full
-evaluation — Table 1 (derived from a simulated campaign), Table 2,
+evaluation — Table 1 (derived from batch-synthesized SEU events), Table 2,
 Figure 8, Table 3, Figure 9 and the Section 7.3 automotive analysis —
 from a single entry point:
 
@@ -39,16 +39,25 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _derived_table1(config: ReportConfig) -> dict:
+    """Table 1 over ``campaign_events`` batch-synthesized SEUs, 20 s apart."""
+    import numpy as np
+
+    from repro.beam.events import BatchEventSynthesis
+    from repro.beam.postprocess import events_from_truth_table
+    from repro.stats import CampaignAccumulator
+
+    truth = BatchEventSynthesis(seed=config.seed).table_at(
+        20.0 * np.arange(config.campaign_events))
+    accumulator = CampaignAccumulator()
+    accumulator.update_from_flip_table(events_from_truth_table(truth))
+    return accumulator.finalize()["table1"]
+
+
 def _section_table1(config: ReportConfig) -> str:
-    from repro.beam.events import SoftErrorEventGenerator
-    from repro.beam.postprocess import derive_table1, events_from_truth
     from repro.errormodel.patterns import TABLE1_PROBABILITIES, ErrorPattern
 
-    generator = SoftErrorEventGenerator(seed=config.seed)
-    events = events_from_truth(
-        [generator.generate_event(20.0 * i) for i in range(config.campaign_events)]
-    )
-    derived = derive_table1(events)
+    derived = _derived_table1(config)
     rows = [
         [pattern.value, f"{derived[pattern]:.2%}",
          f"{TABLE1_PROBABILITIES[pattern]:.2%}"]
@@ -62,21 +71,19 @@ def _section_table1(config: ReportConfig) -> str:
 
 
 def _outcomes(config: ReportConfig, workers=None, cache=None, tracer=None,
-              warm_pool=None):
+              heartbeat=None, warm_pool=None):
     from repro.core import all_schemes
-    from repro.errormodel.montecarlo import evaluate_scheme, weighted_outcomes
+    from repro.errormodel.montecarlo import sdc_risk_table, weighted_outcomes
 
-    outcomes = {}
-    for scheme in all_schemes():
-        per_pattern = evaluate_scheme(
-            scheme, samples=config.samples, seed=config.seed,
-            workers=workers, cache=cache, tracer=tracer,
-            warm_pool=warm_pool,
-        )
-        outcomes[scheme.name] = weighted_outcomes(
-            scheme, per_pattern=per_pattern
-        )
-    return outcomes
+    schemes = all_schemes()
+    table = sdc_risk_table(
+        schemes, samples=config.samples, seed=config.seed, workers=workers,
+        cache=cache, tracer=tracer, heartbeat=heartbeat, warm_pool=warm_pool,
+    )
+    return {
+        scheme.name: weighted_outcomes(scheme, per_pattern=table[scheme.name])
+        for scheme in schemes
+    }
 
 
 def _section_table2(outcomes) -> str:
@@ -189,23 +196,27 @@ def generate_report(
     workers: int | None = None,
     cache=None,
     tracer=None,
+    heartbeat=None,
     warm_pool=None,
 ) -> str:
     """Render the full reproduction report as Markdown.
 
-    ``workers`` fans the Table-2 cells out over a process pool, ``cache``
-    (e.g. :class:`repro.runs.CellCache`) reuses cells already in the
-    persistent run store, ``tracer`` (a :class:`repro.obs.Tracer`)
-    collects per-cell spans, and ``warm_pool`` (a
-    :class:`repro.core.pool.WarmPool`) reuses worker processes across the
-    per-scheme sweeps — all leave the rendered report byte-identical.
+    Every Table-2 cell comes from one sweep over all schemes.  ``workers``
+    fans the cells out over a process pool, ``cache`` (e.g.
+    :class:`repro.runs.CellCache`) reuses cells already in the persistent
+    run store, ``tracer`` (a :class:`repro.obs.Tracer`) collects per-cell
+    spans, ``heartbeat`` (a :class:`repro.obs.Heartbeat`) reports the
+    sweep's progress, and ``warm_pool`` (a
+    :class:`repro.core.pool.WarmPool`) supplies the worker processes — all
+    leave the rendered report byte-identical.
     """
     config = ReportConfig(
         samples=samples, seed=seed, campaign_events=campaign_events,
         exaflops=exaflops,
     )
     outcomes = _outcomes(config, workers=workers, cache=cache,
-                         tracer=tracer, warm_pool=warm_pool)
+                         tracer=tracer, heartbeat=heartbeat,
+                         warm_pool=warm_pool)
     parts = [
         "# Reproduction report — Characterizing and Mitigating Soft Errors "
         "in GPU DRAM (MICRO 2021)",

@@ -92,6 +92,19 @@ def version_string() -> str:
     return f"repro {version}"
 
 
+def _sample_count(text: str) -> int:
+    """``--samples``: a Monte Carlo sample count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid sample count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1 (got {value})")
+    return value
+
+
 def _add_store_flags(parser: argparse.ArgumentParser,
                      workers: bool = True) -> None:
     """The run-store flags shared by every evaluation subcommand."""
@@ -151,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="evaluate one ECC scheme")
     evaluate.add_argument("scheme", help="registry name, e.g. trio")
-    evaluate.add_argument("--samples", type=int, default=20_000,
+    evaluate.add_argument("--samples", type=_sample_count, default=20_000,
                           help="Monte Carlo samples per sampled pattern")
     evaluate.add_argument("--seed", type=int, default=1234)
     _add_store_flags(evaluate)
 
     fig8 = sub.add_parser("fig8", help="Figure-8 comparison of all schemes")
-    fig8.add_argument("--samples", type=int, default=20_000)
+    fig8.add_argument("--samples", type=_sample_count, default=20_000)
     fig8.add_argument("--seed", type=int, default=1234)
     _add_store_flags(fig8)
 
@@ -170,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser(
         "rank", help="code-space superset ranking: resilience x area x delay "
                      "across every registered organization")
-    rank.add_argument("--samples", type=int, default=20_000,
+    rank.add_argument("--samples", type=_sample_count, default=20_000,
                       help="Monte Carlo samples per sampled pattern")
     rank.add_argument("--seed", type=int, default=1234)
     _add_store_flags(rank)
@@ -214,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     system = sub.add_parser("system", help="HPC and automotive system models")
     system.add_argument("--scheme", default="trio")
-    system.add_argument("--samples", type=int, default=20_000)
+    system.add_argument("--samples", type=_sample_count, default=20_000)
     system.add_argument("--exaflops", type=float, nargs="+",
                         default=[0.5, 1.0, 2.0])
     _add_store_flags(system)
@@ -222,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="full reproduction report (Markdown)")
     report.add_argument("-o", "--output", default=None,
                         help="write to a file instead of stdout")
-    report.add_argument("--samples", type=int, default=20_000)
+    report.add_argument("--samples", type=_sample_count, default=20_000)
     report.add_argument("--seed", type=int, default=20211018)
     _add_store_flags(report)
 
@@ -467,28 +480,28 @@ def _cmd_evaluate(args, out=print):
 
 def _cmd_fig8(args, out=print):
     from repro.core import all_schemes
-    from repro.errormodel import evaluate_scheme, weighted_outcomes
+    from repro.errormodel import sdc_risk_table, weighted_outcomes
 
     session = _session_or_null(args, "fig8", fig8_session_config(args))
     cfg = session.config
-    rows = []
+    schemes = all_schemes()
     with session.active():
         with session.stage("evaluate"):
-            for scheme in all_schemes():
-                per_pattern = evaluate_scheme(
-                    scheme, samples=cfg["samples"], seed=cfg["seed"],
-                    workers=cfg.get("workers"), cache=session.cell_cache,
-                    cell_timeout=cfg.get("cell_timeout"),
-                    tracer=session.tracer,
-                    heartbeat=_make_heartbeat(
-                        args, f"fig8 {scheme.name}", "cells"),
-                    warm_pool=_warm_pool(cfg.get("workers")),
-                )
-                outcome = weighted_outcomes(scheme, per_pattern=per_pattern)
-                rows.append([
-                    scheme.label, f"{outcome.correct:.2%}",
-                    f"{outcome.detect:.2%}", format_percent(outcome.sdc),
-                ])
+            table = sdc_risk_table(
+                schemes, samples=cfg["samples"], seed=cfg["seed"],
+                workers=cfg.get("workers"), cache=session.cell_cache,
+                cell_timeout=cfg.get("cell_timeout"),
+                tracer=session.tracer,
+                heartbeat=_make_heartbeat(args, "fig8", "cells"),
+                warm_pool=_warm_pool(cfg.get("workers")),
+            )
+    rows = []
+    for scheme in schemes:
+        outcome = weighted_outcomes(scheme, per_pattern=table[scheme.name])
+        rows.append([
+            scheme.label, f"{outcome.correct:.2%}",
+            f"{outcome.detect:.2%}", format_percent(outcome.sdc),
+        ])
     out(format_table(["scheme", "corrected", "DUE", "SDC"], rows,
                      title="Figure 8 — Table-1-weighted outcomes"))
     _print_summary(session, out)
@@ -725,6 +738,7 @@ def _cmd_report(args) -> None:
                 samples=cfg["samples"], seed=cfg["seed"],
                 workers=cfg.get("workers"), cache=session.cell_cache,
                 tracer=session.tracer,
+                heartbeat=_make_heartbeat(args, "report", "cells"),
                 warm_pool=_warm_pool(cfg.get("workers")),
             )
     if args.output:

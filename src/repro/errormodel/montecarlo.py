@@ -18,11 +18,14 @@ Wilson-style confidence half-width so EXPERIMENTS.md can report precision,
 mirroring the paper's ±0.0003%/±0.00003% statements.
 
 Error batches travel bit-packed (uint64 words) end-to-end, so schemes with a
-packed syndrome-LUT fast path never touch unpacked bits.  Each Table-2 cell
-is seeded independently from ``np.random.SeedSequence(seed).spawn``, which
-makes :func:`evaluate_scheme` and :func:`sdc_risk_table` with ``workers=N``
-(a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out over cells)
-bit-identical to the serial ``workers=1`` run.
+packed syndrome-LUT fast path never touch unpacked bits.  Each Table-2
+pattern is seeded independently from ``np.random.SeedSequence(seed).spawn``,
+which makes :func:`evaluate_scheme` and :func:`sdc_risk_table` with
+``workers=N`` (a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out
+over cells) bit-identical to the serial ``workers=1`` run.  Every scheme
+sees the same stream for a pattern, so a sweep draws each sampled
+pattern's batch once per process and every scheme's cell decodes that one
+read-only array (:func:`_shared_batch`).
 
 The fan-out degrades gracefully rather than crashing a long sweep: a cell
 that exceeds ``cell_timeout`` or a worker pool that breaks
@@ -93,6 +96,10 @@ _Z99 = 2.576  # two-sided 99% normal quantile
 
 _DEFAULT_SAMPLES = 200_000
 _CHUNK = 65_536
+
+#: per sampled pattern, ``(key, batch)`` of the last batch this process
+#: drew for a sweep; see :func:`_shared_batch`
+_BATCHES: dict[ErrorPattern, tuple[tuple, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,47 @@ def _decode_chunked(scheme: ECCScheme, errors: np.ndarray,
     return dce, due, sdc
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1 (got {samples})")
+
+
+def _draw(pattern: ErrorPattern, samples: int,
+          rng: np.random.Generator) -> np.ndarray:
+    """A fresh packed batch of one sampled pattern.
+
+    The samplers are looked up as module attributes at call time, so a
+    wrapper installed on this module sees every draw.
+    """
+    if pattern is ErrorPattern.TRIPLE_BIT:
+        return sample_triple_bit_errors_packed(samples, rng)
+    if pattern is ErrorPattern.BEAT:
+        return sample_beat_errors_packed(samples, rng)
+    return sample_entry_errors_packed(samples, rng)
+
+
+def _shared_batch(pattern: ErrorPattern, samples: int,
+                  seed_seq: np.random.SeedSequence) -> np.ndarray:
+    """The read-only packed batch that ``seed_seq`` draws for ``pattern``.
+
+    The process keeps the last batch per sampled pattern, so every
+    scheme's cell in a sweep decodes one draw.  The key is everything the
+    stream depends on, so a batch is only ever reused for its own seed;
+    two sweeps racing in threads may evict each other's batch and draw it
+    again.  Reading and replacing one dict slot is atomic, so no lock is
+    needed.
+    """
+    key = (pattern, samples, seed_seq.entropy, seed_seq.spawn_key,
+           seed_seq.pool_size)
+    held = _BATCHES.get(pattern)
+    if held is not None and held[0] == key:
+        return held[1]
+    batch = _draw(pattern, samples, np.random.default_rng(seed_seq))
+    batch.flags.writeable = False
+    _BATCHES[pattern] = (key, batch)
+    return batch
+
+
 def evaluate_pattern(
     scheme: ECCScheme,
     pattern: ErrorPattern,
@@ -185,9 +233,16 @@ def evaluate_pattern(
     samples: int = _DEFAULT_SAMPLES,
     rng: np.random.Generator | None = None,
     exhaustive_triples: bool = False,
+    seed_seq: np.random.SeedSequence | None = None,
 ) -> PatternOutcome:
-    """Evaluate one Table-2 cell (timed; see ``PatternOutcome.elapsed_s``)."""
-    rng = rng if rng is not None else np.random.default_rng(1234)
+    """Evaluate one Table-2 cell (timed; see ``PatternOutcome.elapsed_s``).
+
+    A sampled pattern draws from ``rng``; given ``seed_seq`` instead (a
+    sweep's child seed for the pattern) it decodes the process's shared
+    batch for that seed, and ``elapsed_s`` counts the draw only in the
+    cell that made it.
+    """
+    _check_samples(samples)
     started = time.perf_counter()
 
     exhaustive = True
@@ -199,29 +254,23 @@ def evaluate_pattern(
         dce, due, sdc = _decode_chunked(scheme, enumerate_byte_errors_packed())
     elif pattern is ErrorPattern.DOUBLE_BIT:
         dce, due, sdc = _decode_chunked(scheme, enumerate_double_bit_errors_packed())
-    elif pattern is ErrorPattern.TRIPLE_BIT:
-        if exhaustive_triples:
-            dce = due = sdc = 0
-            for block in iter_triple_bit_errors_packed():
-                block_dce, block_due, block_sdc = _decode_chunked(scheme, block)
-                dce += block_dce
-                due += block_due
-                sdc += block_sdc
+    elif pattern is ErrorPattern.TRIPLE_BIT and exhaustive_triples:
+        dce = due = sdc = 0
+        for block in iter_triple_bit_errors_packed():
+            block_dce, block_due, block_sdc = _decode_chunked(scheme, block)
+            dce += block_dce
+            due += block_due
+            sdc += block_sdc
+    elif pattern in (ErrorPattern.TRIPLE_BIT, ErrorPattern.BEAT,
+                     ErrorPattern.ENTRY):
+        exhaustive = False
+        if seed_seq is not None:
+            errors = _shared_batch(pattern, samples, seed_seq)
         else:
-            exhaustive = False
-            dce, due, sdc = _decode_chunked(
-                scheme, sample_triple_bit_errors_packed(samples, rng)
-            )
-    elif pattern is ErrorPattern.BEAT:
-        exhaustive = False
-        dce, due, sdc = _decode_chunked(
-            scheme, sample_beat_errors_packed(samples, rng)
-        )
-    elif pattern is ErrorPattern.ENTRY:
-        exhaustive = False
-        dce, due, sdc = _decode_chunked(
-            scheme, sample_entry_errors_packed(samples, rng)
-        )
+            errors = _draw(pattern, samples,
+                           rng if rng is not None
+                           else np.random.default_rng(1234))
+        dce, due, sdc = _decode_chunked(scheme, errors)
     else:
         raise ValueError(f"unknown pattern {pattern}")
 
@@ -281,8 +330,8 @@ def _evaluate_cell(
             scheme,
             pattern,
             samples=samples,
-            rng=np.random.default_rng(seed_seq),
             exhaustive_triples=exhaustive_triples,
+            seed_seq=seed_seq,
         )
     from repro.obs import Tracer
 
@@ -292,8 +341,8 @@ def _evaluate_cell(
             scheme,
             pattern,
             samples=samples,
-            rng=np.random.default_rng(seed_seq),
             exhaustive_triples=exhaustive_triples,
+            seed_seq=seed_seq,
         )
         tracer.count(events=outcome.events)
     tag = f"pid:{os.getpid()}"
@@ -397,7 +446,13 @@ def _collect_cells(
     retry: RetryPolicy | None = None,
     warm_pool=None,
 ) -> dict[str, dict[ErrorPattern, PatternOutcome]]:
-    """Shared cache-aware engine behind Table 2 and per-scheme evaluation."""
+    """Shared cache-aware engine behind Table 2 and per-scheme evaluation.
+
+    Every scheme's cell of a sampled pattern decodes one shared batch per
+    process (:func:`_shared_batch`); this process's batches are freed
+    when the sweep returns.
+    """
+    _check_samples(samples)
     cells = list(zip(ErrorPattern, _cell_seeds(seed)))
     table: dict[str, dict[ErrorPattern, PatternOutcome]] = {
         scheme.name: {} for scheme in schemes
@@ -420,8 +475,11 @@ def _collect_cells(
                     seed_seq=child,
                     exhaustive_triples=exhaustive_triples,
                 ))
-    fresh = _run_cells(jobs, workers, cell_timeout, tracer, heartbeat, retry,
-                       warm_pool)
+    try:
+        fresh = _run_cells(jobs, workers, cell_timeout, tracer, heartbeat,
+                           retry, warm_pool)
+    finally:
+        _BATCHES.clear()
     if heartbeat is not None:
         heartbeat.close()
     if tracer is not None:

@@ -79,6 +79,14 @@ def _resolve_stats(stats: str | None, params: dict) -> str:
     return resolve_stats_mode(params["engine"], stats)
 
 
+def _resolve_samples(samples: int, params: dict) -> int:
+    """A Monte Carlo sample count: at least 1, as on the CLI."""
+    if samples < 1:
+        raise ValueError(
+            f"parameter 'samples' must be at least 1 (got {samples})")
+    return samples
+
+
 #: accepted parameters per job kind — defaults mirror the CLI parsers, so
 #: a submitted job and the equivalent ``repro <kind>`` invocation build
 #: the same run-session config (and therefore the same artifacts)
@@ -99,13 +107,13 @@ JOB_KINDS: dict[str, tuple[_Param, ...]] = {
     ),
     "evaluate": (
         _Param("scheme", str, required=True),
-        _Param("samples", int, 20_000),
+        _Param("samples", int, 20_000, resolve=_resolve_samples),
         _Param("seed", int, 1234),
         _Param("workers", int, None, identity=False),
         _Param("cell_timeout", float, None, identity=False),
     ),
     "fig8": (
-        _Param("samples", int, 20_000),
+        _Param("samples", int, 20_000, resolve=_resolve_samples),
         _Param("seed", int, 1234),
         _Param("workers", int, None, identity=False),
         _Param("cell_timeout", float, None, identity=False),

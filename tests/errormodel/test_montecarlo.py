@@ -224,3 +224,120 @@ class TestExhaustiveTriples:
         margin = 3 * sampled.sdc_confidence_99 + 1e-3
         assert abs(sampled.sdc - exhaustive.sdc) < margin
         assert abs(sampled.due - exhaustive.due) < 0.02
+
+
+def _per_cell(schemes, samples, seed):
+    """The oracle: every cell evaluated alone, each with a fresh stream."""
+    children = np.random.SeedSequence(seed).spawn(len(ErrorPattern))
+    return {
+        scheme.name: {
+            pattern: evaluate_pattern(scheme, pattern, samples=samples,
+                                      rng=np.random.default_rng(child))
+            for pattern, child in zip(ErrorPattern, children)
+        }
+        for scheme in schemes
+    }
+
+
+class TestSharedBatch:
+    """A sweep draws each sampled pattern once; every scheme decodes it."""
+
+    SAMPLED = (ErrorPattern.TRIPLE_BIT, ErrorPattern.BEAT, ErrorPattern.ENTRY)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sweep_equals_per_cell_evaluation(self, workers):
+        from repro.core import all_schemes
+
+        schemes = all_schemes()
+        table = sdc_risk_table(schemes, samples=2000, seed=8,
+                               workers=workers)
+        assert table == _per_cell(schemes, 2000, 8)
+
+    def test_one_read_only_batch_per_pattern_then_freed(self, monkeypatch):
+        from repro.core import all_schemes
+        from repro.errormodel import montecarlo
+
+        decoded = {pattern: [] for pattern in self.SAMPLED}
+        draws = []
+        original_decode = montecarlo._decode_chunked
+        original_draw = montecarlo._draw
+
+        def spy_decode(scheme, errors, *args):
+            for pattern in self.SAMPLED:
+                held = montecarlo._BATCHES.get(pattern)
+                if held is not None and held[1] is errors:
+                    decoded[pattern].append(errors)
+            return original_decode(scheme, errors, *args)
+
+        def spy_draw(pattern, samples, rng):
+            draws.append(pattern)
+            return original_draw(pattern, samples, rng)
+
+        monkeypatch.setattr(montecarlo, "_decode_chunked", spy_decode)
+        monkeypatch.setattr(montecarlo, "_draw", spy_draw)
+        schemes = all_schemes()
+        sdc_risk_table(schemes, samples=500, seed=9)
+        assert draws == list(self.SAMPLED)
+        for pattern in self.SAMPLED:
+            batches = decoded[pattern]
+            assert len(batches) == len(schemes)
+            assert all(batch is batches[0] for batch in batches)
+            assert not batches[0].flags.writeable
+            with pytest.raises(ValueError):
+                batches[0][0, 0] = 1
+        assert montecarlo._BATCHES == {}
+
+    def test_batch_keyed_on_its_seed(self):
+        from repro.errormodel import montecarlo
+
+        first, second = np.random.SeedSequence(1).spawn(2)
+        try:
+            batch = montecarlo._shared_batch(ErrorPattern.BEAT, 50, first)
+            assert montecarlo._shared_batch(
+                ErrorPattern.BEAT, 50, first) is batch
+            other = montecarlo._shared_batch(ErrorPattern.BEAT, 50, second)
+            assert other is not batch
+            assert len(montecarlo._BATCHES) == 1
+            again = montecarlo._shared_batch(ErrorPattern.BEAT, 50, first)
+            np.testing.assert_array_equal(again, batch)
+        finally:
+            montecarlo._BATCHES.clear()
+
+    def test_concurrent_sweeps_keep_their_own_seeds(self):
+        import threading
+
+        schemes = [get_scheme("ni-secded"), get_scheme("trio"),
+                   get_scheme("duet")]
+        seeds = (21, 22)
+        expected = {seed: sdc_risk_table(schemes, samples=800, seed=seed)
+                    for seed in seeds}
+        results = {seed: [] for seed in seeds}
+        barrier = threading.Barrier(len(seeds))
+
+        def sweep(seed):
+            barrier.wait()
+            for _ in range(4):
+                results[seed].append(
+                    sdc_risk_table(schemes, samples=800, seed=seed))
+
+        threads = [threading.Thread(target=sweep, args=(seed,))
+                   for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for seed in seeds:
+            assert len(results[seed]) == 4
+            assert all(table == expected[seed] for table in results[seed])
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_non_positive_samples_rejected_up_front(self, samples):
+        scheme = get_scheme("trio")
+        with pytest.raises(ValueError, match="at least 1"):
+            sdc_risk_table([scheme], samples=samples, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            evaluate_scheme(scheme, samples=samples, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            evaluate_pattern(scheme, ErrorPattern.BEAT, samples=samples)

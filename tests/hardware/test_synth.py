@@ -5,12 +5,14 @@ pin down the *relationships* the paper's Table 3 rests on: which circuits
 are bigger/slower than which, and how the Perf./Eff. points trade off.
 """
 
+import numpy as np
 import pytest
 
 from repro.codes.hsiao import hsiao_code
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.codes.sec2bec import SEC_2BEC_72_64, paper_pair_table
 from repro.hardware.synth import (
+    _rs_bit_encode_matrix,
     binary_decoder,
     binary_encoder,
     rs_encoder,
@@ -122,3 +124,27 @@ class TestGenerators:
         dsd = ssc_dsd_decoder(name="dsd").stats()
         ssc = rs_ssc_decoder(name="ssc").stats()
         assert dsd.area > ssc.area
+
+
+def _rs_bit_encode_matrix_per_column(rs: ReedSolomonCode) -> np.ndarray:
+    """Oracle: one RS encode per (data symbol, bit) column."""
+    matrix = np.zeros((8 * rs.r, 8 * rs.k), dtype=np.uint8)
+    for column in range(8 * rs.k):
+        data = np.zeros(rs.k, dtype=np.uint8)
+        data[column // 8] = 1 << (column % 8)
+        parity = rs.encode(data)[: rs.r]
+        for symbol in range(rs.r):
+            for bit in range(8):
+                matrix[8 * symbol + bit, column] = \
+                    (int(parity[symbol]) >> bit) & 1
+    return matrix
+
+
+class TestRsEncodeMatrix:
+    @pytest.mark.parametrize("n,k", [(18, 16), (36, 32)])
+    def test_linearity_build_equals_per_column_encode(self, n, k):
+        built = _rs_bit_encode_matrix(n, k)
+        expected = _rs_bit_encode_matrix_per_column(ReedSolomonCode(n, k))
+        assert built.dtype == expected.dtype
+        np.testing.assert_array_equal(built, expected)
+        assert not built.flags.writeable

@@ -48,6 +48,15 @@ class TestNormalization:
         with pytest.raises(JobError, match="string"):
             normalize_params("evaluate", {"scheme": 7})
 
+    @pytest.mark.parametrize("kind,params", [
+        ("evaluate", {"scheme": "duet", "samples": 0}),
+        ("evaluate", {"scheme": "duet", "samples": -3}),
+        ("fig8", {"samples": 0}),
+    ])
+    def test_non_positive_samples_rejected(self, kind, params):
+        with pytest.raises(JobError, match="at least 1"):
+            normalize_params(kind, params)
+
     def test_choices_enforced(self):
         with pytest.raises(JobError, match="one of"):
             normalize_params("campaign", {"engine": "warp"})

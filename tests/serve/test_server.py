@@ -121,6 +121,11 @@ class TestBasics:
             status, payload = client.submit(
                 "campaign", {"nonsense": 1})
             assert status == 400 and "unknown parameter" in payload["error"]
+            for kind, params in (("evaluate", {"scheme": "trio",
+                                               "samples": 0}),
+                                 ("fig8", {"samples": -3})):
+                status, payload = client.submit(kind, params)
+                assert status == 400 and "at least 1" in payload["error"]
             conn = client._connect()
             try:
                 conn.request("POST", "/v1/jobs", body="{not json",

@@ -204,7 +204,41 @@ class TestCommands:
         assert "aliases" in out
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "trio"], ["fig8"], ["rank"], ["system"], ["report"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_exit_2(self, capsys, argv, samples):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--samples", samples, "--no-cache"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "at least 1" in err
+        assert "Traceback" not in err
+
+    def test_non_integer_samples_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "trio", "--samples", "many"])
+        assert excinfo.value.code == 2
+        assert "invalid sample count" in capsys.readouterr().err
+
+
 class TestReport:
+    def test_report_heartbeat(self, tmp_path, capsys):
+        target = tmp_path / "report.md"
+        assert main(["report", "--samples", "300", "--no-cache",
+                     "--heartbeat", "1e-9", "-o", str(target)]) == 0
+        err = capsys.readouterr().err
+        assert "[repro] report: " in err
+        assert "63/63 cells" in err
+
+    def test_report_heartbeat_zero_is_silent(self, tmp_path, capsys):
+        target = tmp_path / "report.md"
+        assert main(["report", "--samples", "300", "--no-cache",
+                     "--heartbeat", "0", "-o", str(target)]) == 0
+        assert "[repro]" not in capsys.readouterr().err
+
     def test_report_to_stdout(self, capsys):
         from repro.cli import main
 
