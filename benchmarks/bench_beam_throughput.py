@@ -1,25 +1,27 @@
 """Beam statistics-campaign throughput (library performance).
 
-Tracks the three statistics engines of :mod:`repro.beam.engine` over the
+Tracks the two statistics engines of :mod:`repro.beam.engine` over the
 full generate → scan → post-process pipeline, asserting the derived
 Figure 4/5 statistics and Table 1 stay bit-identical while the fast
-paths clear their speedup floors:
+path clears its floors:
 
-* ``columnar`` vs the retained scalar ``reference`` (the PR-3 contract:
-  ≥ 10x at the full 3,000 events);
-* ``shm`` (fused whole-campaign passes + zero-copy transport) vs
-  ``columnar`` (this PR's contract: ≥ 10x at the full 1,000,000 events).
+* ``shm`` vs the retained scalar ``reference``: ≥ 10x at the full
+  3,000 events, statistics bit-identical;
+* ``shm`` alone at campaign scale: ≥ 20,000 events/s end to end at
+  1,000,000 events or more, streamed, in a fresh process, leaving no
+  orphaned shared-memory segment (an absolute bound — the scalar oracle
+  is far too slow to race at that size).
 
-The shm-vs-columnar legs each run in a *fresh subprocess*: at campaign
-scale both engines are sensitive to inherited heap state (a leg that
-rides the other's already-faulted pages measures the allocator, not the
-engine), so process isolation is what makes the two numbers comparable
-— the same way standalone CLI campaigns run.  Bit-identity across the
+The campaign-scale legs each run in a *fresh subprocess*: at campaign
+scale the engine is sensitive to inherited heap state (a leg that rides
+an earlier leg's already-faulted pages measures the allocator, not the
+engine), so process isolation is what makes the numbers repeatable —
+the same way standalone CLI campaigns run.  Bit-identity across the
 process boundary is asserted on a canonical rendering of every derived
 statistic (floats via ``repr``, which round-trips exactly).
 
-``REPRO_BEAM_BENCH_EVENTS`` scales the columnar-vs-reference campaign,
-``REPRO_BEAM_BENCH_SHM_EVENTS`` the shm-vs-columnar one, and
+``REPRO_BEAM_BENCH_EVENTS`` scales the shm-vs-reference campaign,
+``REPRO_BEAM_BENCH_SHM_EVENTS`` the campaign-scale shm leg, and
 ``REPRO_BEAM_BENCH_FANOUT_EVENTS`` the worker fan-out sweep (the CI
 smoke job runs all three scaled down; the floors relax below full size).
 
@@ -59,8 +61,10 @@ STREAM_FULL_SCALE = STREAM_EVENTS >= 1_000_000
 SEED = 20211018
 #: full-size campaigns must clear 10x; scaled-down smoke runs just beat 1x
 SPEEDUP_FLOOR = 10.0 if EVENTS >= 3000 else 1.0
-#: the shm engine's floor applies at the full 1e6-event campaign
-SHM_SPEEDUP_FLOOR = 10.0 if SHM_EVENTS >= 1_000_000 else 1.0
+#: the shm engine's absolute throughput floor (events/s, end to end)
+#: applies from the full 1e6-event campaign up; smaller runs need only
+#: finish
+SHM_EVENTS_PER_S_FLOOR = 20_000.0 if SHM_EVENTS >= 1_000_000 else 0.0
 #: tracing overhead bound: 2% relative plus absolute slack for tiny smoke
 #: campaigns where scheduler noise dwarfs the pipeline itself
 TRACE_OVERHEAD = 1.02
@@ -104,23 +108,27 @@ def _stage_rows(fast, fast_s, slow, slow_s, fast_name, slow_name, events):
 
 
 def test_beam_engine_throughput():
-    """Columnar vs reference: identical statistics, >=10x wall-clock."""
+    """shm vs reference: identical statistics, >=10x wall-clock.
+
+    Both legs materialize, so their stage rows (synthesize, scan,
+    postprocess) line up.
+    """
     run_statistics_campaign(64, seed=SEED)  # warm imports and caches
-    columnar, columnar_s = _run("columnar")
+    shm, shm_s = _run("shm", stats="materialize")
     reference, reference_s = _run("reference")
 
-    _assert_stats_identical(columnar, reference)
+    _assert_stats_identical(shm, reference)
 
-    speedup = reference_s / columnar_s
-    rows = _stage_rows(columnar, columnar_s, reference, reference_s,
-                       "columnar", "reference", EVENTS)
+    speedup = reference_s / shm_s
+    rows = _stage_rows(shm, shm_s, reference, reference_s,
+                       "shm", "reference", EVENTS)
     rows.append(
-        f"\n{EVENTS:,} events, {columnar.n_records:,} mismatch records, "
-        f"{columnar.n_observed:,} observed events"
+        f"\n{EVENTS:,} events, {shm.n_records:,} mismatch records, "
+        f"{shm.n_observed:,} observed events"
     )
     rows.append(f"speedup {speedup:.1f}x (floor {SPEEDUP_FLOOR:g}x) — "
                 "derived Table 1 / Figure 4/5 statistics bit-identical")
-    emit("Throughput — beam statistics campaign (columnar vs reference)",
+    emit("Throughput — beam statistics campaign (shm vs reference)",
          "\n".join(rows))
     assert speedup >= SPEEDUP_FLOOR
 
@@ -167,39 +175,33 @@ def _run_fresh(engine: str, events: int,
 
 
 def test_beam_shm_engine_throughput():
-    """Fused shm engine vs columnar: identical statistics, >=10x at 1e6."""
-    shm = _run_fresh("shm", SHM_EVENTS)
-    columnar = _run_fresh("columnar", SHM_EVENTS)
+    """The shm engine at campaign scale: >= 20,000 events/s at 1e6.
 
-    assert shm["stats"] == columnar["stats"]  # exact, repr round-trips
-    assert shm["n_records"] == columnar["n_records"]
-    assert shm["n_observed"] == columnar["n_observed"]
+    One fresh-process leg on the engine's default statistics mode
+    (streaming), the production path; the materialized path at the same
+    scale is timed by :func:`test_beam_streaming_bounded_memory`.
+    """
+    shm = _run_fresh("shm", SHM_EVENTS, stats="streaming")
     assert orphaned_segments() == []  # transport hygiene rides along
 
-    speedup = columnar["elapsed"] / shm["elapsed"]
-    rows = [
-        f"{'stage':<12} {'columnar s':>12} {'shm s':>11} "
-        f"{'shm events/s':>20}",
-    ]
-    for stage, shm_stage_s in shm["stages"].items():
+    events_per_s = SHM_EVENTS / shm["elapsed"]
+    rows = [f"{'stage':<12} {'shm s':>11} {'shm events/s':>20}"]
+    for stage, stage_s in shm["stages"].items():
         rows.append(
-            f"{stage:<12} {columnar['stages'][stage]:>12.3f} "
-            f"{shm_stage_s:>11.3f} "
-            f"{SHM_EVENTS / shm_stage_s if shm_stage_s else 0:>20,.0f}"
+            f"{stage:<12} {stage_s:>11.3f} "
+            f"{SHM_EVENTS / stage_s if stage_s else 0:>20,.0f}"
         )
-    rows.append(
-        f"{'total':<12} {columnar['elapsed']:>12.3f} "
-        f"{shm['elapsed']:>11.3f} {SHM_EVENTS / shm['elapsed']:>20,.0f}"
-    )
+    rows.append(f"{'total':<12} {shm['elapsed']:>11.3f} "
+                f"{events_per_s:>20,.0f}")
     rows.append(
         f"\n{SHM_EVENTS:,} events, {shm['n_records']:,} mismatch records, "
-        f"{shm['n_observed']:,} observed events (fresh process per leg)"
+        f"{shm['n_observed']:,} observed events (fresh process)"
     )
-    rows.append(f"speedup {speedup:.1f}x (floor {SHM_SPEEDUP_FLOOR:g}x) — "
-                "statistics bit-identical, no orphaned shm segments")
-    emit("Throughput — beam campaign fused shm engine (vs columnar)",
+    rows.append(f"{events_per_s:,.0f} events/s (floor "
+                f"{SHM_EVENTS_PER_S_FLOOR:,.0f}) — no orphaned shm segments")
+    emit("Throughput — beam campaign shm engine at campaign scale",
          "\n".join(rows))
-    assert speedup >= SHM_SPEEDUP_FLOOR
+    assert events_per_s >= SHM_EVENTS_PER_S_FLOOR
 
 
 def test_beam_streaming_bounded_memory():

@@ -17,7 +17,7 @@ from repro.beam.events import (
     SoftErrorEventGenerator,
     interval_class_mixture,
 )
-from repro.beam.fliptable import FlipTable, RecordTable
+from repro.beam.fliptable import FlipTable
 from repro.beam.flux import CHIPIR_FLUX, TERRESTRIAL_FLUX, FluenceClock, acceleration_factor
 from repro.beam.microbenchmark import (
     ANPattern,
@@ -30,22 +30,14 @@ from repro.beam.microbenchmark import (
 )
 from repro.beam.postprocess import (
     FilterResult,
-    FilterTableResult,
     ObservedEvent,
     breadth_class_fractions,
-    breadth_class_fractions_table,
     bits_per_word_histogram,
-    bits_per_word_histogram_table,
     byte_alignment_stats,
-    byte_alignment_stats_table,
     derive_table1,
-    derive_table1_table,
     filter_intermittent,
-    filter_intermittent_table,
     group_events,
-    group_events_table,
     mbme_breadth_histogram,
-    mbme_breadth_histogram_table,
 )
 
 __all__ = [
@@ -56,16 +48,12 @@ __all__ = [
     "run_statistics_campaign",
     "BatchEventSynthesis", "interval_class_mixture",
     "EventClass", "EventParameters", "SoftErrorEvent", "SoftErrorEventGenerator",
-    "FlipTable", "RecordTable",
+    "FlipTable",
     "CHIPIR_FLUX", "TERRESTRIAL_FLUX", "FluenceClock", "acceleration_factor",
     "ANPattern", "CheckerboardPattern", "DataPattern", "Microbenchmark",
     "MismatchRecord", "STANDARD_PATTERNS", "UniformPattern",
-    "FilterResult", "FilterTableResult", "ObservedEvent",
-    "breadth_class_fractions", "breadth_class_fractions_table",
-    "bits_per_word_histogram", "bits_per_word_histogram_table",
-    "byte_alignment_stats", "byte_alignment_stats_table",
-    "derive_table1", "derive_table1_table",
-    "filter_intermittent", "filter_intermittent_table",
-    "group_events", "group_events_table",
-    "mbme_breadth_histogram", "mbme_breadth_histogram_table",
+    "FilterResult", "ObservedEvent",
+    "breadth_class_fractions", "bits_per_word_histogram",
+    "byte_alignment_stats", "derive_table1",
+    "filter_intermittent", "group_events", "mbme_breadth_histogram",
 ]

@@ -1,21 +1,25 @@
-"""Columnar statistics-campaign engine (generate → scan → post-process).
+"""Statistics-campaign engine (generate → scan → post-process).
 
 The Figure 4/5 and Table 1 statistics need thousands of ground-truth SEU
 events pushed through the whole observation pipeline: synthesize the
 event, corrupt the simulated device, scan it back and classify what the
 scan recovered.  This module packages that loop as one engine with two
-interchangeable implementations:
+implementations:
 
-* ``engine="columnar"`` — :class:`~repro.beam.events.BatchEventSynthesis`
-  draws every event of a chunk vectorized, the device is corrupted with
-  bit-packed batch injections, read back through
-  :meth:`~repro.dram.device.SimulatedHBM2.scan_mismatches_batch`, and the
-  mismatch log is post-processed as a
-  :class:`~repro.beam.fliptable.RecordTable` without ever materializing
-  per-record Python objects.
+* ``engine="shm"`` — the production path.  Chunks are evaluated in fused
+  ranges: :class:`~repro.beam.events.BatchEventSynthesis`' phase streams
+  are replayed vectorized, the (identity) inject/scan stage is skipped,
+  and every range's records are grouped into observed events and folded
+  into a :class:`repro.stats.CampaignAccumulator` — the one vectorized
+  definition of every statistic.  ``stats="streaming"`` (the default)
+  folds worker-side after a scout sweep has answered the global
+  intermittent filter; ``stats="materialize"`` ships the record columns
+  back (through a shared-memory arena when pooled) and folds them as one
+  partition, keeping the grouped events for
+  :attr:`StatisticsResult.observed_events`.
 * ``engine="reference"`` — the retained scalar oracle: per-event draws,
   per-entry injection, the per-entry scalar scan and the record-list
-  post-processing helpers.
+  post-processing helpers of :mod:`repro.beam.postprocess`.
 
 Both engines consume identical random streams (chunk ``c`` is seeded by
 ``SeedSequence(seed).spawn(n_chunks)[c]``) and therefore derive
@@ -27,14 +31,15 @@ pool with the shared requeue-once-then-serial robustness of
 :func:`repro.core.pool.run_with_requeue` — and, thanks to per-chunk
 seeding, the same results on every path.
 
-Observability: every chunk runs under its own worker-side
-:class:`repro.obs.Tracer` (``chunk`` → ``synthesize``/``scan`` spans with
+Observability: every job runs under its own worker-side
+:class:`repro.obs.Tracer` (``chunk`` → ``synthesize``/``scan``, or
+``scout``/``synthesize``/``fold`` when streaming, spans with
 event/record counters, tagged with the worker pid); the parent merges
-the records as chunks complete, wraps the whole run in a ``campaign``
+the records as jobs complete, wraps the whole run in a ``campaign``
 span, and derives :attr:`StatisticsResult.stage_seconds` from the trace.
 Pass ``tracer=`` to graft the campaign into a larger trace (the CLI
 passes its run session's tracer) and ``heartbeat=`` for periodic
-progress lines while chunks complete.
+progress lines while jobs complete.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from repro.beam.events import (
     _power_law_breadths,
     _truncated_binomial_cdf,
 )
-from repro.beam.fliptable import RecordTable, unpack_packed_rows
+from repro.beam.fliptable import FlipTable
 from repro.beam.microbenchmark import (
     ANPattern,
     CheckerboardPattern,
@@ -91,27 +96,30 @@ __all__ = ["StatisticsResult", "run_statistics_campaign", "ENGINES",
 _LOGGER = logging.getLogger(__name__)
 
 _DATA_BITS = 256
-_DATA_WORDS = _DATA_BITS // 64
 
-#: The interchangeable engine implementations: ``shm`` is the fused
-#: zero-copy fast path, ``columnar`` and ``reference`` are its oracles.
-ENGINES = ("shm", "columnar", "reference")
+#: The engine implementations: ``shm`` is the fused zero-copy fast
+#: path, ``reference`` its scalar oracle.
+ENGINES = ("shm", "reference")
 
 #: how the statistics are aggregated: ``materialize`` concatenates every
-#: record column and post-processes once (the oracle); ``streaming``
-#: folds each job into a fixed-size accumulator worker-side and merges
-#: states — same floats, O(state) transport, flat host memory
+#: record column and folds them as one partition (keeping the grouped
+#: events); ``streaming`` folds each job into a fixed-size accumulator
+#: worker-side and merges states — same floats, O(state) transport, flat
+#: host memory
 STATS_MODES = ("materialize", "streaming")
 
 
 def resolve_stats_mode(engine: str, stats: str | None = None) -> str:
-    """The statistics mode a campaign entry point runs ``engine`` with.
+    """The statistics mode a campaign runs ``engine`` with.
 
-    ``None`` picks the engine's default: ``streaming`` on the vectorized
-    engines, ``materialize`` on the scalar reference engine, which has
-    no streaming path.  An explicit ``streaming`` on the reference
-    engine is a :class:`ValueError`.
+    ``None`` picks the engine's default: ``streaming`` on ``shm``,
+    ``materialize`` on the scalar reference engine, which has no
+    streaming path.  An unknown engine or mode, or an explicit
+    ``streaming`` on the reference engine, is a :class:`ValueError`.
     """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {', '.join(ENGINES)} (got {engine!r})")
     if stats is None:
         return "materialize" if engine == "reference" else "streaming"
     if stats not in STATS_MODES:
@@ -119,21 +127,20 @@ def resolve_stats_mode(engine: str, stats: str | None = None) -> str:
     if stats == "streaming" and engine == "reference":
         raise ValueError(
             "the reference engine has no streaming statistics path; "
-            "use engine 'shm' or 'columnar', or stats 'materialize'"
+            "use engine 'shm', or stats 'materialize'"
         )
     return stats
 
 
-#: the record columns every engine's chunk evaluation produces
-_COLUMN_KEYS = ("time_s", "write_cycle", "entry_index",
-                "flips_per_record", "flip_bit")
+#: the record columns a fused range produces (event times are derivable
+#: from write cycles, and the grouping never reads them)
+_COLUMN_KEYS = ("write_cycle", "entry_index", "flips_per_record",
+                "flip_bit")
 #: dtypes of an *empty* column set.  The shm transport ships the two
 #: flip-sized columns narrow (flip bits are < 288, per-record flip
 #: counts < 2**15) — a 4x smaller resident set keeps the whole-campaign
-#: postprocess under the allocator's fresh-page regime; the columnar
-#: engine keeps shipping int64 and both finalizers accept either width.
+#: postprocess under the allocator's fresh-page regime.
 _COLUMN_DTYPES = {
-    "time_s": np.float64,
     "write_cycle": np.int64,
     "entry_index": np.int64,
     "flips_per_record": np.int16,
@@ -149,9 +156,8 @@ _SHM_JOB_HEADROOM = 1 << 20
 
 _STAGES = ("synthesize", "scan", "postprocess")
 #: streaming pipeline stages: the scout sweep (entry placement replay →
-#: occupancy index), the evaluation sweep's synthesis (plus ``scan`` on
-#: the columnar engine, which still runs its device pass), and the folds
-_STREAM_STAGES = ("scout", "synthesize", "scan", "fold")
+#: occupancy index), the evaluation sweep's synthesis, and the folds
+_STREAM_STAGES = ("scout", "synthesize", "fold")
 
 
 def _pattern_by_name(name: str) -> DataPattern:
@@ -191,12 +197,13 @@ class StatisticsResult:
                                 compare=False)
     #: which aggregation path produced this result (``STATS_MODES``)
     stats_mode: str = "materialize"
-    #: the merged streaming accumulator (``stats="streaming"`` only) —
-    #: carries the raw tallies for downstream models (e.g. the fleet FIT
-    #: composition) without re-deriving them from the float statistics
+    #: the campaign's merged :class:`repro.stats.CampaignAccumulator` —
+    #: on ``shm`` the source of every statistic above, on ``reference``
+    #: folded from its scalar-derived events; carries the raw tallies for
+    #: downstream merges (the CLI report, the fleet FIT composition)
     accumulator: object = field(default=None, repr=False, compare=False)
-    #: lazy materializer for :attr:`observed_events` (columnar results
-    #: keep the grouped table and only build ObservedEvent objects on use)
+    #: lazy materializer for :attr:`observed_events` (shm results keep
+    #: the grouped table and only build ObservedEvent objects on use)
     _observed_factory: object = field(default=None, repr=False, compare=False)
     _observed: list | None = field(default=None, repr=False, compare=False)
 
@@ -230,7 +237,7 @@ class StatisticsResult:
         return flat
 
 
-#: what both finalizers return for a campaign that observed nothing
+#: the statistics of a campaign that observed no event
 _EMPTY_STATS = ({}, {}, {}, {}, {}, {})
 
 
@@ -279,114 +286,6 @@ def _event_times(start: int, size: int,
     """Each event owns one write cycle; time is its global index scaled."""
     return (start + np.arange(size, dtype=np.float64)) \
         * parameters.mean_time_to_event_s
-
-
-def _columnar_chunk(
-    geometry: HBM2Geometry,
-    parameters: EventParameters,
-    pattern: DataPattern,
-    job: _ChunkJob,
-    tracer: Tracer,
-) -> dict:
-    """Vectorized chunk: batch synthesis, packed injection + scan."""
-    synthesis = BatchEventSynthesis(
-        geometry, parameters, seed=_fresh_seed(job.seed_seq)
-    )
-    with tracer.span("synthesize"):
-        table = synthesis.table_at(
-            _event_times(job.start, job.size, parameters)
-        )
-        tracer.count(events=job.size, sites=int(table.site_entry.size))
-
-    with tracer.span("scan"):
-        columns = _scan_columnar(geometry, pattern, job, table)
-        tracer.count(records=int(columns["entry_index"].size))
-    return columns
-
-
-def _scan_columnar(
-    geometry: HBM2Geometry,
-    pattern: DataPattern,
-    job: _ChunkJob,
-    table,
-) -> dict:
-    """Inject and scan one synthesized chunk, returning record columns."""
-    device = SimulatedHBM2(geometry)
-    expected = pattern.entry_fn(False)
-    packed = pattern.packed_fn(False)
-    packed_sites = table.packed_site_rows()
-    times = table.event_columns["time_s"]
-
-    # Fast path: inject the whole chunk's sites, scan once.  Each event's
-    # write cycle is distinct, so the batched scan is record-for-record
-    # the per-event scan *provided* no two events of the chunk hit the
-    # same entry (their overlays would XOR-merge); site entries are
-    # event-major and ascending within an event, so after the entry-sorted
-    # scan a searchsorted gather restores per-site record order.
-    unique_entries = np.unique(table.site_entry)
-    if unique_entries.size == table.site_entry.size:
-        device.write_all(expected, packed)
-        device.inject_upsets_batch(table.site_entry, packed_sites)
-        entries, diff = device.scan_mismatches_batch(expected, packed)
-        diff = diff.copy()
-        diff[:, _DATA_WORDS:] = 0  # ECC-disabled: data bits only
-        keep = diff.any(axis=1)
-        entries, diff = entries[keep], diff[keep]
-        site_rows = diff[np.searchsorted(entries, table.site_entry)]
-        observed = site_rows.any(axis=1)
-        row_of_flip, bits = unpack_packed_rows(site_rows[observed])
-        n_observed = int(observed.sum())
-        counts = np.diff(
-            np.searchsorted(row_of_flip, np.arange(n_observed + 1))
-        )
-        site_event = table.site_event[observed]
-        columns = {
-            "time_s": times[site_event],
-            "write_cycle": job.start + site_event,
-            "entry_index": table.site_entry[observed],
-            "flips_per_record": counts,
-            "flip_bit": bits,
-        }
-        return columns
-
-    # Collision path (rare): per-event write/inject/scan, same records.
-    site_start = table.event_site_start()
-    time_col: list[np.ndarray] = []
-    cycle_col: list[np.ndarray] = []
-    entry_col: list[np.ndarray] = []
-    count_col: list[np.ndarray] = []
-    bit_col: list[np.ndarray] = []
-    for index in range(table.n_events):
-        lo, hi = site_start[index], site_start[index + 1]
-        device.write_all(expected, packed)  # O(1): resets the overlay
-        device.inject_upsets_batch(
-            table.site_entry[lo:hi], packed_sites[lo:hi]
-        )
-        entries, diff = device.scan_mismatches_batch(expected, packed)
-        diff = diff.copy()
-        diff[:, _DATA_WORDS:] = 0
-        keep = diff.any(axis=1)
-        if not keep.any():
-            continue
-        kept = entries[keep]
-        row_of_flip, bits = unpack_packed_rows(diff[keep])
-        counts = np.diff(
-            np.searchsorted(row_of_flip, np.arange(kept.size + 1))
-        )
-        time_col.append(np.full(kept.size, times[index]))
-        cycle_col.append(np.full(kept.size, job.start + index,
-                                 dtype=np.int64))
-        entry_col.append(kept)
-        count_col.append(counts)
-        bit_col.append(bits)
-
-    return {
-        "time_s": concat_or_empty(time_col, np.float64),
-        "write_cycle": concat_or_empty(cycle_col, np.int64),
-        "entry_index": concat_or_empty(entry_col, np.int64),
-        "flips_per_record": concat_or_empty(count_col, np.int64),
-        "flip_bit": concat_or_empty(bit_col, np.int64),
-    }
 
 
 def _smallest_mask(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -474,8 +373,6 @@ def _fused_range_columns(
     geometry: HBM2Geometry,
     parameters: EventParameters,
     job: _RangeJob,
-    *,
-    include_time: bool = True,
 ) -> dict:
     """Whole-range fused synthesis: record columns without a device pass.
 
@@ -484,8 +381,8 @@ def _fused_range_columns(
     * The campaign's inject/scan stage is an *identity* on the synthesized
       flips — every event owns its own write cycle, the device is reset
       before each one, and ECC bits are masked — so the record columns are
-      the synthesis columns relabeled (``time_s``/``write_cycle`` gathered
-      per site).  No :class:`~repro.dram.device.SimulatedHBM2` needed.
+      the synthesis columns relabeled (``write_cycle`` gathered per
+      site).  No :class:`~repro.dram.device.SimulatedHBM2` needed.
     * Per chunk, only the *sized draws* must replay that chunk's phase
       streams, and every transform past the draws (the argsort-of-uniforms
       word and offset picks, the flip scatter, the final ``(site, bit)``
@@ -497,8 +394,8 @@ def _fused_range_columns(
       is what holds million-event ranges inside the allocator's
       reused-page regime — see ``repro.core.mem``.
 
-    Bit-for-bit equality with per-chunk :func:`_columnar_chunk` output is
-    pinned by the equivalence suite.
+    Bit-for-bit equality of the derived statistics with the reference
+    engine's device pass is pinned by the equivalence suite.
     """
     params = parameters
     class_cdf = np.cumsum(np.asarray(
@@ -662,18 +559,12 @@ def _fused_range_columns(
         )
         flip_bit[flip_offset[sites] + within] = bits
 
-    columns = {
+    return {
         "write_cycle": job.start + site_event,
         "entry_index": site_entry,
         "flips_per_record": flips_per_site,
         "flip_bit": flip_bit,
     }
-    if include_time:
-        # the streaming fold derives events from write cycles and never
-        # touches times — skipping the gather saves a sites-sized float64
-        times = _event_times(job.start, job.size, parameters)
-        columns["time_s"] = times[site_event]
-    return columns
 
 
 def _reference_chunk(
@@ -733,37 +624,39 @@ def _scan_reference(
     return records
 
 
+def _worker_records(tracer: Tracer) -> list:
+    """A job's finished spans, tagged with this process's pid so merged
+    traces keep worker provenance."""
+    tag = f"pid:{os.getpid()}"
+    for record in tracer.records:
+        record.worker = tag
+    return tracer.records
+
+
 def _evaluate_chunk(
-    engine: str,
     geometry: HBM2Geometry,
     parameters: EventParameters,
     pattern_name: str,
     job: _ChunkJob,
 ):
-    """Top-level (picklable) chunk evaluator for the worker pool.
+    """Top-level (picklable) reference-chunk evaluator for the worker pool.
 
-    Returns ``(payload, span_records)``: the chunk's result columns (or
-    scalar records) plus the finished worker-side trace, tagged with this
-    process's pid so merged traces keep worker provenance.
+    Returns ``(records, span_records)``: the chunk's scalar mismatch
+    records plus the finished worker-side trace.
     """
     faultpoint("pool.worker.crash", chunk=job.index)
     faultpoint("engine.chunk.hang", chunk=job.index)
     enable_heap_reuse()
     pattern = _pattern_by_name(pattern_name)
-    runner = _columnar_chunk if engine == "columnar" else _reference_chunk
     tracer = Tracer()
     with tracer.span("chunk", index=job.index):
-        payload = runner(geometry, parameters, pattern, job, tracer)
-    tag = f"pid:{os.getpid()}"
-    for record in tracer.records:
-        record.worker = tag
-    return payload, tracer.records
+        records = _reference_chunk(geometry, parameters, pattern, job, tracer)
+    return records, _worker_records(tracer)
 
 
 def _evaluate_range(
     geometry: HBM2Geometry,
     parameters: EventParameters,
-    pattern_name: str,
     job: _RangeJob,
     segment: str | None = None,
     offset: int = 0,
@@ -775,7 +668,7 @@ def _evaluate_range(
     ``(offset, capacity)`` and only the :class:`SliceDescriptor` rides the
     result channel; without one (serial path, or a slice the columns
     outgrew) the columns themselves are returned.  Span names match the
-    per-chunk engines — ``chunk`` → ``synthesize``/``scan`` — so traces
+    reference engine — ``chunk`` → ``synthesize``/``scan`` — so traces
     and per-stage throughput counters stay structurally comparable; the
     ``scan`` span here times the (identity) scan's resolution, i.e. the
     transport write.
@@ -783,7 +676,6 @@ def _evaluate_range(
     faultpoint("pool.worker.crash", chunk=job.chunks[0].index)
     faultpoint("engine.chunk.hang", chunk=job.chunks[0].index)
     enable_heap_reuse()
-    _pattern_by_name(pattern_name)  # campaign scans are pattern-invariant
     tracer = Tracer()
     with tracer.span("chunk", index=job.chunks[0].index,
                      chunks=len(job.chunks)):
@@ -796,16 +688,8 @@ def _evaluate_range(
             if segment is not None:
                 payload = write_columns(segment, offset, capacity, columns)
             tracer.count(records=int(columns["entry_index"].size))
-    tag = f"pid:{os.getpid()}"
-    for record in tracer.records:
-        record.worker = tag
-    return (payload if payload is not None else columns), tracer.records
-
-
-def _member_chunks(job) -> tuple:
-    """The chunk jobs a streaming job covers (a range's members, or the
-    chunk itself on the per-chunk engines)."""
-    return job.chunks if isinstance(job, _RangeJob) else (job,)
+    return (payload if payload is not None else columns), \
+        _worker_records(tracer)
 
 
 def _no_observed_stream():
@@ -820,7 +704,7 @@ def _no_observed_stream():
 def _scout_job(
     geometry: HBM2Geometry,
     parameters: EventParameters,
-    job,
+    job: _RangeJob,
 ):
     """Top-level (picklable) scout-sweep worker.
 
@@ -832,7 +716,7 @@ def _scout_job(
     slots, so the requeue bookkeeping retains O(1) shells rather than
     O(sites) arrays.
     """
-    chunks = _member_chunks(job)
+    chunks = job.chunks
     faultpoint("pool.worker.crash", chunk=chunks[0].index)
     faultpoint("engine.chunk.hang", chunk=chunks[0].index)
     enable_heap_reuse()
@@ -854,152 +738,161 @@ def _scout_job(
             entries = concat_or_empty(parts, np.int64, consume=True)
             unique, multiplicity = np.unique(entries, return_counts=True)
             tracer.count(events=job.size, sites=int(entries.size))
-    tag = f"pid:{os.getpid()}"
-    for record in tracer.records:
-        record.worker = tag
-    return [unique, unique[multiplicity > 1]], tracer.records
+    return [unique, unique[multiplicity > 1]], _worker_records(tracer)
 
 
-def _fold_streaming_columns(columns: dict, job, damaged: np.ndarray) -> dict:
-    """Fold one slice's record columns into accumulator state.
+def _group_records(columns: dict, damaged: np.ndarray) -> FlipTable:
+    """Group one partition's record columns into observed events.
 
-    Mirrors :func:`_finalize_shm`'s grouping with the intermittent
-    filter answered *globally*: ``damaged`` is the sorted array of
-    entries hit by more than one event anywhere in the campaign (the
-    scout sweep's verdict), so membership — not local multiplicity —
-    decides softness.  Events never span jobs and surviving records stay
-    in (cycle, site) order, so per-slice grouping is exact and the folded
-    integer tallies partition the whole campaign's.
+    ``damaged`` is the sorted array of entries the intermittent filter
+    rejects: entries hit by more than one event anywhere in the campaign
+    (the scout sweep's verdict when streaming; the entries recorded more
+    than once, when the partition is the whole campaign).  Entries are
+    unique *within* an event, so membership — not local multiplicity —
+    decides softness.  Events never span partitions and surviving
+    records stay in (cycle, site) order, so grouping is a run-length
+    pass.  ``pop`` releases each transport column at last use, and every
+    temporary dies on return, which keeps the resident set flat through
+    the fold that follows.
     """
-    from repro.beam.fliptable import FlipTable
+    entry = columns.pop("entry_index")
+    counts = columns.pop("flips_per_record")
+    cycles = columns.pop("write_cycle")
+    flip_bit = columns.pop("flip_bit")
+    if entry.size and damaged.size:
+        soft = damaged[np.minimum(np.searchsorted(damaged, entry),
+                                  damaged.size - 1)] != entry
+        if not soft.all():
+            flip_bit = flip_bit[np.repeat(soft, counts)]
+            entry, counts, cycles = entry[soft], counts[soft], cycles[soft]
+    new_event = np.empty(cycles.size, dtype=bool)
+    new_event[:1] = True
+    np.not_equal(cycles[1:], cycles[:-1], out=new_event[1:])
+    n_observed = int(new_event.sum())
+    return FlipTable.from_flips(
+        np.cumsum(new_event) - 1, entry, counts, flip_bit,
+        n_events=n_observed,
+        event_columns={
+            "run": np.zeros(n_observed, dtype=np.int64),
+            "write_cycle": cycles[new_event],
+            "read_pass": np.zeros(n_observed, dtype=np.int64),
+        },
+    )
+
+
+def _fold_records(columns: dict, damaged: np.ndarray, n_events: int):
+    """Fold one partition of ``n_events`` events into an accumulator.
+
+    Returns ``(accumulator, grouped)``: the
+    :class:`repro.stats.CampaignAccumulator` and the grouped
+    :class:`~repro.beam.fliptable.FlipTable` (see
+    :func:`_group_records`) it was folded from.  Its integer tallies
+    partition the whole campaign's.
+    """
     from repro.stats import CampaignAccumulator
 
     accumulator = CampaignAccumulator()
-    columns.pop("time_s", None)
-    entry = columns.pop("entry_index")
-    counts = columns.pop("flips_per_record")
-    site_event = columns.pop("write_cycle") - job.start
-    flip_bit = columns.pop("flip_bit")
-    accumulator.add_raw(n_events=job.size, n_records=int(entry.size))
-    if entry.size and damaged.size:
-        probe = np.minimum(np.searchsorted(damaged, entry),
-                           damaged.size - 1)
-        soft = damaged[probe] != entry
-        if not soft.all():
-            flip_bit = flip_bit[np.repeat(soft, counts)]
-            entry = entry[soft]
-            counts = counts[soft]
-            site_event = site_event[soft]
-    if entry.size:
-        new_event = np.r_[True, site_event[1:] != site_event[:-1]]
-        event_id = np.cumsum(new_event) - 1
-        accumulator.update_from_flip_table(FlipTable.from_flips(
-            event_id, entry, counts, flip_bit,
-            n_events=int(event_id[-1]) + 1,
-        ))
-    return accumulator.state()
+    accumulator.add_raw(n_events=n_events,
+                        n_records=int(columns["entry_index"].size))
+    grouped = _group_records(columns, damaged)
+    accumulator.update_from_flip_table(grouped)
+    return accumulator, grouped
 
 
 def _evaluate_streaming(
-    engine: str,
     geometry: HBM2Geometry,
     parameters: EventParameters,
-    pattern_name: str,
-    job,
+    job: _RangeJob,
     damaged: np.ndarray | None = None,
     descriptor: SliceDescriptor | None = None,
 ):
     """Top-level (picklable) evaluation-sweep worker for the pool.
 
-    Synthesizes its slice (fused, for the shm engine; full device pass,
-    for columnar), drops records on globally damaged entries, folds the
-    survivors into a :class:`repro.stats.CampaignAccumulator` and returns
-    the O(kilobytes) state — per-event columns never leave the worker.
-    The damaged set arrives either inline (serial / small campaigns) or
-    as an arena ``descriptor`` broadcast once by the host.
+    Synthesizes its range (fused), drops records on globally damaged
+    entries, folds the survivors into a :class:`repro.stats
+    .CampaignAccumulator` and returns the O(kilobytes) state — per-event
+    columns never leave the worker.  The damaged set arrives either
+    inline (serial / small campaigns) or as an arena ``descriptor``
+    broadcast once by the host.
     """
-    chunks = _member_chunks(job)
-    faultpoint("pool.worker.crash", chunk=chunks[0].index)
-    faultpoint("engine.chunk.hang", chunk=chunks[0].index)
+    faultpoint("pool.worker.crash", chunk=job.chunks[0].index)
+    faultpoint("engine.chunk.hang", chunk=job.chunks[0].index)
     enable_heap_reuse()
-    pattern = _pattern_by_name(pattern_name)
     if descriptor is not None:
         damaged = read_attached(descriptor)["damaged"]
     damaged = np.asarray(
         damaged if damaged is not None else (), dtype=np.int64
     )
     tracer = Tracer()
-    with tracer.span("chunk", index=chunks[0].index, chunks=len(chunks)):
-        if engine == "shm":
-            with tracer.span("synthesize"):
-                columns = _fused_range_columns(
-                    geometry, parameters, job, include_time=False
-                )
-                tracer.count(events=job.size,
-                             sites=int(columns["entry_index"].size))
-        else:
-            columns = _columnar_chunk(geometry, parameters, pattern, job,
-                                      tracer)
+    with tracer.span("chunk", index=job.chunks[0].index,
+                     chunks=len(job.chunks)):
+        with tracer.span("synthesize"):
+            columns = _fused_range_columns(geometry, parameters, job)
+            tracer.count(events=job.size,
+                         sites=int(columns["entry_index"].size))
         with tracer.span("fold"):
-            state = _fold_streaming_columns(columns, job, damaged)
-            tracer.count(observed=int(state["n_observed"]))
-    tag = f"pid:{os.getpid()}"
-    for record in tracer.records:
-        record.worker = tag
-    return state, tracer.records
+            accumulator, _ = _fold_records(columns, damaged, job.size)
+            tracer.count(observed=accumulator.n_observed)
+    return accumulator.state(), _worker_records(tracer)
 
 
-def _run_chunks(
-    engine: str,
-    geometry: HBM2Geometry,
-    parameters: EventParameters,
-    pattern_name: str,
-    jobs: list[_ChunkJob],
+def _run_jobs(
+    jobs: list,
+    noun: str,
+    task,
+    *,
+    serial_task=None,
+    fold=None,
     workers: int | None,
-    chunk_timeout: float | None = None,
-    tracer: Tracer | None = None,
-    heartbeat=None,
-    retry: RetryPolicy | None = None,
-    warm_pool=None,
-) -> dict[int, tuple]:
-    """Evaluate chunks, fanned out when asked, robust to worker failure.
+    timeout: float | None,
+    tracer: Tracer,
+    heartbeat,
+    retry: RetryPolicy | None,
+    warm_pool,
+):
+    """Evaluate jobs, fanned out when asked, robust to worker failure.
 
     Delegates the requeue-once-then-serial robustness to
     :func:`repro.core.pool.run_with_requeue` (shared with the Monte Carlo
-    harness); per-chunk seeding makes every path bit-identical.  Worker
-    span records merge into ``tracer`` and ``heartbeat`` advances as each
-    chunk completes, on whichever path completed it.
+    harness); per-chunk seeding makes every path bit-identical.
+    ``task(job)`` is the ``(function, *args)`` call a pool worker runs
+    and ``serial_task(job)`` (default: the same) the in-process one.  As
+    each job completes, on whichever path completed it, ``fold`` (when
+    given) consumes its payload, its worker spans merge into ``tracer``
+    and ``heartbeat`` advances.
     """
-    def _on_result(job: _ChunkJob, result) -> None:
-        if tracer is not None:
-            tracer.merge(result[1])
+    serial_task = serial_task or task
+
+    def _on_result(job, result) -> None:
+        if fold is not None:
+            fold(result[0])
+        tracer.merge(result[1])
         if heartbeat is not None:
             heartbeat.update(advance=1, events=job.size)
+
+    def _run_serial(job):
+        function, *args = serial_task(job)
+        return function(*args)
 
     results, report = run_with_requeue(
         jobs,
         key=lambda job: job.index,
-        describe=lambda job: f"chunk {job.index}",
-        submit=lambda pool, job: pool.submit(
-            _evaluate_chunk, engine, geometry, parameters, pattern_name, job,
-        ),
-        run_serial=lambda job: _evaluate_chunk(
-            engine, geometry, parameters, pattern_name, job,
-        ),
+        describe=lambda job: f"{noun[:-1]} {job.index}",
+        submit=lambda pool, job: pool.submit(*task(job)),
+        run_serial=_run_serial,
         workers=workers,
-        timeout=chunk_timeout,
+        timeout=timeout,
         executor_factory=(
             warm_pool.executor_factory if warm_pool is not None
             else (lambda: ProcessPoolExecutor(
                 max_workers=workers, initializer=pool_worker_init))
         ),
-        noun="chunks",
+        noun=noun,
         logger=_LOGGER,
         on_result=_on_result,
         retry=retry,
     )
-    if tracer is not None:
-        tracer.count(**report.counters())
+    tracer.count(**report.counters())
     return results, report
 
 
@@ -1031,17 +924,16 @@ def _range_jobs(
     return ranges
 
 
+def _pooled(jobs: list, workers: int | None) -> bool:
+    """Whether :func:`_run_jobs` will engage a pool for ``jobs``."""
+    return workers is not None and workers > 1 and len(jobs) > 1
+
+
 def _run_ranges(
     geometry: HBM2Geometry,
     parameters: EventParameters,
-    pattern_name: str,
     jobs: list[_RangeJob],
-    workers: int | None,
-    chunk_timeout: float | None = None,
-    tracer: Tracer | None = None,
-    heartbeat=None,
-    retry: RetryPolicy | None = None,
-    warm_pool=None,
+    pool: dict,
 ):
     """Evaluate fused ranges; returns ``(results, report, arena)``.
 
@@ -1054,18 +946,9 @@ def _run_ranges(
     postprocess stage.  Arena creation failure (or an outgrown slice) is
     never fatal: both degrade to the inline pickled path.
     """
-    def _on_result(job: _RangeJob, result) -> None:
-        if tracer is not None:
-            tracer.merge(result[1])
-        if heartbeat is not None:
-            heartbeat.update(advance=1, events=job.size)
-
     arena = None
     offsets: dict[int, tuple[int, int]] = {}
-    pooled = (
-        workers is not None and workers > 1 and len(jobs) > 1
-    )
-    if pooled:
+    if _pooled(jobs, pool["workers"]):
         layout = []
         total = 0
         for job in jobs:
@@ -1081,60 +964,34 @@ def _run_ranges(
             )
         else:
             offsets = {job.index: slot for job, slot in zip(jobs, layout)}
-            if tracer is not None and arena.reclaimed:
-                tracer.count(shm_reclaimed=len(arena.reclaimed))
+            if arena.reclaimed:
+                pool["tracer"].count(shm_reclaimed=len(arena.reclaimed))
 
-    def _submit(pool, job: _RangeJob):
+    def _task(job: _RangeJob):
         if arena is not None:
-            off, cap = offsets[job.index]
-            return pool.submit(
-                _evaluate_range, geometry, parameters, pattern_name, job,
-                arena.name, off, cap,
-            )
-        return pool.submit(
-            _evaluate_range, geometry, parameters, pattern_name, job,
-        )
+            return (_evaluate_range, geometry, parameters, job,
+                    arena.name, *offsets[job.index])
+        return _evaluate_range, geometry, parameters, job
 
     try:
-        results, report = run_with_requeue(
-            jobs,
-            key=lambda job: job.index,
-            describe=lambda job: f"chunk range {job.index}",
-            submit=_submit,
-            run_serial=lambda job: _evaluate_range(
-                geometry, parameters, pattern_name, job,
-            ),
-            workers=workers,
-            timeout=chunk_timeout,
-            executor_factory=(
-                warm_pool.executor_factory if warm_pool is not None
-                else (lambda: ProcessPoolExecutor(
-                max_workers=workers, initializer=pool_worker_init))
-            ),
-            noun="chunk ranges",
-            logger=_LOGGER,
-            on_result=_on_result,
-            retry=retry,
+        results, report = _run_jobs(
+            jobs, "chunk ranges", _task,
+            serial_task=lambda job: (_evaluate_range, geometry, parameters,
+                                     job),
+            **pool,
         )
     except BaseException:
         if arena is not None:
             arena.close()
         raise
-    if tracer is not None:
-        tracer.count(**report.counters())
     return results, report, arena
 
 
 def _run_scout(
     geometry: HBM2Geometry,
     parameters: EventParameters,
-    jobs: list,
-    workers: int | None,
-    chunk_timeout: float | None = None,
-    tracer: Tracer | None = None,
-    heartbeat=None,
-    retry: RetryPolicy | None = None,
-    warm_pool=None,
+    jobs: list[_RangeJob],
+    pool: dict,
 ):
     """Scout sweep: fold every job's entry multiset into one occupancy
     index as results land; returns ``(damaged_entries, report)``.
@@ -1149,53 +1006,24 @@ def _run_scout(
 
     occupancy = EntryOccupancy(geometry.total_entries)
 
-    def _on_result(job, result) -> None:
-        payload = result[0]
+    def _fold(payload) -> None:
         occupancy.fold(payload[0], payload[1])
         payload[0] = payload[1] = None  # results keep O(1) shells
-        if tracer is not None:
-            tracer.merge(result[1])
-        if heartbeat is not None:
-            heartbeat.update(advance=1, events=job.size)
 
-    _, report = run_with_requeue(
-        jobs,
-        key=lambda job: job.index,
-        describe=lambda job: f"scout range {job.index}",
-        submit=lambda pool, job: pool.submit(
-            _scout_job, geometry, parameters, job,
-        ),
-        run_serial=lambda job: _scout_job(geometry, parameters, job),
-        workers=workers,
-        timeout=chunk_timeout,
-        executor_factory=(
-            warm_pool.executor_factory if warm_pool is not None
-            else (lambda: ProcessPoolExecutor(
-                max_workers=workers, initializer=pool_worker_init))
-        ),
-        noun="scout ranges",
-        logger=_LOGGER,
-        on_result=_on_result,
-        retry=retry,
+    _, report = _run_jobs(
+        jobs, "scout ranges",
+        lambda job: (_scout_job, geometry, parameters, job),
+        fold=_fold, **pool,
     )
-    if tracer is not None:
-        tracer.count(**report.counters())
     return occupancy.damaged(), report
 
 
 def _run_streaming(
-    engine: str,
     geometry: HBM2Geometry,
     parameters: EventParameters,
-    pattern_name: str,
-    jobs: list,
+    jobs: list[_RangeJob],
     damaged: np.ndarray,
-    workers: int | None,
-    chunk_timeout: float | None = None,
-    tracer: Tracer | None = None,
-    heartbeat=None,
-    retry: RetryPolicy | None = None,
-    warm_pool=None,
+    pool: dict,
 ):
     """Evaluation sweep: every job folds worker-side and ships back
     accumulator state; returns ``(results, report)``.
@@ -1207,8 +1035,7 @@ def _run_streaming(
     """
     arena = None
     descriptor = None
-    pooled = workers is not None and workers > 1 and len(jobs) > 1
-    if pooled and damaged.size:
+    if _pooled(jobs, pool["workers"]) and damaged.size:
         try:
             arena = ShmArena(align(damaged.nbytes))
         except OSError as exc:
@@ -1224,50 +1051,22 @@ def _run_streaming(
                 arena.close()
                 arena = None
 
-    def _submit(pool, job):
+    def _task(job: _RangeJob):
         if descriptor is not None:
-            return pool.submit(
-                _evaluate_streaming, engine, geometry, parameters,
-                pattern_name, job, None, descriptor,
-            )
-        return pool.submit(
-            _evaluate_streaming, engine, geometry, parameters,
-            pattern_name, job, damaged,
-        )
-
-    def _on_result(job, result) -> None:
-        if tracer is not None:
-            tracer.merge(result[1])
-        if heartbeat is not None:
-            heartbeat.update(advance=1, events=job.size)
+            return (_evaluate_streaming, geometry, parameters, job, None,
+                    descriptor)
+        return _evaluate_streaming, geometry, parameters, job, damaged
 
     try:
-        results, report = run_with_requeue(
-            jobs,
-            key=lambda job: job.index,
-            describe=lambda job: f"streaming range {job.index}",
-            submit=_submit,
-            run_serial=lambda job: _evaluate_streaming(
-                engine, geometry, parameters, pattern_name, job, damaged,
-            ),
-            workers=workers,
-            timeout=chunk_timeout,
-            executor_factory=(
-                warm_pool.executor_factory if warm_pool is not None
-                else (lambda: ProcessPoolExecutor(
-                    max_workers=workers, initializer=pool_worker_init))
-            ),
-            noun="streaming ranges",
-            logger=_LOGGER,
-            on_result=_on_result,
-            retry=retry,
+        return _run_jobs(
+            jobs, "streaming ranges", _task,
+            serial_task=lambda job: (_evaluate_streaming, geometry,
+                                     parameters, job, damaged),
+            **pool,
         )
     finally:
         if arena is not None:
             arena.close()
-    if tracer is not None:
-        tracer.count(**report.counters())
-    return results, report
 
 
 def _merge_streaming_states(results: dict):
@@ -1302,108 +1101,13 @@ def _merge_range_payloads(results: dict, arena) -> dict:
     }
 
 
-def _finalize_columnar(columns: dict, pattern_name: str) -> tuple:
-    from repro.beam.postprocess import (
-        derive_table1_table,
-        filter_intermittent_table,
-        group_events_table,
-        breadth_class_fractions_table,
-        bits_per_word_histogram_table,
-        byte_alignment_stats_table,
-        mbme_breadth_histogram_table,
-    )
+def _finalize_reference(records: list[MismatchRecord], n_events: int):
+    """The scalar oracle's statistics over the reference engine's records.
 
-    n_records = int(columns["entry_index"].size)
-    table = RecordTable.from_columns(
-        time_s=columns["time_s"],
-        run=np.zeros(n_records, dtype=np.int64),
-        pattern_code=np.zeros(n_records, dtype=np.int64),
-        write_cycle=columns["write_cycle"],
-        read_pass=np.zeros(n_records, dtype=np.int64),
-        inverted=np.zeros(n_records, dtype=bool),
-        entry_index=columns["entry_index"],
-        flips_per_record=columns["flips_per_record"],
-        flip_bit=columns["flip_bit"],
-        patterns=(pattern_name,),
-    )
-    grouped = group_events_table(filter_intermittent_table(table).soft)
-    if not grouped.n_events:
-        return n_records, 0, _EMPTY_STATS, list
-    stats = (
-        breadth_class_fractions_table(grouped),
-        mbme_breadth_histogram_table(grouped),
-        byte_alignment_stats_table(grouped),
-        bits_per_word_histogram_table(grouped, byte_aligned=True),
-        bits_per_word_histogram_table(grouped, byte_aligned=False),
-        derive_table1_table(grouped),
-    )
-    return n_records, grouped.n_events, stats, grouped.to_observed_events
-
-
-def _finalize_shm(columns: dict, pattern_name: str) -> tuple:
-    """Direct soft-error grouping on the merged record columns.
-
-    Exploits what holds for every campaign record set (and is pinned
-    byte-for-byte against :func:`_finalize_columnar` by the equivalence
-    suite): entries are unique *within* an event, so an entry recorded
-    twice was necessarily hit in two distinct write cycles — the
-    intermittent filter reduces to "keep entries with exactly one
-    record".  Surviving records are already in (cycle, site) order, so
-    grouping is a run-length pass, skipping the
-    :class:`~repro.beam.fliptable.RecordTable` materialization and the
-    full-table lexsorts of the columnar finalizer.
+    Returns ``(accumulator, events, stats)``; the accumulator is folded
+    from the same scalar-derived events, so reference results carry one
+    like every other result.
     """
-    from repro.beam.fliptable import FlipTable
-    from repro.beam.postprocess import (
-        derive_table1_table,
-        breadth_class_fractions_table,
-        bits_per_word_histogram_table,
-        byte_alignment_stats_table,
-        mbme_breadth_histogram_table,
-    )
-
-    # ``pop`` releases each transport column at last use — the caller
-    # discards the dict, and the freed blocks keep the resident set (and
-    # with it the page-fault bill) flat through the grouping passes.
-    columns.pop("time_s", None)  # derivable; unused by the fused grouping
-    entry = columns.pop("entry_index")
-    n_records = int(entry.size)
-    if not n_records:
-        return 0, 0, _EMPTY_STATS, list
-    counts = columns.pop("flips_per_record")
-    unique_entries, per_entry = np.unique(entry, return_counts=True)
-    soft = per_entry[np.searchsorted(unique_entries, entry)] == 1
-    del unique_entries, per_entry
-    cycles = columns.pop("write_cycle")[soft]
-    if not cycles.size:
-        return n_records, 0, _EMPTY_STATS, list
-    new_event = np.r_[True, cycles[1:] != cycles[:-1]]
-    site_event = np.cumsum(new_event) - 1
-    n_events = int(site_event[-1]) + 1
-    flip_bit = columns.pop("flip_bit")[np.repeat(soft, counts)]
-    grouped = FlipTable.from_flips(
-        site_event, entry[soft], counts[soft],
-        flip_bit,
-        n_events=n_events,
-        event_columns={
-            "run": np.zeros(n_events, dtype=np.int64),
-            "write_cycle": cycles[new_event],
-            "read_pass": np.zeros(n_events, dtype=np.int64),
-        },
-    )
-    del entry, counts, soft, cycles, new_event, site_event, flip_bit
-    stats = (
-        breadth_class_fractions_table(grouped),
-        mbme_breadth_histogram_table(grouped),
-        byte_alignment_stats_table(grouped),
-        bits_per_word_histogram_table(grouped, byte_aligned=True),
-        bits_per_word_histogram_table(grouped, byte_aligned=False),
-        derive_table1_table(grouped),
-    )
-    return n_records, n_events, stats, grouped.to_observed_events
-
-
-def _finalize_reference(records: list[MismatchRecord]) -> tuple:
     from repro.beam.postprocess import (
         derive_table1,
         filter_intermittent,
@@ -1413,10 +1117,14 @@ def _finalize_reference(records: list[MismatchRecord]) -> tuple:
         byte_alignment_stats,
         mbme_breadth_histogram,
     )
+    from repro.stats import CampaignAccumulator
 
     events = group_events(filter_intermittent(records).soft_records)
+    accumulator = CampaignAccumulator()
+    accumulator.add_raw(n_events=n_events, n_records=len(records))
+    accumulator.update_from_events(events)
     if not events:
-        return len(records), 0, _EMPTY_STATS, list
+        return accumulator, events, _EMPTY_STATS
     stats = (
         breadth_class_fractions(events),
         mbme_breadth_histogram(events),
@@ -1425,7 +1133,7 @@ def _finalize_reference(records: list[MismatchRecord]) -> tuple:
         bits_per_word_histogram(events, byte_aligned=False),
         derive_table1(events),
     )
-    return len(records), len(events), stats, lambda: events
+    return accumulator, events, stats
 
 
 def run_statistics_campaign(
@@ -1435,8 +1143,8 @@ def run_statistics_campaign(
     geometry: HBM2Geometry | None = None,
     parameters: EventParameters | None = None,
     pattern: str | DataPattern = "an-encoded",
-    engine: str = "columnar",
-    stats: str = "materialize",
+    engine: str = "shm",
+    stats: str | None = None,
     workers: int | None = None,
     chunk: int = 512,
     chunk_timeout: float | None = None,
@@ -1451,42 +1159,41 @@ def run_statistics_campaign(
     Event ``i`` arrives at ``i × mean_time_to_event_s`` and owns write
     cycle ``i`` of run 0; chunk ``c`` of ``chunk`` events is seeded by
     ``SeedSequence(seed).spawn(n_chunks)[c]``, so the result is a pure
-    function of ``(n_events, seed, chunk)`` — identical across engines
-    and across any ``workers`` setting.
+    function of ``(n_events, seed, chunk)`` — identical across engines,
+    statistics modes and any ``workers`` setting.
 
     The run reports through ``tracer`` (a fresh one when omitted): a
-    ``campaign`` span wrapping per-chunk worker spans and a
-    ``postprocess`` span; the finished records land in
-    :attr:`StatisticsResult.trace`.  ``heartbeat``, when given, advances
-    once per completed job (chunk, or fused chunk range for
-    ``engine="shm"``).
+    ``campaign`` span wrapping per-job worker spans (and a
+    ``postprocess`` span when materializing); the finished records land
+    in :attr:`StatisticsResult.trace`.  ``heartbeat``, when given,
+    advances once per completed job (a fused chunk range on ``shm``, a
+    chunk on ``reference``).
 
     ``engine="shm"`` evaluates chunks in fused ranges (``range_chunks``
-    per job, auto-sized by default), ships pooled results through a
-    shared-memory arena, and — with ``warm_pool`` set to a
+    per job, auto-sized by default) and — with ``warm_pool`` set to a
     :class:`repro.core.pool.WarmPool` — reuses worker processes across
-    campaigns in the same invocation.  ``warm_pool`` applies to the
-    per-chunk engines too.
+    campaigns in the same invocation (on ``reference`` too).  Every
+    statistic comes from one :class:`repro.stats.CampaignAccumulator`
+    fold, in either ``stats`` mode (``None`` resolves through
+    :func:`resolve_stats_mode`):
 
-    ``stats="streaming"`` replaces the materialize-then-postprocess tail
-    with two sweeps: a *scout* pass replays only the entry-placement
-    streams and answers the global intermittent filter with an
-    occupancy index bounded by the device, then the evaluation sweep
-    folds each job's records into a fixed-size :class:`repro.stats
-    .CampaignAccumulator` worker-side.  Host memory stays flat in the
-    event count, and every statistic is float-identical to
-    ``stats="materialize"`` (the tallies are integers; the floats are
-    computed once, canonically).  The reference engine keeps only the
-    materialized path, and a streaming result never materializes
-    :attr:`StatisticsResult.observed_events`.
+    * ``streaming`` runs two sweeps: a *scout* pass replays only the
+      entry-placement streams and answers the global intermittent filter
+      with an occupancy index bounded by the device, then the evaluation
+      sweep folds each job's records worker-side.  Host memory stays
+      flat in the event count, and a streaming result never materializes
+      :attr:`StatisticsResult.observed_events`.
+    * ``materialize`` ships every range's record columns back (through a
+      shared-memory arena when pooled) and folds them as one partition,
+      keeping the grouped events for ``observed_events``.
+
+    The accumulator's tallies are integers and its floats are computed
+    once, canonically, so both modes — and the scalar ``reference``
+    engine, which only materializes — are float-identical.
     """
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    if stats not in STATS_MODES:
-        raise ValueError(f"stats must be one of {STATS_MODES}")
-    resolve_stats_mode(engine, stats)  # rejects reference + streaming
+    stats = resolve_stats_mode(engine, stats)
     geometry = geometry or HBM2Geometry.for_gpu(32)
     parameters = parameters or EventParameters()
     pattern_name = pattern if isinstance(pattern, str) else pattern.name
@@ -1507,86 +1214,77 @@ def run_statistics_campaign(
         )
         for index in range(n_chunks)
     ]
-    ranges = _range_jobs(jobs, workers, range_chunks) \
-        if engine == "shm" else None
+    if engine == "shm":
+        jobs = _range_jobs(jobs, workers, range_chunks)
     sweeps = 2 if stats == "streaming" else 1
     if heartbeat is not None and heartbeat.total is None:
-        heartbeat.total = sweeps * (
-            len(ranges) if ranges is not None else n_chunks
-        )
+        heartbeat.total = sweeps * len(jobs)
         if getattr(heartbeat, "total_events", None) is None:
             heartbeat.total_events = sweeps * n_events
 
-    accumulator = None
+    pool = dict(workers=workers, timeout=chunk_timeout, tracer=tracer,
+                heartbeat=heartbeat, retry=retry, warm_pool=warm_pool)
     with tracer.span("campaign", engine=engine, stats=stats):
         tracer.count(events=n_events, chunks=n_chunks)
-        if stats == "streaming":
-            from repro.stats import STATS_KEYS
-
-            stream_jobs = ranges if ranges is not None else jobs
+        if engine == "reference":
+            results, report = _run_jobs(
+                jobs, "chunks",
+                lambda job: (_evaluate_chunk, geometry, parameters,
+                             pattern_name, job),
+                **pool,
+            )
+            with tracer.span("postprocess"):
+                records = [
+                    record for index in sorted(results)
+                    for record in results[index][0]
+                ]
+                accumulator, events, stats_tuple = _finalize_reference(
+                    records, n_events)
+                observed = events.copy
+                tracer.count(records=accumulator.n_records,
+                             observed=accumulator.n_observed)
+            pool_counters = report.counters()
+        elif stats == "streaming":
             damaged, scout_report = _run_scout(
-                geometry, parameters, stream_jobs, workers, chunk_timeout,
-                tracer, heartbeat, retry, warm_pool,
-            )
+                geometry, parameters, jobs, pool)
             results, report = _run_streaming(
-                engine, geometry, parameters, pattern_name, stream_jobs,
-                damaged, workers, chunk_timeout, tracer, heartbeat, retry,
-                warm_pool,
-            )
+                geometry, parameters, jobs, damaged, pool)
             accumulator = _merge_streaming_states(results)
-            n_records = accumulator.n_records
-            n_observed = accumulator.n_observed
-            stats_tuple = (
-                tuple(accumulator.finalize()[key] for key in STATS_KEYS)
-                if n_observed else _EMPTY_STATS
-            )
             observed = _no_observed_stream
-            tracer.count(records=n_records, observed=n_observed,
+            tracer.count(records=accumulator.n_records,
+                         observed=accumulator.n_observed,
                          damaged_entries=int(damaged.size))
             pool_counters = scout_report.counters()
             for key, value in report.counters().items():
                 pool_counters[key] = pool_counters.get(key, 0) + value
-        elif engine == "shm":
+        else:
             results, report, arena = _run_ranges(
-                geometry, parameters, pattern_name, ranges, workers,
-                chunk_timeout, tracer, heartbeat, retry, warm_pool,
-            )
+                geometry, parameters, jobs, pool)
             try:
                 with tracer.span("postprocess"):
                     columns = _merge_range_payloads(results, arena)
-                    n_records, n_observed, stats_tuple, observed = \
-                        _finalize_shm(columns, pattern_name)
-                    tracer.count(records=n_records, observed=n_observed)
+                    # within one campaign, an entry recorded twice was
+                    # hit in two write cycles: the intermittent filter's
+                    # damaged set
+                    entries, hits = np.unique(columns["entry_index"],
+                                              return_counts=True)
+                    accumulator, grouped = _fold_records(
+                        columns, entries[hits > 1], n_events)
+                    del entries, hits
+                    observed = grouped.to_observed_events
+                    tracer.count(records=accumulator.n_records,
+                                 observed=accumulator.n_observed)
             finally:
                 if arena is not None:
                     arena.close()
             pool_counters = report.counters()
-        else:
-            results, report = _run_chunks(
-                engine, geometry, parameters, pattern_name, jobs, workers,
-                chunk_timeout, tracer, heartbeat, retry, warm_pool,
-            )
+        if engine == "shm":
+            from repro.stats import STATS_KEYS
 
-            with tracer.span("postprocess"):
-                if engine == "columnar":
-                    columns = {
-                        key: concat_or_empty(
-                            [results[i][0][key] for i in sorted(results)],
-                            _COLUMN_DTYPES[key],
-                        )
-                        for key in _COLUMN_KEYS
-                    }
-                    n_records, n_observed, stats_tuple, observed = \
-                        _finalize_columnar(columns, pattern_name)
-                else:
-                    records = [
-                        record for index in sorted(results)
-                        for record in results[index][0]
-                    ]
-                    n_records, n_observed, stats_tuple, observed = \
-                        _finalize_reference(records)
-                tracer.count(records=n_records, observed=n_observed)
-            pool_counters = report.counters()
+            stats_tuple = (
+                tuple(accumulator.finalize()[key] for key in STATS_KEYS)
+                if accumulator.n_observed else _EMPTY_STATS
+            )
     if heartbeat is not None:
         heartbeat.close()
 
@@ -1596,8 +1294,8 @@ def run_statistics_campaign(
     return StatisticsResult(
         engine=engine,
         n_events=n_events,
-        n_records=n_records,
-        n_observed=n_observed,
+        n_records=accumulator.n_records,
+        n_observed=accumulator.n_observed,
         class_fractions=class_fractions,
         mbme_histogram=mbme_histogram,
         byte_alignment=byte_alignment,

@@ -409,7 +409,7 @@ class BatchEventSynthesis:
     Construct two instances with the same seed and make the same calls in
     the same order, and :meth:`table_at` (vectorized) and :meth:`events_at`
     (scalar oracle) consume identical random streams and produce identical
-    events — the equivalence the columnar engine's tests assert.
+    events — the equivalence the batch-synthesis tests assert.
     """
 
     def __init__(

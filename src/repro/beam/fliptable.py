@@ -4,21 +4,17 @@ The Section 3-5 pipeline used to move corruption around as
 ``dict[int, np.ndarray]`` — one tiny array per affected entry, one dict per
 event, one Python loop iteration per record.  Statistics-scale campaigns
 (thousands of SEUs, MBME events spanning up to 6,000 entries) spend nearly
-all their time in that plumbing, so this module replaces it with two flat,
-NumPy-native tables:
+all their time in that plumbing, so this module replaces it with one flat,
+NumPy-native table: :class:`FlipTable`, a set of events as four parallel
+columns — a per-site ``(event, entry)`` pair plus a CSR view of each
+site's flipped data bits.  The batch event synthesizer, the campaign
+engine's event grouping and the streaming accumulator all work on one.
 
-* :class:`FlipTable` — a set of events as four parallel columns: a per-site
-  ``(event, entry)`` pair plus a CSR view of each site's flipped data bits.
-  Both the ground-truth generator and the reconstructed-event grouper
-  produce one.
-* :class:`RecordTable` — the columnar mirror of a
-  :class:`~repro.beam.microbenchmark.MismatchRecord` list (the campaign's
-  time-stamped mismatch log).
-
-Both tables convert losslessly to and from the original scalar objects, so
-the retained reference paths remain first-class oracles; the packed
-``(N, 5)`` ``uint64`` views reuse PR 1's bit transport
-(:func:`repro.gf.gf2.pack_rows`: bit ``i`` lands in word ``i // 64`` at
+The table converts losslessly from the scalar event objects and back to
+observed events, so the retained reference paths remain first-class
+oracles; the packed
+``(N, 5)`` ``uint64`` views use the entry bit transport of
+:func:`repro.gf.gf2.pack_rows` (bit ``i`` lands in word ``i // 64`` at
 weight ``2**(i % 64)``).
 """
 
@@ -29,12 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.arrays import concat_or_empty
-from repro.gf.gf2 import pack_rows
 
 __all__ = [
     "FlipTable",
-    "RecordTable",
-    "pack_positions",
     "unpack_packed_rows",
     "ENTRY_BITS",
     "DATA_BITS",
@@ -42,22 +35,10 @@ __all__ = [
 
 ENTRY_BITS = 288  #: transmitted bits per entry (data + ECC)
 DATA_BITS = 256  #: observable data bits per entry
-PACKED_WORDS = -(-ENTRY_BITS // 64)  # 5
-
-
-def pack_positions(site_of_flip: np.ndarray, bit: np.ndarray,
-                   n_sites: int) -> np.ndarray:
-    """Scatter flat (site, bit) flip pairs into packed ``(n_sites, 5)`` rows."""
-    rows = np.zeros((n_sites, PACKED_WORDS), dtype=np.uint64)
-    if bit.size:
-        word = bit >> 6
-        mask = np.uint64(1) << (bit & 63).astype(np.uint64)
-        np.bitwise_or.at(rows, (site_of_flip, word), mask)
-    return rows
 
 
 def unpack_packed_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_positions`: flat ``(row_of_flip, bit)`` pairs.
+    """Packed ``(N, 5)`` uint64 rows to flat ``(row_of_flip, bit)`` pairs.
 
     Bits come back sorted by (row, bit) — the order a per-entry scan would
     report them in.
@@ -90,7 +71,7 @@ class FlipTable:
     site_entry: np.ndarray  #: (S,) int64 — memory entry index of each site
     site_flip_start: np.ndarray  #: (S+1,) int64 — CSR offsets into flip_bit
     flip_bit: np.ndarray  #: (F,) integer — data-bit offsets 0-255 (int64
-    #: from the scalar/columnar paths, int16 off the shm transport)
+    #: from the synthesizer and scalar paths, int16 off the shm transport)
     #: per-event metadata columns, each (n_events,) — e.g. ``time_s``,
     #: ``class_code`` for ground truth; ``run``/``write_cycle``/``read_pass``
     #: for reconstructed events
@@ -117,22 +98,6 @@ class FlipTable:
     def breadths(self) -> np.ndarray:
         """Entries affected per event (Figure 4b's quantity)."""
         return np.bincount(self.site_event, minlength=self.n_events)
-
-    def total_bits(self) -> np.ndarray:
-        """Flipped bits per event."""
-        counts = np.zeros(self.n_events, dtype=np.int64)
-        np.add.at(counts, self.site_event, self.flips_per_site())
-        return counts
-
-    def site_of_flip(self) -> np.ndarray:
-        return np.repeat(
-            np.arange(self.n_sites, dtype=np.int64), self.flips_per_site()
-        )
-
-    # -- packed view -------------------------------------------------------
-    def packed_site_rows(self) -> np.ndarray:
-        """Per-site 288-bit flip vectors, bit-packed to ``(S, 5)`` uint64."""
-        return pack_positions(self.site_of_flip(), self.flip_bit, self.n_sites)
 
     # -- conversions -------------------------------------------------------
     @classmethod
@@ -197,9 +162,9 @@ class FlipTable:
         sorted ascending within each site (the table invariant — observed
         flip tuples already satisfy it, sorting is a cheap no-op then).
 
-        This is how the streaming accumulator folds the beam run's
-        recovered events with the same kernels (and therefore the same
-        tallies) as the columnar pipeline.
+        This is how the streaming accumulator folds scalar events (the
+        beam run's recovered events, the reference engine's) with the
+        same kernels, and therefore the same tallies, as the shm engine.
         """
         site_event: list[int] = []
         site_entry: list[int] = []
@@ -231,29 +196,6 @@ class FlipTable:
             },
         )
 
-    def to_events(self):
-        """Reconstruct scalar :class:`~repro.beam.events.SoftErrorEvent`
-        ground-truth objects (requires ``time_s`` and ``class_code``)."""
-        from repro.beam.events import EventClass, SoftErrorEvent
-
-        classes = list(EventClass)
-        times = self.event_columns["time_s"]
-        codes = self.event_columns["class_code"]
-        starts = self.event_site_start()
-        events = []
-        for index in range(self.n_events):
-            flips: dict[int, np.ndarray] = {}
-            for site in range(int(starts[index]), int(starts[index + 1])):
-                lo = int(self.site_flip_start[site])
-                hi = int(self.site_flip_start[site + 1])
-                flips[int(self.site_entry[site])] = self.flip_bit[lo:hi].copy()
-            events.append(SoftErrorEvent(
-                time_s=float(times[index]),
-                event_class=classes[int(codes[index])],
-                flips=flips,
-            ))
-        return events
-
     def to_observed_events(self):
         """Reconstruct scalar :class:`~repro.beam.postprocess.ObservedEvent`
         objects (requires ``run``/``write_cycle``/``read_pass`` columns)."""
@@ -279,133 +221,3 @@ class FlipTable:
                 flips=flips,
             ))
         return events
-
-
-@dataclass
-class RecordTable:
-    """Columnar mirror of a list of
-    :class:`~repro.beam.microbenchmark.MismatchRecord` objects."""
-
-    time_s: np.ndarray  #: (R,) float64
-    run: np.ndarray  #: (R,) int64
-    pattern_code: np.ndarray  #: (R,) int64 — index into :attr:`patterns`
-    write_cycle: np.ndarray  #: (R,) int64
-    read_pass: np.ndarray  #: (R,) int64
-    inverted: np.ndarray  #: (R,) bool
-    entry_index: np.ndarray  #: (R,) int64
-    flip_start: np.ndarray  #: (R+1,) int64 — CSR offsets into flip_bit
-    flip_bit: np.ndarray  #: (F,) int64 — data-bit offsets 0-255
-    patterns: tuple[str, ...] = ()  #: pattern-name vocabulary
-
-    @property
-    def n_records(self) -> int:
-        return self.entry_index.size
-
-    def flips_per_record(self) -> np.ndarray:
-        return np.diff(self.flip_start)
-
-    def record_of_flip(self) -> np.ndarray:
-        return np.repeat(
-            np.arange(self.n_records, dtype=np.int64), self.flips_per_record()
-        )
-
-    def select(self, mask: np.ndarray) -> RecordTable:
-        """Row subset (order preserved), CSR re-based."""
-        mask = np.asarray(mask, dtype=bool)
-        keep_flags = np.repeat(mask, self.flips_per_record())
-        counts = self.flips_per_record()[mask]
-        return RecordTable(
-            time_s=self.time_s[mask],
-            run=self.run[mask],
-            pattern_code=self.pattern_code[mask],
-            write_cycle=self.write_cycle[mask],
-            read_pass=self.read_pass[mask],
-            inverted=self.inverted[mask],
-            entry_index=self.entry_index[mask],
-            flip_start=_csr_from_counts(counts),
-            flip_bit=self.flip_bit[keep_flags],
-            patterns=self.patterns,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        *,
-        time_s,
-        run,
-        pattern_code,
-        write_cycle,
-        read_pass,
-        inverted,
-        entry_index,
-        flips_per_record,
-        flip_bit,
-        patterns: tuple[str, ...],
-    ) -> RecordTable:
-        return cls(
-            time_s=np.asarray(time_s, dtype=np.float64),
-            run=np.asarray(run, dtype=np.int64),
-            pattern_code=np.asarray(pattern_code, dtype=np.int64),
-            write_cycle=np.asarray(write_cycle, dtype=np.int64),
-            read_pass=np.asarray(read_pass, dtype=np.int64),
-            inverted=np.asarray(inverted, dtype=bool),
-            entry_index=np.asarray(entry_index, dtype=np.int64),
-            flip_start=_csr_from_counts(
-                np.asarray(flips_per_record, dtype=np.int64)
-            ),
-            flip_bit=np.asarray(flip_bit, dtype=np.int64),
-            patterns=patterns,
-        )
-
-    @classmethod
-    def from_records(cls, records) -> RecordTable:
-        """Columnarize a scalar mismatch log (lossless round trip)."""
-        vocab: dict[str, int] = {}
-        codes = np.empty(len(records), dtype=np.int64)
-        counts = np.empty(len(records), dtype=np.int64)
-        bits: list[tuple[int, ...]] = []
-        for index, record in enumerate(records):
-            codes[index] = vocab.setdefault(record.pattern, len(vocab))
-            counts[index] = len(record.bit_positions)
-            bits.append(record.bit_positions)
-        flat = np.array(
-            [bit for positions in bits for bit in positions], dtype=np.int64
-        )
-        return cls.from_columns(
-            time_s=[r.time_s for r in records],
-            run=[r.run for r in records],
-            pattern_code=codes,
-            write_cycle=[r.write_cycle for r in records],
-            read_pass=[r.read_pass for r in records],
-            inverted=[r.inverted for r in records],
-            entry_index=[r.entry_index for r in records],
-            flips_per_record=counts,
-            flip_bit=flat,
-            patterns=tuple(vocab),
-        )
-
-    def to_records(self):
-        """Back to scalar :class:`~repro.beam.microbenchmark.MismatchRecord`
-        objects, order preserved."""
-        from repro.beam.microbenchmark import MismatchRecord
-
-        records = []
-        for index in range(self.n_records):
-            lo = int(self.flip_start[index])
-            hi = int(self.flip_start[index + 1])
-            records.append(MismatchRecord(
-                time_s=float(self.time_s[index]),
-                run=int(self.run[index]),
-                pattern=self.patterns[int(self.pattern_code[index])],
-                write_cycle=int(self.write_cycle[index]),
-                read_pass=int(self.read_pass[index]),
-                inverted=bool(self.inverted[index]),
-                entry_index=int(self.entry_index[index]),
-                bit_positions=tuple(int(b) for b in self.flip_bit[lo:hi]),
-            ))
-        return records
-
-
-def _packed_rows_noop() -> np.ndarray:
-    """Placeholder keeping pack_rows imported for re-export convenience."""
-    return pack_rows(np.zeros((0, ENTRY_BITS), dtype=np.uint8))

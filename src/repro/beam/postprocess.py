@@ -31,11 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.beam.events import BITS_PER_WORD, WORDS_PER_ENTRY, EventClass
+from repro.beam.fliptable import FlipTable
 from repro.beam.microbenchmark import MismatchRecord
 from repro.core.layout import ENTRY_BITS, NUM_PINS
-from repro.errormodel.classify import classify_error
+from repro.errormodel.classify import PATTERN_ORDER, classify_error
 from repro.errormodel.patterns import ErrorPattern
-from repro.stats.table1 import table1_tally, table1_weights
+from repro.stats.accumulators import TooFewEventsError
+from repro.stats.table1 import table1_weights
 
 __all__ = [
     "FilterResult",
@@ -47,16 +49,9 @@ __all__ = [
     "byte_alignment_stats",
     "bits_per_word_histogram",
     "derive_table1",
-    "FilterTableResult",
-    "filter_intermittent_table",
-    "group_events_table",
     "events_from_truth_table",
     "observed_class_codes",
-    "breadth_class_fractions_table",
-    "mbme_breadth_histogram_table",
-    "byte_alignment_stats_table",
-    "bits_per_word_histogram_table",
-    "derive_table1_table",
+    "table1_site_codes",
 ]
 
 
@@ -197,7 +192,7 @@ def events_from_truth(true_events) -> list[ObservedEvent]:
 def breadth_class_fractions(events: list[ObservedEvent]) -> dict[EventClass, float]:
     """Figure 4a: the SBSE/SBME/MBSE/MBME mixture."""
     if not events:
-        raise ValueError("no events to classify")
+        raise TooFewEventsError("no events to classify")
     counts = Counter(event.event_class() for event in events)
     return {klass: counts.get(klass, 0) / len(events) for klass in EventClass}
 
@@ -228,7 +223,7 @@ def byte_alignment_stats(events: list[ObservedEvent]) -> dict[str, float]:
         if event.event_class() in (EventClass.MBSE, EventClass.MBME)
     ]
     if not multi_bit:
-        raise ValueError("no multi-bit events observed")
+        raise TooFewEventsError("no multi-bit events observed")
     aligned = [event for event in multi_bit if event.is_byte_aligned()]
 
     def words_histogram(subset: list[ObservedEvent]) -> dict[int, float]:
@@ -296,15 +291,13 @@ def derive_table1(events: list[ObservedEvent]) -> dict[ErrorPattern, float]:
 
     The float weights are computed by the canonical tally → weight helper
     of :mod:`repro.stats.table1`: this loop only counts sites by
-    ``(pattern, breadth)`` — integers, order-independent — so the scalar,
-    columnar and streaming paths are bit-identical for any event ordering
+    ``(pattern, breadth)`` — integers, order-independent — so the scalar
+    oracle and the accumulator are bit-identical for any event ordering
     or range split.
     """
     if not events:
-        raise ValueError("no events to classify")
-    from repro.errormodel.classify import PATTERN_ORDER as _order
-
-    code_of = {pattern: code for code, pattern in enumerate(_order)}
+        raise TooFewEventsError("no events to classify")
+    code_of = {pattern: code for code, pattern in enumerate(PATTERN_ORDER)}
     tally: Counter = Counter()
     for event in events:
         for positions in event.flips.values():
@@ -314,140 +307,14 @@ def derive_table1(events: list[ObservedEvent]) -> dict[ErrorPattern, float]:
 
 
 # --------------------------------------------------------------------------
-# 4. Columnar pipeline — the same analyses over flat tables
+# 4. Columnar kernels — what the streaming accumulator folds with
 # --------------------------------------------------------------------------
 #
-# Each ``*_table`` function below reproduces its scalar namesake exactly
-# (same partitions, same fractions, same floating-point accumulation
-# order); the scalar paths remain the oracles the equivalence suite checks
-# against.
-
-from repro.beam.fliptable import FlipTable, RecordTable  # noqa: E402
-from repro.errormodel.classify import PATTERN_ORDER  # noqa: E402
-
-
-@dataclass(frozen=True)
-class FilterTableResult:
-    """Columnar mirror of :class:`FilterResult`."""
-
-    soft: RecordTable
-    intermittent: RecordTable
-    damaged_entries: np.ndarray  #: sorted int64 damaged entry indices
-
-    def to_filter_result(self) -> FilterResult:
-        return FilterResult(
-            soft_records=self.soft.to_records(),
-            intermittent_records=self.intermittent.to_records(),
-            damaged_entries=frozenset(
-                int(e) for e in self.damaged_entries
-            ),
-        )
-
-
-def filter_intermittent_table(table: RecordTable,
-                              min_cycles: int = 2) -> FilterTableResult:
-    """Vectorized :func:`filter_intermittent` over a :class:`RecordTable`.
-
-    Distinct ``(run, write_cycle)`` pairs per entry are counted with one
-    lexsort instead of a dict of sets; both partitions preserve record
-    order, like the scalar filter's list comprehensions.
-    """
-    if not table.n_records:
-        return FilterTableResult(
-            soft=table, intermittent=table.select(np.zeros(0, dtype=bool)),
-            damaged_entries=np.empty(0, dtype=np.int64),
-        )
-    order = np.lexsort((table.write_cycle, table.run, table.entry_index))
-    entry = table.entry_index[order]
-    run = table.run[order]
-    cycle = table.write_cycle[order]
-    new_pair = np.r_[True, (np.diff(entry) != 0) | (np.diff(run) != 0)
-                     | (np.diff(cycle) != 0)]
-    unique_entries, inverse = np.unique(entry, return_inverse=True)
-    pairs_per_entry = np.bincount(inverse[new_pair],
-                                  minlength=unique_entries.size)
-    damaged = unique_entries[pairs_per_entry >= min_cycles]
-    if damaged.size:
-        position = np.minimum(
-            np.searchsorted(damaged, table.entry_index), damaged.size - 1
-        )
-        is_damaged = damaged[position] == table.entry_index
-    else:
-        is_damaged = np.zeros(table.n_records, dtype=bool)
-    return FilterTableResult(
-        soft=table.select(~is_damaged),
-        intermittent=table.select(is_damaged),
-        damaged_entries=damaged,
-    )
-
-
-def group_events_table(soft: RecordTable) -> FlipTable:
-    """Vectorized :func:`group_events`: a :class:`FlipTable` of observed
-    events with ``run``/``write_cycle``/``read_pass`` columns.
-
-    Events are ordered by ``(run, write_cycle, read_pass)`` and each
-    event's sites by first-observation time — exactly the scalar
-    grouper's sort order and dict-insertion order.
-    """
-    if not soft.n_records:
-        return FlipTable.from_flips(
-            np.empty(0, np.int64), np.empty(0, np.int64),
-            np.empty(0, np.int64), np.empty(0, np.int64),
-            n_events=0,
-            event_columns={
-                "run": np.empty(0, np.int64),
-                "write_cycle": np.empty(0, np.int64),
-                "read_pass": np.empty(0, np.int64),
-            },
-        )
-    # first observation of each (run, cycle, entry), earliest time winning
-    # ties by record order (the scalar path's stable sorted() + dict)
-    time_order = np.argsort(soft.time_s, kind="stable")
-    time_rank = np.empty(soft.n_records, dtype=np.int64)
-    time_rank[time_order] = np.arange(soft.n_records)
-    by_key = np.lexsort((
-        time_rank, soft.entry_index, soft.write_cycle, soft.run
-    ))
-    first_of_key = np.r_[
-        True,
-        (np.diff(soft.run[by_key]) != 0)
-        | (np.diff(soft.write_cycle[by_key]) != 0)
-        | (np.diff(soft.entry_index[by_key]) != 0),
-    ]
-    kept = by_key[first_of_key]
-
-    # group kept records into events by (run, cycle, read pass), sites in
-    # first-seen time order within each event
-    by_event = np.lexsort((
-        time_rank[kept], soft.read_pass[kept],
-        soft.write_cycle[kept], soft.run[kept],
-    ))
-    rows = kept[by_event]
-    run = soft.run[rows]
-    cycle = soft.write_cycle[rows]
-    read_pass = soft.read_pass[rows]
-    new_event = np.r_[True, (np.diff(run) != 0) | (np.diff(cycle) != 0)
-                      | (np.diff(read_pass) != 0)]
-    site_event = np.cumsum(new_event) - 1
-    n_events = int(site_event[-1]) + 1
-
-    counts = soft.flips_per_record()[rows]
-    starts = soft.flip_start[rows]
-    flat = np.repeat(starts, counts) + (
-        np.arange(int(counts.sum())) - np.repeat(
-            np.r_[0, np.cumsum(counts)[:-1]], counts
-        )
-    )
-    return FlipTable.from_flips(
-        site_event, soft.entry_index[rows], counts, soft.flip_bit[flat],
-        n_events=n_events,
-        event_columns={
-            "run": run[new_event],
-            "write_cycle": cycle[new_event],
-            "read_pass": read_pass[new_event],
-        },
-    )
-
+# :class:`repro.stats.CampaignAccumulator` is the one vectorized definition
+# of every statistic above; these kernels give it per-event classes,
+# per-site word segments and alignment, and per-site Table-1 pattern codes
+# over a :class:`~repro.beam.fliptable.FlipTable`.  The scalar functions
+# above remain the oracle the equivalence suite checks it against.
 
 def events_from_truth_table(truth: FlipTable) -> FlipTable:
     """Columnar :func:`events_from_truth`: relabel a ground-truth table
@@ -512,7 +379,7 @@ def _flip_site_ids_uncached(table: FlipTable) -> np.ndarray:
 def _flip_bits16(table: FlipTable) -> np.ndarray:
     """``flip_bit`` as int16 (values < ENTRY_BITS always fit), cached.
     A no-op view for shm-built tables, a one-time narrowing copy for the
-    int64 columnar/scalar ones — all the kernels below run on it so the
+    int64 scalar-built ones — all the kernels below run on it so the
     big per-flip temporaries shrink 4x."""
     return _table_cached(
         table, "flip_bits16",
@@ -576,109 +443,16 @@ def _site_alignment_uncached(table: FlipTable
     return words_per_site, site_aligned, misaligned_sites == 0
 
 
-def breadth_class_fractions_table(table: FlipTable
-                                  ) -> dict[EventClass, float]:
-    """Columnar :func:`breadth_class_fractions` (Figure 4a)."""
-    if not table.n_events:
-        raise ValueError("no events to classify")
-    counts = np.bincount(observed_class_codes(table), minlength=4)
-    return {
-        klass: int(count) / table.n_events
-        for klass, count in zip(EventClass, counts)
-    }
-
-
 _MBME_EDGES = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
-def mbme_breadth_histogram_table(table: FlipTable) -> dict[str, int]:
-    """Columnar :func:`mbme_breadth_histogram` (Figure 4b)."""
-    edges = np.asarray(_MBME_EDGES)
-    breadth = table.breadths()[observed_class_codes(table) == 3]
-    breadth = breadth[(breadth >= edges[0]) & (breadth < edges[-1])]
-    bins = np.searchsorted(edges, breadth, side="right") - 1
-    counts = np.bincount(bins, minlength=edges.size - 1)
-    return {
-        f"{low}-{high - 1}": int(count)
-        for low, high, count in zip(edges[:-1], edges[1:], counts)
-    }
-
-
-def byte_alignment_stats_table(table: FlipTable) -> dict[str, float]:
-    """Columnar :func:`byte_alignment_stats` (Figure 4c)."""
-    codes = observed_class_codes(table)
-    multibit_event = codes >= 2
-    n_multibit = int(multibit_event.sum())
-    if not n_multibit:
-        raise ValueError("no multi-bit events observed")
-    words_per_site, _, event_aligned = _site_alignment(table)
-    n_aligned = int((multibit_event & event_aligned).sum())
-
-    stats: dict[str, float] = {
-        "byte_aligned_fraction": n_aligned / n_multibit,
-    }
-    site_words = words_per_site  # (n_sites,)
-    for label, event_mask in (
-        ("aligned", multibit_event & event_aligned),
-        ("non_aligned", multibit_event & ~event_aligned),
-    ):
-        site_mask = event_mask[table.site_event]
-        total = int(site_mask.sum())
-        if not total:
-            continue
-        counts = np.bincount(site_words[site_mask],
-                             minlength=WORDS_PER_ENTRY + 1)
-        for words in range(1, WORDS_PER_ENTRY + 1):
-            stats[f"{label}_words_{words}"] = int(counts[words]) / total
-    return stats
-
-
-def bits_per_word_histogram_table(table: FlipTable, *,
-                                  byte_aligned: bool) -> dict[int, float]:
-    """Columnar :func:`bits_per_word_histogram` (Figure 5)."""
-    codes = observed_class_codes(table)
-    _, _, event_aligned = _site_alignment(table)
-    event_mask = (codes >= 2) & (event_aligned == byte_aligned)
-    seg_site, seg_len, _ = _word_segments(table)
-    keep = event_mask[table.site_event[seg_site]]
-    lengths = seg_len[keep]
-    if not lengths.size:
-        return {}
-    counts = np.bincount(lengths)
-    total = int(lengths.size)
-    return {
-        int(severity): int(count) / total
-        for severity, count in enumerate(counts) if count
-    }
-
-
-def derive_table1_table(table: FlipTable,
-                        chunk: int = 8192) -> dict[ErrorPattern, float]:
-    """Columnar :func:`derive_table1`: per-site pattern codes via the
-    segment kernels, then the canonical integer ``(pattern, breadth)``
-    tally of :mod:`repro.stats.table1`.
-
-    Because both paths (and the streaming accumulator) reduce to the same
-    integer tally before any float is touched, the result is bit-identical
-    to :func:`derive_table1` — and invariant under any chunk/range
-    partition of the same events.
-    """
-    if not table.n_events:
-        raise ValueError("no events to classify")
-    codes = table1_site_codes(table, chunk=chunk)
-    return table1_weights(table1_tally(
-        codes, table.breadths()[table.site_event]
-    ))
-
-
-def table1_site_codes(table: FlipTable, chunk: int = 8192) -> np.ndarray:
+def table1_site_codes(table: FlipTable) -> np.ndarray:
     """Table-1 pattern code of each site's transmitted error vector.
 
     Classifies straight off the per-site flip lists: "all flips share one
     pin/byte/beat" is a per-segment check on the group ids, so no dense
-    ``(chunk, 288)`` error matrices are materialized (``chunk`` is kept
-    for API compatibility).  Codes are identical to pushing each
-    site's dense vector through
+    ``(sites, 288)`` error matrices are materialized.  Codes are identical
+    to pushing each site's dense vector through
     :func:`repro.errormodel.classify.classify_error_codes_batch` — the
     priority chain below is that function's, applied to the same
     predicates — which the equivalence tests pin against the scalar

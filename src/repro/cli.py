@@ -92,17 +92,25 @@ def version_string() -> str:
     return f"repro {version}"
 
 
-def _sample_count(text: str) -> int:
-    """``--samples``: a Monte Carlo sample count of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid sample count {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be at least 1 (got {value})")
-    return value
+def _count_at_least(low: int, noun: str):
+    """An argparse ``type`` accepting integers of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {noun} {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low} (got {value})")
+        return value
+    return parse
+
+
+#: ``--samples``: a Monte Carlo sample count of at least 1
+_sample_count = _count_at_least(1, "sample count")
+#: ``campaign --runs``/``--events``: a count of at least 0
+_campaign_count = _count_at_least(0, "count")
 
 
 def _add_store_flags(parser: argparse.ArgumentParser,
@@ -189,17 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_flags(rank)
 
     campaign = sub.add_parser("campaign", help="run a simulated beam campaign")
-    campaign.add_argument("--runs", type=int, default=3)
+    campaign.add_argument("--runs", type=_campaign_count, default=3)
     campaign.add_argument("--seed", type=int, default=2021)
-    campaign.add_argument("--events", type=int, default=3000,
+    campaign.add_argument("--events", type=_campaign_count, default=3000,
                           help="generator-truth events for the statistics")
-    campaign.add_argument("--engine", choices=["shm", "columnar", "reference"],
+    campaign.add_argument("--engine", choices=["shm", "reference"],
                           default="shm",
                           help="statistics-campaign implementation "
                                "(bit-identical results; default shm, the "
-                               "fused shared-memory fast path; columnar "
-                               "is the vectorized per-chunk one, "
-                               "reference the scalar oracle)")
+                               "fused shared-memory fast path; reference "
+                               "is the scalar oracle)")
     campaign.add_argument("--stats", choices=["materialize", "streaming"],
                           default=None,
                           help="statistics path: stream mergeable "
@@ -579,12 +586,14 @@ def _cmd_campaign(args, out=print):
         BeamCampaign,
         filter_intermittent,
         group_events,
+        resolve_stats_mode,
         run_statistics_campaign,
     )
     from repro.stats import CampaignAccumulator
 
+    # fail fast, before the beam simulation runs
+    resolve_stats_mode(args.engine, args.stats)
     if getattr(args, "fleet_size", None):
-        # fail fast, before the beam simulation runs
         _scheme_or_error(getattr(args, "fleet_scheme", "trio"))
     session = _session_or_null(args, "campaign",
                                campaign_session_config(args))
@@ -642,17 +651,13 @@ def _cmd_campaign(args, out=print):
                 warm_pool=_warm_pool(args.workers),
             )
         session.record_counters(statistics.counters())
-        # One fold for every path: the beam run's observed events plus
-        # the statistics campaign's (streamed state, or its materialized
-        # events).  Tally merging makes the report identical to deriving
-        # it from the concatenated events.
+        # One fold for every path: the beam run's observed events merged
+        # with the statistics campaign's accumulator.  Tally merging
+        # makes the report identical to deriving it from the
+        # concatenated events.
         accumulator = CampaignAccumulator()
         accumulator.update_from_events(observed)
-        if statistics.accumulator is not None:
-            accumulator = accumulator.merge(statistics.accumulator)
-        else:
-            accumulator.update_from_events(statistics.observed_events)
-        final = accumulator.finalize()
+        final = accumulator.merge(statistics.accumulator).finalize()
         class_fractions = final["class_fractions"]
         table1 = final["table1"]
         out("\nEvent classes (Figure 4a):")
@@ -802,7 +807,14 @@ def _dispatch(args) -> int:
         elif args.command == "rank":
             _cmd_rank(args)
         elif args.command == "campaign":
-            _cmd_campaign(args)
+            from repro.stats import TooFewEventsError
+
+            try:
+                _cmd_campaign(args)
+            except TooFewEventsError as exc:
+                print(f"repro: error: the campaign observed too few events "
+                      f"to derive its statistics ({exc})", file=sys.stderr)
+                return 1
         elif args.command == "system":
             _cmd_system(args)
         elif args.command == "report":

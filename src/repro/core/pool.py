@@ -1,7 +1,7 @@
 """Requeue-then-serial process-pool degradation, shared by every fan-out.
 
 The Monte Carlo harness (:mod:`repro.errormodel.montecarlo`) and the
-columnar statistics engine (:mod:`repro.beam.engine`) fan independent,
+beam statistics engine (:mod:`repro.beam.engine`) fan independent,
 deterministically seeded jobs out over a :class:`ProcessPoolExecutor`.
 Both need the same robustness story: a job that misses its timeout, hits
 a worker-side exception, or rides a pool that breaks mid-sweep is

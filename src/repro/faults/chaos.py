@@ -110,7 +110,7 @@ def add_chaos_parser(sub) -> None:
     chaos.add_argument("--runs", type=int, default=1)
     chaos.add_argument("--seed", type=int, default=2021)
     chaos.add_argument("--workers", type=int, default=2)
-    chaos.add_argument("--engine", choices=["shm", "columnar", "reference"],
+    chaos.add_argument("--engine", choices=["shm", "reference"],
                        default="shm",
                        help="statistics engine for both campaigns "
                             "(default shm)")

@@ -1,7 +1,7 @@
 """repro.obs — structured observability for long-running pipelines.
 
 Every long-running path in the reproduction (the Monte Carlo sweeps, the
-columnar beam-statistics campaign, the cached CLI invocations) reports
+beam-statistics campaign, the cached CLI invocations) reports
 through this package instead of hand-rolled timing dicts:
 
 * :class:`Tracer` / :class:`SpanRecord` — hierarchical wall-clock spans

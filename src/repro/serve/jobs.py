@@ -79,12 +79,17 @@ def _resolve_stats(stats: str | None, params: dict) -> str:
     return resolve_stats_mode(params["engine"], stats)
 
 
-def _resolve_samples(samples: int, params: dict) -> int:
-    """A Monte Carlo sample count: at least 1, as on the CLI."""
-    if samples < 1:
-        raise ValueError(
-            f"parameter 'samples' must be at least 1 (got {samples})")
-    return samples
+def _at_least(name: str, low: int):
+    """A resolve hook rejecting a count below ``low``, as the CLI does."""
+    def resolve(value: int, params: dict) -> int:
+        if value < low:
+            raise ValueError(
+                f"parameter {name!r} must be at least {low} (got {value})")
+        return value
+    return resolve
+
+
+_resolve_samples = _at_least("samples", 1)
 
 
 #: accepted parameters per job kind — defaults mirror the CLI parsers, so
@@ -92,11 +97,11 @@ def _resolve_samples(samples: int, params: dict) -> int:
 #: the same run-session config (and therefore the same artifacts)
 JOB_KINDS: dict[str, tuple[_Param, ...]] = {
     "campaign": (
-        _Param("runs", int, 3),
+        _Param("runs", int, 3, resolve=_at_least("runs", 0)),
         _Param("seed", int, 2021),
-        _Param("events", int, 3000),
+        _Param("events", int, 3000, resolve=_at_least("events", 0)),
         _Param("engine", str, "shm", identity=False,
-               choices=("shm", "columnar", "reference")),
+               choices=("shm", "reference")),
         _Param("stats", str, None, identity=False,
                choices=("materialize", "streaming"),
                resolve=_resolve_stats),

@@ -1,13 +1,15 @@
-"""Fixed-size, mergeable streaming accumulators for campaign statistics.
+"""Fixed-size, mergeable accumulators: the campaign statistics' definition.
 
-Every statistic the campaign engines report — the Figure 4a class
+Every statistic the campaign engine reports — the Figure 4a class
 mixture, the Figure 4b MBME breadth histogram, the Figure 4c alignment
 and words-per-entry numbers, the Figure 5 bits-per-word severities and
 the Table 1 pattern probabilities — is a ratio of **integer tallies**
 over the observed events.  A :class:`CampaignAccumulator` keeps exactly
 those tallies, in O(1) space (a few hundred counters), so a worker can
 fold an arbitrary slice of the campaign into one and ship back kilobytes
-instead of per-event columns.
+instead of per-event columns.  It is the one vectorized definition of
+those statistics: the shm engine derives them from it in both
+statistics modes, and the report's Table 1 folds into one too.
 
 The contract, asserted by the property suite and the engine equivalence
 tests:
@@ -17,14 +19,14 @@ tests:
 * folding any partition of one event stream and merging in any order
   yields tallies equal to one fold of the whole stream;
 * :meth:`finalize` computes every float exactly once, from the tallies,
-  in one canonical order — so a streamed campaign's statistics are
-  **float-identical** to the materialized ``*_table`` oracles in
-  :mod:`repro.beam.postprocess`, which share the same tally → float
-  helpers.
+  in one canonical order — **float-identical** to the scalar oracles in
+  :mod:`repro.beam.postprocess` (Table 1 shares their tally → float
+  helper in :mod:`repro.stats.table1`), and failing where they fail,
+  with :class:`TooFewEventsError`.
 
-The per-site pattern codes, word segments and alignment predicates reuse
-the postprocess kernels (one source of truth for the classification
-semantics); only the aggregation differs.
+The per-site pattern codes, word segments and alignment predicates are
+the columnar kernels of :mod:`repro.beam.postprocess`; this module owns
+the aggregation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from repro.stats.table1 import table1_tally, table1_weights
 
-__all__ = ["CampaignAccumulator", "STATS_KEYS"]
+__all__ = ["CampaignAccumulator", "STATS_KEYS", "TooFewEventsError"]
 
 #: the statistics dictionaries :meth:`CampaignAccumulator.finalize`
 #: produces, in :class:`repro.beam.engine.StatisticsResult` field order
@@ -50,6 +52,12 @@ STATS_KEYS = (
 )
 
 _STATE_VERSION = 1
+
+
+class TooFewEventsError(ValueError):
+    """Too few observed events to derive a statistic: none at all, or no
+    multi-bit events for the Figure 4c alignment numbers."""
+
 
 #: a flipped site never exceeds the entry's data bits, so one word's
 #: segment length is bounded far below this — sized generously so a
@@ -87,9 +95,7 @@ class CampaignAccumulator:
         """Fold one grouped (filtered) event table — the worker hot path.
 
         ``grouped`` is a :class:`repro.beam.fliptable.FlipTable` of
-        observed events, the same object the ``*_table`` statistics
-        consume; the kernels are shared, so code/segment/alignment
-        semantics cannot drift between the paths.
+        observed events, as the campaign engine's grouping builds it.
         """
         from repro.beam.postprocess import (
             _MBME_EDGES,
@@ -137,8 +143,8 @@ class CampaignAccumulator:
 
     def update_from_events(self, events) -> None:
         """Fold scalar :class:`~repro.beam.postprocess.ObservedEvent`
-        objects (the beam run's recovered events, or test streams) —
-        identical tallies to folding their columnar form."""
+        objects (the beam run's recovered events, the reference engine's,
+        or test streams) — identical tallies to folding their table."""
         from repro.beam.fliptable import FlipTable
 
         if events:
@@ -222,15 +228,15 @@ class CampaignAccumulator:
     def finalize(self) -> dict:
         """The statistics dictionaries, floats computed canonically.
 
-        Raises exactly where the materialized oracles raise (no observed
-        events / no multi-bit events), so the two paths stay
-        interchangeable failure-for-failure.
+        Raises :class:`TooFewEventsError` exactly where the scalar
+        oracles raise (no observed events / no multi-bit events), so the
+        paths stay interchangeable failure-for-failure.
         """
         from repro.beam.events import EventClass
         from repro.beam.postprocess import _MBME_EDGES
 
         if not self.n_observed:
-            raise ValueError("no events to classify")
+            raise TooFewEventsError("no events to classify")
         class_fractions = {
             klass: int(count) / self.n_observed
             for klass, count in zip(EventClass, self.class_counts)
@@ -254,7 +260,7 @@ class CampaignAccumulator:
     def _byte_alignment(self) -> dict:
         n_multibit = int(self.class_counts[2] + self.class_counts[3])
         if not n_multibit:
-            raise ValueError("no multi-bit events observed")
+            raise TooFewEventsError("no multi-bit events observed")
         stats: dict[str, float] = {
             "byte_aligned_fraction": self.aligned_multibit / n_multibit,
         }

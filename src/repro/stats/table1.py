@@ -1,20 +1,22 @@
 """Canonical Table-1 weight computation from integer pattern tallies.
 
 Table 1 weights each *event* equally: an event of breadth ``b`` gives
-every one of its ``b`` per-entry patterns a ``1/b`` share.  Historically
-the scalar and columnar paths accumulated those float shares in site
-order, which made the result depend on event ordering — harmless within
-one pass, but fatal for a streaming engine that folds arbitrary range
-splits and must stay float-identical to the materialized oracle.
+every one of its ``b`` per-entry patterns a ``1/b`` share.  Accumulating
+those float shares in site order would make the result depend on event
+ordering — harmless within one pass, but fatal for an engine that folds
+arbitrary range splits and must stay float-identical to the scalar
+oracle.
 
 The canonical form factors the float work out of the accumulation
-entirely: every path first counts **integers** — how many sites of
+entirely: both definitions first count **integers** — how many sites of
 pattern code ``c`` belong to events of breadth ``b`` — and only then
-converts the tally to float weights here, with one fixed summation order
+convert the tally to float weights here, with one fixed summation order
 (ascending breadth within each pattern, patterns in ``PATTERN_ORDER``).
-Integer tallies merge exactly (addition is associative), so the scalar
-oracle, the columnar tables and any streamed/merged accumulator produce
-bit-identical Table-1 probabilities by construction.
+Integer tallies merge exactly (addition is associative), so
+:class:`repro.stats.CampaignAccumulator` — the definition, streamed or
+merged in any order — and the scalar oracle
+:func:`repro.beam.postprocess.derive_table1` produce bit-identical
+Table-1 probabilities by construction.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from repro.errormodel.classify import PATTERN_ORDER
 from repro.errormodel.patterns import ErrorPattern
 
-__all__ = ["table1_tally", "table1_weights", "merge_tallies"]
+__all__ = ["table1_tally", "table1_weights"]
 
 
 def table1_tally(codes: np.ndarray, breadths: np.ndarray) -> Counter:
@@ -52,14 +54,6 @@ def table1_tally(codes: np.ndarray, breadths: np.ndarray) -> Counter:
     for key, count in zip(keys.tolist(), counts.tolist()):
         tally[(key // span, key % span)] = count
     return tally
-
-
-def merge_tallies(*tallies: Counter) -> Counter:
-    """Exact (integer) union of per-range tallies."""
-    merged: Counter = Counter()
-    for tally in tallies:
-        merged.update(tally)
-    return merged
 
 
 def table1_weights(tally) -> dict[ErrorPattern, float]:

@@ -1,20 +1,14 @@
-"""Seed-for-seed equivalence of the columnar beam engine vs the scalar
-reference paths: event synthesis, packed device scans, post-processing
-and the statistics-campaign engine (serial and fanned out)."""
+"""Seed-for-seed equivalence of the vectorized beam paths vs the scalar
+reference paths: packed transport, event synthesis, packed device scans,
+the accumulator's statistics and the statistics-campaign engine (serial
+and fanned out)."""
 
 import numpy as np
 import pytest
 
-from repro.beam.campaign import BeamCampaign, CampaignConfig
-from repro.beam.displacement import DamageParameters
 from repro.beam.engine import StatisticsResult, run_statistics_campaign
-from repro.beam.events import BatchEventSynthesis, EventParameters
-from repro.beam.fliptable import (
-    FlipTable,
-    RecordTable,
-    pack_positions,
-    unpack_packed_rows,
-)
+from repro.beam.events import BatchEventSynthesis
+from repro.beam.fliptable import FlipTable, unpack_packed_rows
 from repro.beam.microbenchmark import (
     ANPattern,
     CheckerboardPattern,
@@ -24,24 +18,17 @@ from repro.beam.microbenchmark import (
 )
 from repro.beam.postprocess import (
     bits_per_word_histogram,
-    bits_per_word_histogram_table,
     breadth_class_fractions,
-    breadth_class_fractions_table,
     byte_alignment_stats,
-    byte_alignment_stats_table,
     derive_table1,
-    derive_table1_table,
     events_from_truth,
     events_from_truth_table,
-    filter_intermittent,
-    filter_intermittent_table,
-    group_events,
-    group_events_table,
     mbme_breadth_histogram,
-    mbme_breadth_histogram_table,
 )
 from repro.dram.device import SimulatedHBM2
 from repro.dram.geometry import HBM2Geometry
+from repro.gf.gf2 import pack_rows
+from repro.stats import CampaignAccumulator
 
 
 def _small_geometry():
@@ -56,24 +43,12 @@ class TestPacking:
     def test_pack_unpack_round_trip(self):
         site_of_flip = np.repeat(np.arange(50), 4)
         bits = np.tile(np.array([0, 63, 64, 287]), 50)
-        rows = pack_positions(site_of_flip, bits, 50)
-        row_back, bit_back = unpack_packed_rows(rows)
+        dense = np.zeros((50, 288), dtype=np.uint8)
+        dense[site_of_flip, bits] = 1
+        row_back, bit_back = unpack_packed_rows(pack_rows(dense))
         assert np.array_equal(row_back, site_of_flip)
         order = np.lexsort((bits, site_of_flip))
         assert np.array_equal(bit_back, bits[order])
-
-    def test_record_table_round_trip(self):
-        config = CampaignConfig(
-            runs=2, write_cycles=4, reads_per_write=2, loop_time_s=2.0,
-            event_parameters=EventParameters(mean_time_to_event_s=6.0),
-            damage_parameters=DamageParameters(
-                leaky_pool=80, saturation_fluence=3e8
-            ),
-        )
-        records = BeamCampaign(config).run().records
-        assert records, "campaign should observe something"
-        table = RecordTable.from_records(records)
-        assert table.to_records() == records
 
 
 # ---------------------------------------------------------------------------
@@ -150,67 +125,35 @@ class TestBatchScan:
 
 
 # ---------------------------------------------------------------------------
-# Columnar post-processing vs the scalar helpers
+# The accumulator's statistics vs the scalar helpers
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def campaign_records():
-    config = CampaignConfig(
-        runs=3, write_cycles=6, reads_per_write=3, loop_time_s=2.0,
-        event_parameters=EventParameters(mean_time_to_event_s=6.0),
-        damage_parameters=DamageParameters(
-            leaky_pool=120, saturation_fluence=3e8
-        ),
-    )
-    return BeamCampaign(config).run().records
+def _truth_statistics(seed: int):
+    """The accumulator's statistics over a batch-synthesized ground-truth
+    table, and the scalar oracle's events for the same streams."""
+    times = np.arange(1200, dtype=np.float64) * 20.0
+    truth = BatchEventSynthesis(seed=seed).table_at(times)
+    events = events_from_truth(BatchEventSynthesis(seed=seed).events_at(times))
+    accumulator = CampaignAccumulator()
+    accumulator.update_from_flip_table(events_from_truth_table(truth))
+    return accumulator.finalize(), events
 
 
 class TestColumnarPostprocess:
-    def test_filter_partitions_identical(self, campaign_records):
-        scalar = filter_intermittent(campaign_records)
-        table = filter_intermittent_table(
-            RecordTable.from_records(campaign_records)
-        ).to_filter_result()
-        assert table.soft_records == scalar.soft_records
-        assert table.intermittent_records == scalar.intermittent_records
-        assert table.damaged_entries == scalar.damaged_entries
-
-    def test_grouping_identical(self, campaign_records):
-        scalar = group_events(filter_intermittent(campaign_records).soft_records)
-        grouped = group_events_table(
-            filter_intermittent_table(
-                RecordTable.from_records(campaign_records)
-            ).soft
-        )
-        assert grouped.to_observed_events() == scalar
-
     def test_truth_statistics_identical(self):
-        times = np.arange(1200, dtype=np.float64) * 20.0
-        truth = BatchEventSynthesis(seed=11).table_at(times)
-        events = events_from_truth(
-            BatchEventSynthesis(seed=11).events_at(times)
-        )
-        table = events_from_truth_table(truth)
-        assert breadth_class_fractions_table(table) == \
-            breadth_class_fractions(events)
-        assert mbme_breadth_histogram_table(table) == \
-            mbme_breadth_histogram(events)
-        assert byte_alignment_stats_table(table) == \
-            byte_alignment_stats(events)
-        for aligned in (True, False):
-            assert bits_per_word_histogram_table(
-                table, byte_aligned=aligned
-            ) == bits_per_word_histogram(events, byte_aligned=aligned)
+        final, events = _truth_statistics(11)
+        assert final["class_fractions"] == breadth_class_fractions(events)
+        assert final["mbme_histogram"] == mbme_breadth_histogram(events)
+        assert final["byte_alignment"] == byte_alignment_stats(events)
+        assert final["bits_per_word_aligned"] == \
+            bits_per_word_histogram(events, byte_aligned=True)
+        assert final["bits_per_word_non_aligned"] == \
+            bits_per_word_histogram(events, byte_aligned=False)
 
     def test_table1_weights_bit_identical(self):
-        times = np.arange(1200, dtype=np.float64) * 20.0
-        truth = BatchEventSynthesis(seed=13).table_at(times)
-        events = events_from_truth(
-            BatchEventSynthesis(seed=13).events_at(times)
-        )
-        columnar = derive_table1_table(events_from_truth_table(truth))
-        scalar = derive_table1(events)
-        assert columnar == scalar  # exact float equality, not approx
+        final, events = _truth_statistics(13)
+        # exact float equality, not approx
+        assert final["table1"] == derive_table1(events)
 
 
 # ---------------------------------------------------------------------------
@@ -219,44 +162,49 @@ class TestColumnarPostprocess:
 
 class TestStatisticsEngine:
     def test_engines_bit_identical(self):
-        columnar = run_statistics_campaign(500, seed=41, engine="columnar")
+        shm = run_statistics_campaign(500, seed=41, stats="materialize")
         reference = run_statistics_campaign(500, seed=41, engine="reference")
-        assert columnar.n_records == reference.n_records
-        assert columnar.n_observed == reference.n_observed
-        assert columnar.class_fractions == reference.class_fractions
-        assert columnar.mbme_histogram == reference.mbme_histogram
-        assert columnar.byte_alignment == reference.byte_alignment
-        assert columnar.bits_per_word_aligned == \
+        assert shm.n_records == reference.n_records
+        assert shm.n_observed == reference.n_observed
+        assert shm.class_fractions == reference.class_fractions
+        assert shm.mbme_histogram == reference.mbme_histogram
+        assert shm.byte_alignment == reference.byte_alignment
+        assert shm.bits_per_word_aligned == \
             reference.bits_per_word_aligned
-        assert columnar.bits_per_word_non_aligned == \
+        assert shm.bits_per_word_non_aligned == \
             reference.bits_per_word_non_aligned
-        assert columnar.table1 == reference.table1
-        assert columnar.observed_events == reference.observed_events
+        assert shm.table1 == reference.table1
+        assert shm.observed_events == reference.observed_events
+        # every result carries the accumulator its report merges
+        assert shm.accumulator.finalize() \
+            == reference.accumulator.finalize()
 
     def test_workers_bit_identical(self):
         serial = run_statistics_campaign(500, seed=41, chunk=128)
         fanned = run_statistics_campaign(500, seed=41, chunk=128, workers=3)
         assert fanned.table1 == serial.table1
         assert fanned.class_fractions == serial.class_fractions
-        assert fanned.observed_events == serial.observed_events
+        assert fanned.byte_alignment == serial.byte_alignment
+        assert fanned.n_observed == serial.n_observed
 
     def test_stage_accounting(self):
         result = run_statistics_campaign(200, seed=7)
-        assert set(result.stage_seconds) == \
-            {"synthesize", "scan", "postprocess"}
+        assert set(result.stage_seconds) == {"scout", "synthesize", "fold"}
         assert all(seconds >= 0 for seconds in result.stage_seconds.values())
         rates = result.events_per_second
         assert set(rates) == set(result.stage_seconds)
         counters = result.counters()
-        assert counters["engine"] == "columnar"
+        assert counters["engine"] == "shm"
+        assert counters["stats"] == "streaming"
         assert counters["events"] == 200
-        assert "scan_events_per_s" in counters
+        assert "fold_events_per_s" in counters
 
     def test_empty_campaign(self):
-        result = run_statistics_campaign(0, seed=7)
-        assert result.n_records == 0
-        assert result.n_observed == 0
-        assert result.table1 == {}
+        for stats in ("streaming", "materialize"):
+            result = run_statistics_campaign(0, seed=7, stats=stats)
+            assert result.n_records == 0
+            assert result.n_observed == 0
+            assert result.table1 == {}
         assert result.observed_events == []
 
     def test_unknown_engine_rejected(self):

@@ -1,10 +1,11 @@
-"""Pool degradation in the columnar statistics engine.
+"""Pool degradation in the statistics engine's default (shm, streaming) path.
 
 Mirrors the Monte Carlo harness's graceful-degradation coverage on the
-beam side: a chunk that times out, a pool that breaks, or a pool that
+beam side: a job that times out, a pool that breaks, or a pool that
 cannot start must all degrade to in-process serial evaluation and still
 produce results bit-identical to the plain serial run — with the requeue
-accounted exactly once per chunk in the campaign counters.
+accounted exactly once per job of each sweep (scout and evaluation) in
+the campaign counters.
 """
 
 import logging
@@ -16,6 +17,8 @@ from repro.beam.engine import run_statistics_campaign
 
 EVENTS = 500
 CHUNK = 128  # -> 4 chunks, enough to exercise the fan-out
+#: the default streaming path runs every job twice: scout, then evaluate
+SWEEPS = 2
 
 
 class _FakeFuture:
@@ -115,11 +118,12 @@ class TestRequeueCounters:
         _assert_identical(fanned, serial_result)
         n_chunks = (EVENTS + CHUNK - 1) // CHUNK
         counters = fanned.counters()
-        # 4 chunks timing out on both attempts: 4 requeued, 8 timeouts —
+        # 4 workers fuse one chunk per range; 4 ranges timing out on both
+        # attempts in each of the two sweeps: 8 requeued, 16 timeouts —
         # the reconciled accounting this helper exists to pin down.
-        assert counters["pool_requeued"] == n_chunks
-        assert counters["pool_timeouts"] == 2 * n_chunks
-        assert counters["pool_serial_fallback"] == n_chunks
+        assert counters["pool_requeued"] == SWEEPS * n_chunks
+        assert counters["pool_timeouts"] == SWEEPS * 2 * n_chunks
+        assert counters["pool_serial_fallback"] == SWEEPS * n_chunks
         assert counters["pool_completed"] == 0
 
     def test_trace_still_complete_after_serial_fallback(self, monkeypatch):
@@ -128,5 +132,5 @@ class TestRequeueCounters:
                                          workers=4)
         chunks = [r for r in fanned.trace if r.name == "chunk"]
         n_chunks = (EVENTS + CHUNK - 1) // CHUNK
-        assert len(chunks) == n_chunks
+        assert len(chunks) == SWEEPS * n_chunks
         assert {c.attrs["index"] for c in chunks} == set(range(n_chunks))

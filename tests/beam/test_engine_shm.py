@@ -1,7 +1,7 @@
 """The fused shared-memory engine and its zero-copy transport.
 
 Three contracts, in test-class order: the seed-for-seed equivalence
-matrix (``shm`` vs ``columnar`` vs ``reference`` — statistics byte
+matrix (``shm`` vs the scalar ``reference`` — statistics byte
 identical, traces structurally comparable); the arena transport itself
 (round trip, checksum verification, overflow fallback, orphan reclaim,
 lifecycle hygiene); and recovery (a worker killed mid-range must not
@@ -33,6 +33,9 @@ from repro.faults import FaultPlan
 SEED = 41
 EVENTS = 600
 CHUNK = 97  # deliberately not a divisor: last chunk is a short one
+#: the arena transport and ``observed_events`` exist on the materialized
+#: path only, so every shm campaign below runs it
+MATERIALIZE = dict(engine="shm", stats="materialize")
 
 
 def _segments() -> list[str]:
@@ -58,26 +61,27 @@ def _assert_stats_identical(a, b):
 
 @pytest.fixture(scope="module")
 def matrix():
-    """One campaign per engine, same seed/chunking."""
+    """One materialized campaign per engine, same seed/chunking."""
     return {
         name: run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, engine=name)
+            EVENTS, seed=SEED, chunk=CHUNK, engine=name,
+            stats="materialize")
         for name in engine.ENGINES
     }
 
 
 class TestEquivalenceMatrix:
-    @pytest.mark.parametrize("other", ["columnar", "reference"])
+    @pytest.mark.parametrize("other", ["reference"])
     def test_statistics_byte_identical(self, matrix, other):
         _assert_stats_identical(matrix["shm"], matrix[other])
 
     def test_traces_structurally_equal(self, matrix):
-        """Same stage-span vocabulary in every engine, one campaign and
+        """Same stage-span vocabulary in both engines, one campaign and
         one postprocess span each — so per-stage events_per_second stays
         comparable across engines even though shm fuses dispatch."""
         names = {name: {r.name for r in result.trace}
                  for name, result in matrix.items()}
-        assert names["shm"] == names["columnar"] == names["reference"] == {
+        assert names["shm"] == names["reference"] == {
             "campaign", "chunk", "synthesize", "scan", "postprocess"}
         for result in matrix.values():
             spans = [r.name for r in result.trace]
@@ -90,14 +94,14 @@ class TestEquivalenceMatrix:
         chunk_spans = [r for r in matrix["shm"].trace if r.name == "chunk"]
         assert len(chunk_spans) < n_chunks  # genuinely fused...
         assert sum(r.attrs["chunks"] for r in chunk_spans) == n_chunks
-        columnar = [r for r in matrix["columnar"].trace
-                    if r.name == "chunk"]
-        assert len(columnar) == n_chunks  # ...while columnar is per-chunk
+        reference = [r for r in matrix["reference"].trace
+                     if r.name == "chunk"]
+        assert len(reference) == n_chunks  # ...while reference is per-chunk
 
     def test_range_partition_is_statistics_invariant(self, matrix):
         for range_chunks in (1, 3, 64):
             repartitioned = run_statistics_campaign(
-                EVENTS, seed=SEED, chunk=CHUNK, engine="shm",
+                EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE,
                 range_chunks=range_chunks)
             _assert_stats_identical(repartitioned, matrix["shm"])
 
@@ -107,10 +111,10 @@ class TestPooledShm:
     def test_pooled_matches_serial_and_leaves_no_segments(self, matrix):
         before = _segments()
         pooled = run_statistics_campaign(
-            1200, seed=SEED, chunk=100, engine="shm", workers=2,
+            1200, seed=SEED, chunk=100, **MATERIALIZE, workers=2,
             range_chunks=3)
         serial = run_statistics_campaign(
-            1200, seed=SEED, chunk=100, engine="shm")
+            1200, seed=SEED, chunk=100, **MATERIALIZE)
         _assert_stats_identical(pooled, serial)
         assert pooled.pool_counters.get("pool_completed") == 4  # 12/3 ranges
         assert _segments() == before  # arena unlinked on the way out
@@ -120,13 +124,13 @@ class TestPooledShm:
         with byte-identical statistics, and unlink the arena."""
         before = _segments()
         clean = run_statistics_campaign(
-            1200, seed=SEED, chunk=100, engine="shm")
+            1200, seed=SEED, chunk=100, **MATERIALIZE)
         faults.install(
             FaultPlan.parse("pool.worker.crash:mode=exit,times=1"),
             export_env=True)
         try:
             crashed = run_statistics_campaign(
-                1200, seed=SEED, chunk=100, engine="shm", workers=2,
+                1200, seed=SEED, chunk=100, **MATERIALIZE, workers=2,
                 range_chunks=3)
         finally:
             faults.uninstall()
@@ -166,7 +170,7 @@ class TestTransportFallbacks:
     def test_descriptor_transport_matches_serial(self, monkeypatch, matrix):
         monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
         pooled = run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, engine="shm", workers=4,
+            EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
             range_chunks=2)
         _assert_stats_identical(pooled, matrix["shm"])
 
@@ -179,7 +183,7 @@ class TestTransportFallbacks:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
         with caplog.at_level(logging.WARNING, logger="repro.beam.engine"):
             pooled = run_statistics_campaign(
-                EVENTS, seed=SEED, chunk=CHUNK, engine="shm", workers=4,
+                EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
                 range_chunks=2)
         _assert_stats_identical(pooled, matrix["shm"])
         assert any("arena unavailable" in r.message for r in caplog.records)
@@ -192,7 +196,7 @@ class TestTransportFallbacks:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
         before = _segments()
         pooled = run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, engine="shm", workers=4,
+            EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
             range_chunks=2)
         _assert_stats_identical(pooled, matrix["shm"])
         assert _segments() == before
@@ -215,7 +219,7 @@ class TestTransportFallbacks:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", _Broken)
         heartbeat = _Heartbeat()
         run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, engine="shm", workers=4,
+            EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
             range_chunks=2, heartbeat=heartbeat)
         # 7 chunks in ranges of 2 -> 4 ranges, each advanced exactly once
         # on the serial-fallback path that completed it; the engine sizes

@@ -2,10 +2,11 @@
 
 A streamed campaign (scout sweep → global damage filter → evaluation
 sweep folding into mergeable accumulators) must be float-identical to
-the materialized oracle, seed for seed, on every engine and pool
-configuration — including a collision-heavy tiny geometry where the
-global intermittent filter actually removes events, and the pooled path
-where the damaged-entry set travels through a shared-memory broadcast.
+the materialized shm run and to the scalar reference engine, seed for
+seed, on every pool configuration — including a collision-heavy tiny
+geometry where the global intermittent filter actually removes events,
+and the pooled path where the damaged-entry set travels through a
+shared-memory broadcast.
 """
 
 import pytest
@@ -35,7 +36,7 @@ def _assert_stats_identical(a, b):
 def oracle():
     """The materialized result every streamed run must reproduce."""
     return run_statistics_campaign(
-        EVENTS, seed=SEED, chunk=CHUNK, engine="shm")
+        EVENTS, seed=SEED, chunk=CHUNK, engine="shm", stats="materialize")
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +49,10 @@ class TestStreamingEquivalence:
     def test_shm_float_identical(self, oracle, streamed):
         _assert_stats_identical(streamed, oracle)
 
-    def test_columnar_float_identical(self, oracle):
-        columnar = run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, engine="columnar",
-            stats="streaming")
-        _assert_stats_identical(columnar, oracle)
+    def test_reference_float_identical(self, streamed):
+        reference = run_statistics_campaign(
+            EVENTS, seed=SEED, chunk=CHUNK, engine="reference")
+        _assert_stats_identical(streamed, reference)
 
     def test_range_partition_invariant(self, streamed):
         for range_chunks in (1, 3, 64):
@@ -71,10 +71,13 @@ class TestStreamingEquivalence:
             subarrays_per_bank=2, rows_per_subarray=16, columns_per_row=16)
         kwargs = dict(seed=7, chunk=64, geometry=geometry)
         materialized = run_statistics_campaign(
-            400, engine="shm", **kwargs)
+            400, engine="shm", stats="materialize", **kwargs)
         streamed = run_statistics_campaign(
             400, engine="shm", stats="streaming", **kwargs)
         _assert_stats_identical(streamed, materialized)
+        reference = run_statistics_campaign(400, engine="reference",
+                                            **kwargs)
+        _assert_stats_identical(streamed, reference)
         assert streamed.n_observed < 400  # events were really filtered
 
 

@@ -23,7 +23,7 @@ from repro.faults.chaos import (
 
 def _args(**overrides) -> argparse.Namespace:
     base = dict(
-        events=1200, runs=1, seed=2021, workers=2, engine="columnar",
+        events=1200, runs=1, seed=2021, workers=2, engine="shm",
         inject_faults=DEFAULT_SPEC, faults_seed=7, max_restarts=8,
         chunk_timeout=None, keep=False, serve=False, kill_daemon=False,
     )

@@ -16,12 +16,15 @@ from repro.obs import Tracer, counter_totals
 
 EVENTS = 600
 CHUNK = 128
+#: the per-chunk engine: one pool job, one ``chunk`` span per chunk on
+#: every worker count (shm fuses chunks into worker-count-sized ranges)
+ENGINE = "reference"
 
 
 class TestEngineAggregation:
     def test_worker_spans_merge_into_the_campaign_trace(self):
         result = run_statistics_campaign(EVENTS, seed=5, chunk=CHUNK,
-                                         workers=2)
+                                         engine=ENGINE, workers=2)
         names = {record.name for record in result.trace}
         assert {"campaign", "chunk", "synthesize", "scan",
                 "postprocess"} <= names
@@ -42,7 +45,7 @@ class TestEngineAggregation:
 
     def test_worker_counters_reconcile_with_the_workload(self):
         result = run_statistics_campaign(EVENTS, seed=5, chunk=CHUNK,
-                                         workers=2)
+                                         engine=ENGINE, workers=2)
         totals = counter_totals(result.trace, name="synthesize")
         assert totals["events"] == EVENTS
         assert result.pool_counters["pool_jobs"] == len(
@@ -52,9 +55,10 @@ class TestEngineAggregation:
             == result.pool_counters["pool_jobs"]
 
     def test_fanned_trace_matches_serial_span_structure(self):
-        serial = run_statistics_campaign(EVENTS, seed=5, chunk=CHUNK)
+        serial = run_statistics_campaign(EVENTS, seed=5, chunk=CHUNK,
+                                         engine=ENGINE)
         fanned = run_statistics_campaign(EVENTS, seed=5, chunk=CHUNK,
-                                         workers=2)
+                                         engine=ENGINE, workers=2)
         def shape(trace):
             return sorted((r.name, r.attrs.get("index")) for r in trace
                           if r.name != "campaign")

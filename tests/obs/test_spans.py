@@ -56,9 +56,9 @@ class TestSpanLifecycle:
 
     def test_attrs_are_captured(self):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("chunk", index=3, engine="columnar"):
+        with tracer.span("chunk", index=3, engine="shm"):
             pass
-        assert tracer.records[0].attrs == {"index": 3, "engine": "columnar"}
+        assert tracer.records[0].attrs == {"index": 3, "engine": "shm"}
 
     def test_exception_marks_span_failed_and_closes_it(self):
         tracer = Tracer(clock=FakeClock())

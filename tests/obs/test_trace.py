@@ -11,7 +11,7 @@ from repro.obs.trace import TRACE_SCHEMA
 def _records():
     return [
         SpanRecord(1, None, "campaign", 0.0, 2.0,
-                   attrs={"engine": "columnar"},
+                   attrs={"engine": "shm"},
                    counters={"events": 1000}),
         SpanRecord(2, 1, "chunk", 0.1, 1.5, attrs={"index": 0},
                    worker="pid:31"),

@@ -169,7 +169,7 @@ class TestTraceSubcommand:
             self, root, capsys):
         out = self._render_trace(root, capsys,
                                  ("synthesize", "scan", "postprocess"),
-                                 "--engine", "columnar",
+                                 "--engine", "shm",
                                  "--stats", "materialize")
         assert "[pid:" in out
         assert "slowest" in out

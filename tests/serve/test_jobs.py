@@ -57,6 +57,12 @@ class TestNormalization:
         with pytest.raises(JobError, match="at least 1"):
             normalize_params(kind, params)
 
+    @pytest.mark.parametrize("name", ["runs", "events"])
+    def test_negative_campaign_counts_rejected(self, name):
+        with pytest.raises(JobError, match=f"'{name}' must be at least 0"):
+            normalize_params("campaign", {name: -1})
+        assert normalize_params("campaign", {name: 0})[name] == 0
+
     def test_choices_enforced(self):
         with pytest.raises(JobError, match="one of"):
             normalize_params("campaign", {"engine": "warp"})
@@ -64,7 +70,7 @@ class TestNormalization:
     def test_reference_engine_implies_materialize(self):
         params = normalize_params("campaign", {"engine": "reference"})
         assert params["stats"] == "materialize"
-        explicit = normalize_params("campaign", {"engine": "columnar",
+        explicit = normalize_params("campaign", {"engine": "shm",
                                                  "stats": "materialize"})
         assert explicit["stats"] == "materialize"
 

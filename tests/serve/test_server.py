@@ -8,6 +8,7 @@ code path end to end: ``ServeClient`` → TCP → ``ServeApp``.
 
 import asyncio
 import contextlib
+import json
 import threading
 import time
 
@@ -126,6 +127,12 @@ class TestBasics:
                                  ("fig8", {"samples": -3})):
                 status, payload = client.submit(kind, params)
                 assert status == 400 and "at least 1" in payload["error"]
+            for params in ({"runs": -2}, {"events": -1}):
+                status, payload = client.submit("campaign", params)
+                assert status == 400 and "at least 0" in payload["error"]
+            status, payload = client.submit("campaign",
+                                            {"engine": "columnar"})
+            assert status == 400 and "must be one of" in payload["error"]
             conn = client._connect()
             try:
                 conn.request("POST", "/v1/jobs", body="{not json",
@@ -423,6 +430,32 @@ class TestDurability:
         status, payload = self._submit(app2, 23)
         assert status == 201
         assert payload["job"]["job_id"] != job.job_id
+
+    def test_replayed_columnar_job_fails_and_serving_goes_on(
+            self, tmp_path):
+        # A journal written while "columnar" was still an engine: the
+        # replayed job must fail with a clear message, not crash the
+        # daemon, and the daemon must go on running new jobs.
+        app1 = ServeApp(runs_dir=tmp_path, execute=StubRunner())
+        status, payload = self._submit(app1, 26)
+        assert status == 201
+        job_id = payload["job"]["job_id"]
+        path = app1.journal.path
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        records[0]["params"]["engine"] = "columnar"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        with live_server(runs_dir=tmp_path) as (app, client):
+            events = list(client.watch(job_id))
+            assert events[-1]["event"] == "failed"
+            assert "engine must be one of shm, reference (got 'columnar')" \
+                in events[-1]["data"]["error"]
+            status, payload = client.submit(
+                "campaign", {"runs": 0, "events": 200, "seed": 3})
+            assert status == 201
+            events = list(client.watch(payload["job"]["job_id"]))
+            assert events[-1]["event"] == "completed"
 
     def test_compaction_then_replay_is_identity(self, tmp_path):
         app1 = ServeApp(runs_dir=tmp_path, execute=StubRunner())

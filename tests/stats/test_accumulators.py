@@ -2,8 +2,9 @@
 
 Two contracts: the merge algebra (associative, commutative, identity —
 any partition of an event stream, folded in any order, yields tallies
-equal to one whole-stream fold) and oracle equivalence (``finalize``
-must be *float-identical* to the materialized ``*_table`` statistics in
+equal to one whole-stream fold) and oracle equivalence (``finalize``,
+the one vectorized definition of the statistics, must be
+*float-identical* to the scalar functions in
 :mod:`repro.beam.postprocess`, seed for seed).
 """
 
@@ -11,15 +12,14 @@ import numpy as np
 import pytest
 
 from repro.beam.engine import run_statistics_campaign
-from repro.beam.fliptable import FlipTable
 from repro.beam.postprocess import (
-    bits_per_word_histogram_table,
-    breadth_class_fractions_table,
-    byte_alignment_stats_table,
-    derive_table1_table,
-    mbme_breadth_histogram_table,
+    bits_per_word_histogram,
+    breadth_class_fractions,
+    byte_alignment_stats,
+    derive_table1,
+    mbme_breadth_histogram,
 )
-from repro.stats import STATS_KEYS, CampaignAccumulator
+from repro.stats import STATS_KEYS, CampaignAccumulator, TooFewEventsError
 
 SEED = 41
 EVENTS = 600
@@ -28,7 +28,8 @@ EVENTS = 600
 @pytest.fixture(scope="module")
 def observed():
     """One materialized campaign's observed events — the test stream."""
-    return run_statistics_campaign(EVENTS, seed=SEED).observed_events
+    return run_statistics_campaign(
+        EVENTS, seed=SEED, stats="materialize").observed_events
 
 
 def _fold(events) -> CampaignAccumulator:
@@ -46,18 +47,17 @@ def _tallies(acc: CampaignAccumulator) -> dict:
 
 class TestOracleEquivalence:
     def test_finalize_is_float_identical_to_the_tables(self, observed):
-        table = FlipTable.from_observed_events(observed)
         final = _fold(observed).finalize()
         assert tuple(final) == STATS_KEYS
-        assert final["class_fractions"] \
-            == breadth_class_fractions_table(table)
-        assert final["mbme_histogram"] == mbme_breadth_histogram_table(table)
-        assert final["byte_alignment"] == byte_alignment_stats_table(table)
+        # exact float equality with the scalar oracle, not approx
+        assert final["class_fractions"] == breadth_class_fractions(observed)
+        assert final["mbme_histogram"] == mbme_breadth_histogram(observed)
+        assert final["byte_alignment"] == byte_alignment_stats(observed)
         assert final["bits_per_word_aligned"] \
-            == bits_per_word_histogram_table(table, byte_aligned=True)
+            == bits_per_word_histogram(observed, byte_aligned=True)
         assert final["bits_per_word_non_aligned"] \
-            == bits_per_word_histogram_table(table, byte_aligned=False)
-        assert final["table1"] == derive_table1_table(table)
+            == bits_per_word_histogram(observed, byte_aligned=False)
+        assert final["table1"] == derive_table1(observed)
 
     def test_observed_count_matches_the_stream(self, observed):
         assert _fold(observed).n_observed == len(observed)
@@ -123,14 +123,16 @@ class TestFailureParity:
     """``finalize`` raises exactly where the oracles raise."""
 
     def test_no_observed_events(self):
-        with pytest.raises(ValueError, match="no events to classify"):
+        with pytest.raises(TooFewEventsError, match="no events to classify"):
             CampaignAccumulator().finalize()
+        with pytest.raises(TooFewEventsError, match="no events to classify"):
+            breadth_class_fractions([])
 
     def test_no_multibit_events(self):
         acc = CampaignAccumulator()
         acc.n_observed = 5
         acc.class_counts = np.array([5, 0, 0, 0], dtype=np.int64)
-        with pytest.raises(ValueError, match="no multi-bit events"):
+        with pytest.raises(TooFewEventsError, match="no multi-bit events"):
             acc.finalize()
 
 

@@ -224,6 +224,39 @@ class TestSampleCount:
         assert "invalid sample count" in capsys.readouterr().err
 
 
+class TestCampaignEdges:
+    @pytest.mark.parametrize("flag", ["--events", "--runs"])
+    def test_negative_counts_exit_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", flag, "-1", "--no-cache"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "at least 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["campaign", "chaos"])
+    def test_removed_columnar_engine_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--engine", "columnar"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'columnar'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("events,reason", [
+        ("0", "no events to classify"),
+        ("1", "no multi-bit events observed"),
+    ])
+    @pytest.mark.parametrize("engine", ["shm", "reference"])
+    def test_too_few_events_exit_1_with_one_line(self, capsys, events,
+                                                 reason, engine):
+        assert main(["campaign", "--runs", "0", "--events", events,
+                     "--engine", engine, "--no-cache",
+                     "--heartbeat", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "repro: error: the campaign observed too few events to "
+            f"derive its statistics ({reason})"]
+
+
 class TestReport:
     def test_report_heartbeat(self, tmp_path, capsys):
         target = tmp_path / "report.md"
