@@ -113,6 +113,21 @@ _sample_count = _count_at_least(1, "sample count")
 _campaign_count = _count_at_least(0, "count")
 
 
+def _timeout_seconds(text: str) -> float:
+    """An argparse ``type`` for ``--chunk-timeout``/``--cell-timeout``: a
+    bound of 0 or less would time out every job and quietly fall back to
+    serial evaluation, so only durations above 0 are accepted."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid timeout {text!r}") from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be above 0 seconds (got {text})")
+    return value
+
+
 def _add_store_flags(parser: argparse.ArgumentParser,
                      workers: bool = True) -> None:
     """The run-store flags shared by every evaluation subcommand."""
@@ -122,7 +137,8 @@ def _add_store_flags(parser: argparse.ArgumentParser,
             help="fan Table-2 cells out over N worker processes "
                  "(bit-identical to the serial run)")
         parser.add_argument(
-            "--cell-timeout", type=float, default=None, metavar="SECONDS",
+            "--cell-timeout", type=_timeout_seconds, default=None,
+            metavar="SECONDS",
             help="per-cell wall-clock bound in the fanned-out path "
                  "(timed-out cells are requeued, then run serially)")
     parser.add_argument(
@@ -225,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--fleet-scheme", default="trio",
                           help="ECC scheme the fleet model assumes "
                                "(default: trio)")
-    campaign.add_argument("--chunk-timeout", type=float, default=None,
-                          metavar="SECONDS",
+    campaign.add_argument("--chunk-timeout", type=_timeout_seconds,
+                          default=None, metavar="SECONDS",
                           help="per-chunk wall-clock bound in the fanned-out "
                                "path (timed-out chunks are requeued, then "
                                "run serially)")

@@ -1,26 +1,23 @@
 """``repro chaos`` — run a real campaign under a seeded fault schedule.
 
 The harness is the acceptance test for the whole robustness story: it
-runs one beam campaign *clean* and the same campaign under a
-deterministic fault plan — kill -9'd pool workers, torn artifact and
-checkpoint writes, hung chunks — restarting with ``--resume`` every time
-an injected fault kills the process, then verdicts on three things:
+runs a beam campaign *clean* and again under a deterministic fault plan
+— kill -9'd pool workers, torn artifact and checkpoint writes, hung
+chunks, a SIGKILL'd daemon — and verdicts that the faulted side
+recovered: it completes, its statistics are bit-identical to the clean
+run's, and every injected incident is visible.
 
-1. the faulted campaign eventually completes (retry / quarantine /
-   resume actually recover);
-2. its stdout — the derived statistics — is bit-identical to the clean
-   run's (determinism survives every degraded path);
-3. every injected incident is visible: ``fault.*`` counters (fed by the
-   cross-process activation ledger) and the quarantine counter appear in
-   the final run's manifest.
+One runner, :func:`cmd_chaos`, does every shared step once; a
+:class:`Leg` keeps only what differs — its default schedule, its clean
+seeds, its faulted phase (``drive``) and its verdicts, each a function
+from the :class:`Scenario` to problem strings.
 
-Campaign processes are separate interpreters, launched with
-``--inject-faults`` so each installs the plan as its *own* host —
-``host=1`` rules (torn writes in the coordinating process) genuinely
-kill it, while plain destructive rules stay confined to pool workers.
-The shared ledger keeps ``times=`` budgets global across the
-crash-restart cycles, so a schedule of N faults injects exactly N faults
-no matter how many restarts they cause.
+Campaigns and daemons are separate interpreters launched with
+``--inject-faults``, so each installs the plan as its *own* host —
+``host=1`` rules genuinely kill it, while plain destructive rules stay
+confined to pool workers.  The shared ledger keeps ``times=`` budgets
+global across the crash-restart cycles, so a schedule of N faults
+injects exactly N faults no matter how many restarts they cause.
 
 This module imports :mod:`repro.runs` and therefore lives outside the
 ``repro.faults`` package namespace exports — the injection runtime must
@@ -36,7 +33,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from argparse import Namespace
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from repro.core.shm import orphaned_segments
 from repro.faults.plan import (
@@ -52,11 +53,9 @@ __all__ = [
     "DEFAULT_SERVE_SPEC",
     "DEFAULT_SPEC",
     "KILL_SERVE_SPEC",
+    "LEGS",
     "add_chaos_parser",
     "cmd_chaos",
-    "run_chaos",
-    "run_chaos_serve",
-    "run_chaos_serve_kill",
 ]
 
 #: The stock schedule: four fault classes across three layers — a pool
@@ -86,28 +85,32 @@ DEFAULT_SERVE_SPEC = (
 #: remainder at full speed.
 KILL_SERVE_SPEC = "engine.chunk.hang:mode=hang,s=8.0,times=1"
 
-#: wall-clock bound per campaign invocation (a hung subprocess must not
-#: hang the harness)
+#: wall-clock bound per campaign invocation or served job (a hung
+#: subprocess must not hang the harness)
 _SUBPROCESS_TIMEOUT_S = 600.0
-
-#: daemon must write its ready file within this window
+#: daemon must write its ready file and answer /v1/readyz within this
 _SERVE_START_TIMEOUT_S = 60.0
 #: a killed daemon's pool workers must exit on their own within this
 #: window (they poll their parent every ``core.pool._PARENT_POLL_S``)
 _ORPHAN_EXIT_TIMEOUT_S = 10.0
+#: SIGTERM must drain the daemon to exit 0 within this window
+_DRAIN_TIMEOUT_S = 60.0
+_TERMINAL = frozenset({"completed", "failed", "cancelled"})
 
 
 def add_chaos_parser(sub) -> None:
     """Register the ``chaos`` subcommand on the main CLI's subparsers."""
+    from repro.cli import _campaign_count, _timeout_seconds
+
     chaos = sub.add_parser(
         "chaos",
         help="campaign under a seeded fault schedule; asserts recovery "
              "and clean-run-identical statistics",
     )
-    chaos.add_argument("--events", type=int, default=1200,
+    chaos.add_argument("--events", type=_campaign_count, default=1200,
                        help="generator-truth events (>= 2 chunks so the "
                             "worker pool engages; default 1200)")
-    chaos.add_argument("--runs", type=int, default=1)
+    chaos.add_argument("--runs", type=_campaign_count, default=1)
     chaos.add_argument("--seed", type=int, default=2021)
     chaos.add_argument("--workers", type=int, default=2)
     chaos.add_argument("--engine", choices=["shm", "reference"],
@@ -121,17 +124,18 @@ def add_chaos_parser(sub) -> None:
                             "reference).  '--engine shm --stats "
                             "materialize' exercises the shared-memory "
                             "arena faultpoints (shm.arena.*)")
-    chaos.add_argument("--inject-faults", default=DEFAULT_SPEC,
-                       metavar="SPEC",
-                       help="fault schedule for the faulted campaign "
-                            "(default: worker crash + torn artifact + "
-                            "torn checkpoint + chunk hangs)")
+    chaos.add_argument("--inject-faults", default=None, metavar="SPEC",
+                       help="fault schedule for the faulted side "
+                            "(default: a worker crash, a torn artifact and "
+                            "checkpoint, two chunk hangs; on --serve, a "
+                            "worker crash and a torn artifact; on "
+                            "--kill-daemon, one 8 s chunk hang)")
     chaos.add_argument("--faults-seed", type=int, default=7)
-    chaos.add_argument("--max-restarts", type=int, default=8,
+    chaos.add_argument("--max-restarts", type=_campaign_count, default=8,
                        help="resume attempts before declaring the "
                             "schedule unrecoverable (default 8)")
-    chaos.add_argument("--chunk-timeout", type=float, default=None,
-                       metavar="SECONDS",
+    chaos.add_argument("--chunk-timeout", type=_timeout_seconds,
+                       default=None, metavar="SECONDS",
                        help="per-chunk timeout passed through to the "
                             "campaigns (exercises the requeue path for "
                             "hang faults longer than it)")
@@ -154,29 +158,88 @@ def add_chaos_parser(sub) -> None:
                             "duplicate computation")
 
 
-def _engine_params(args) -> dict:
-    """The campaigns' ``engine`` and ``stats`` (None: the engine's
-    default, resolved by the campaign itself)."""
-    return {"engine": getattr(args, "engine", "shm"),
-            "stats": getattr(args, "stats", None)}
+@dataclass
+class Scenario:
+    """One chaos run: its inputs, its scratch layout, and what the leg's
+    faulted phase observed for the verdicts to judge."""
+
+    args: Namespace
+    spec: str
+    work: Path
+    #: campaign seeds compared clean vs faulted, one clean run each
+    seeds: tuple[int, ...]
+    out: Callable[[str], object] = print
+    env: dict = field(default_factory=dict)
+    #: clean campaign stdout, one per seed
+    clean: list[str] = field(default_factory=list)
+    #: the faulted side's report text, one per seed
+    faulted: list[str] = field(default_factory=list)
+    restarts: int = 0
+    daemon: subprocess.Popen | None = None
+    #: what the kill-daemon leg staged and saw: job ids, dedupe attaches,
+    #: orphaned pool workers, the replay counters, the final jobs
+    facts: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.clean_store = self.work / "clean-store"
+        self.chaos_store = self.work / "chaos-store"
+        self.ledger = self.work / "faults-ledger.jsonl"
+        self.ready = self.work / "serve-ready.txt"
+        self.serve_log = self.work / "serve.log"
+        #: how every faulted campaign or daemon installs the schedule
+        self.fault_flags = ["--inject-faults", self.spec,
+                            "--faults-seed", str(self.args.faults_seed),
+                            "--faults-ledger", str(self.ledger)]
+
+    @cached_property
+    def injected(self) -> dict[str, int]:
+        """Incidents per fault point from the cross-process ledger — the
+        ground truth of what the schedule injected."""
+        return FaultPlan.parse(self.spec, ledger=self.ledger).ledger_counts()
+
+    @cached_property
+    def completed(self) -> list:
+        """The chaos store's completed campaign manifests, newest first."""
+        from repro.runs import RunStore
+
+        return [m for m in RunStore(self.chaos_store).list_runs()
+                if m.command == "campaign" and m.status == "completed"]
+
+    @cached_property
+    def journal(self):
+        """The chaos store's job journal, replayed (first read after the
+        SIGTERM drain, so it is the compacted one)."""
+        from repro.serve.journal import JobJournal
+
+        return JobJournal(self.chaos_store).replay()
 
 
-def _campaign_argv(args, store: Path) -> list[str]:
-    engine = _engine_params(args)
-    argv = [
-        sys.executable, "-m", "repro", "campaign",
-        "--runs", str(args.runs),
-        "--events", str(args.events),
-        "--seed", str(args.seed),
-        "--workers", str(args.workers),
-        "--engine", engine["engine"],
-        "--heartbeat", "0",
-        "--runs-dir", str(store),
-    ]
-    if engine["stats"] is not None:
-        argv += ["--stats", engine["stats"]]
-    if args.chunk_timeout is not None:
-        argv += ["--chunk-timeout", str(args.chunk_timeout)]
+def _poll(check: Callable[[], object], timeout_s: float, what: str):
+    """Call ``check`` every 50 ms until it returns something truthy and
+    return that; raise RuntimeError naming ``what`` after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not (result := check()):
+        if time.monotonic() >= deadline:
+            raise RuntimeError(f"timed out after {timeout_s:g}s waiting "
+                               f"for {what}")
+        time.sleep(0.05)
+    return result
+
+
+def _job_params(args, seed: int) -> dict:
+    """The campaign's parameters, as a served job takes them."""
+    return {"runs": args.runs, "events": args.events, "seed": seed,
+            "workers": args.workers, "engine": args.engine,
+            "stats": args.stats, "chunk_timeout": args.chunk_timeout}
+
+
+def _campaign_argv(args, store: Path, seed: int) -> list[str]:
+    """The same campaign as a ``repro campaign`` command line."""
+    argv = [sys.executable, "-m", "repro", "campaign",
+            "--heartbeat", "0", "--runs-dir", str(store)]
+    for name, value in _job_params(args, seed).items():
+        if value is not None:  # unset: the campaign picks the default
+            argv += [f"--{name.replace('_', '-')}", str(value)]
     return argv
 
 
@@ -219,181 +282,46 @@ def _resume_id(store: Path) -> str | None:
     return None
 
 
-def run_chaos(args, out=print) -> int:
-    """Execute the clean-vs-faulted comparison; returns an exit code."""
-    try:
-        FaultPlan.parse(args.inject_faults)  # fail fast on a bad spec
-    except FaultSpecError as exc:
-        out(f"repro chaos: error: bad fault spec: {exc}")
-        return 2
+def _start_daemon(s: Scenario):
+    """Launch the faulted daemon into ``s.daemon`` and wait until its
+    ``/v1/readyz`` answers 200; returns ``(client, readyz payload)``."""
+    from repro.serve.client import ServeClient, ServeError
 
-    work = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    clean_store = work / "clean-store"
-    chaos_store = work / "chaos-store"
-    ledger = work / "faults-ledger.jsonl"
-    env = _scrubbed_env()
-    try:
-        out(f"[repro chaos] schedule: {args.inject_faults}")
-        out(f"[repro chaos] scratch dir: {work}")
-
-        clean = _run(_campaign_argv(args, clean_store), env)
-        if clean.returncode != 0:
-            out("[repro chaos] FAIL: the clean (fault-free) campaign "
-                f"exited {clean.returncode}")
-            out(clean.stderr)
-            return 1
-        leaked = orphaned_segments()
-        if leaked:
-            out("[repro chaos] FAIL: the clean campaign leaked "
-                f"shared-memory segments: {', '.join(leaked)}")
-            return 1
-
-        fault_flags = [
-            "--inject-faults", args.inject_faults,
-            "--faults-seed", str(args.faults_seed),
-            "--faults-ledger", str(ledger),
-        ]
-        restarts = 0
-        faulted = None
-        for attempt in range(args.max_restarts + 1):
-            argv = _campaign_argv(args, chaos_store) + fault_flags
-            resume = _resume_id(chaos_store)
-            if resume is not None:
-                argv += ["--resume", resume]
-            faulted = _run(argv, env)
-            if faulted.returncode == 0:
-                break
-            restarts += 1
-            out(f"[repro chaos] campaign killed (exit "
-                f"{faulted.returncode}); restart {restarts} "
-                f"{'resuming ' + resume if resume else 'fresh'}"
-                .rstrip())
-        else:
-            out(f"[repro chaos] FAIL: campaign still failing after "
-                f"{args.max_restarts} restarts")
-            if faulted is not None:
-                out(faulted.stderr)
-            return 1
-        out(f"[repro chaos] faulted campaign completed after "
-            f"{restarts} restart(s)")
-
-        # Incident accounting: the ledger is the ground truth of what was
-        # injected; the final manifest must expose the same incidents.
-        plan = FaultPlan.parse(args.inject_faults, ledger=ledger)
-        injected = plan.ledger_counts()
-        out("[repro chaos] injected incidents (ledger):")
-        for point, count in sorted(injected.items()):
-            out(f"  {point}: {count}")
-        if not injected:
-            out("[repro chaos] FAIL: the schedule injected nothing — "
-                "the run never reached its fault points")
-            return 1
-
-        from repro.runs import RunStore
-
-        final = next(
-            m for m in RunStore(chaos_store).list_runs()
-            if m.command == "campaign" and m.status == "completed"
-        )
-        problems = []
-        for point, count in injected.items():
-            seen = final.counters.get(f"fault.{point}")
-            if seen != count:
-                problems.append(
-                    f"manifest counter fault.{point} is {seen}, "
-                    f"ledger says {count}")
-        quarantined = final.counters.get("artifacts_quarantined", 0)
-        out(f"[repro chaos] final manifest: run {final.run_id}, "
-            f"{quarantined} artifact(s) quarantined")
-        torn_artifact = any(point.startswith("store.")
-                            for point in injected)
-        if torn_artifact and not quarantined:
-            problems.append(
-                "a store write was torn but nothing was quarantined")
-
-        # Arena hygiene: every campaign process is dead by now, so any
-        # surviving repro-shm segment is a leak the recovery story missed.
-        leaked = orphaned_segments()
-        if leaked:
-            problems.append("orphaned shared-memory segments after "
-                            "recovery: " + ", ".join(leaked))
-
-        clean_lines = _report_lines(clean.stdout)
-        fault_lines = _report_lines(faulted.stdout)
-        if clean_lines != fault_lines:
-            problems.append("faulted statistics differ from the clean run")
-            for a, b in zip(clean_lines, fault_lines):
-                if a != b:
-                    out(f"  clean:   {a}")
-                    out(f"  faulted: {b}")
-            if len(clean_lines) != len(fault_lines):
-                out(f"  ({len(clean_lines)} clean lines vs "
-                    f"{len(fault_lines)} faulted)")
-
-        if problems:
-            for problem in problems:
-                out(f"[repro chaos] FAIL: {problem}")
-            return 1
-        out(f"[repro chaos] PASS: {sum(injected.values())} injected "
-            f"fault(s) across {len(injected)} point(s), "
-            f"{restarts} restart(s), statistics bit-identical to the "
-            "clean run")
-        return 0
-    finally:
-        if args.keep:
-            out(f"[repro chaos] kept scratch dir {work}")
-        else:
-            shutil.rmtree(work, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# --serve: the same verdicts, with the faulted campaign inside a daemon
-# ---------------------------------------------------------------------------
-
-def _serve_argv(args, store: Path, ready: Path, ledger: Path,
-                spec: str) -> list[str]:
-    return [
+    s.ready.unlink(missing_ok=True)
+    argv = [
         sys.executable, "-m", "repro", "serve",
         "--port", "0",
-        "--ready-file", str(ready),
-        "--runs-dir", str(store),
-        "--workers", str(args.workers),
-        "--inject-faults", spec,
-        "--faults-seed", str(args.faults_seed),
-        "--faults-ledger", str(ledger),
-    ]
+        "--ready-file", str(s.ready),
+        "--runs-dir", str(s.chaos_store),
+        "--workers", str(s.args.workers),
+    ] + s.fault_flags
+    with open(s.serve_log, "a") as log:
+        # its own session: the daemon's pid is its pool workers' group id
+        s.daemon = subprocess.Popen(argv, env=s.env, stdout=log,
+                                    stderr=log, start_new_session=True)
 
-
-def _start_daemon(argv: list[str], env: dict, ready: Path,
-                  log_path: Path) -> subprocess.Popen:
-    """Launch the daemon and wait for its ready file (or early death)."""
-    ready.unlink(missing_ok=True)
-    log = open(log_path, "a")
-    # its own session: the daemon's pid is its pool workers' group id
-    daemon = subprocess.Popen(argv, env=env, stdout=log, stderr=log,
-                              start_new_session=True)
-    log.close()  # the child holds its own descriptor
-    deadline = time.monotonic() + _SERVE_START_TIMEOUT_S
-    while time.monotonic() < deadline:
-        if ready.exists():
-            return daemon
-        if daemon.poll() is not None:
+    def ready():
+        if s.daemon.poll() is not None:
             raise RuntimeError(
-                f"daemon exited {daemon.returncode} before becoming "
-                f"ready (log: {log_path})")
-        time.sleep(0.05)
-    daemon.kill()
-    raise RuntimeError(f"daemon not ready after "
-                       f"{_SERVE_START_TIMEOUT_S:.0f}s (log: {log_path})")
+                f"daemon exited {s.daemon.returncode} before becoming "
+                f"ready (log: {s.serve_log})")
+        try:  # the ready file is written atomically once it listens
+            client = ServeClient(s.ready.read_text().strip(), timeout=30.0)
+            status, payload = client.readyz()
+        except (OSError, ServeError):
+            return None
+        return (client, payload) if status == 200 else None
+
+    return _poll(ready, _SERVE_START_TIMEOUT_S,
+                 f"the daemon to become ready (log: {s.serve_log})")
 
 
-def _kill_daemon_group(daemon: subprocess.Popen) -> None:
-    """SIGKILL the daemon together with its pool workers (cleanup)."""
+def _kill_group(pgid: int) -> None:
+    """SIGKILL a process group (a daemon with its pool workers)."""
     try:
-        os.killpg(daemon.pid, signal.SIGKILL)
+        os.killpg(pgid, signal.SIGKILL)
     except ProcessLookupError:
         pass
-    daemon.wait()
 
 
 def _live_group_members(pgid: int) -> list[int]:
@@ -410,493 +338,375 @@ def _live_group_members(pgid: int) -> list[int]:
     return members
 
 
-def _wait_group_gone(pgid: int, timeout_s: float) -> list[int]:
-    """Poll until no member of ``pgid`` runs; returns the stragglers."""
-    deadline = time.monotonic() + timeout_s
-    while (members := _live_group_members(pgid)) \
-            and time.monotonic() < deadline:
-        time.sleep(0.1)
-    return members
+def _drive_cli(s: Scenario) -> None:
+    """Run the faulted campaign, restarting it with ``--resume`` each time
+    an injected fault kills it."""
+    faulted = None
+    for _attempt in range(s.args.max_restarts + 1):
+        argv = (_campaign_argv(s.args, s.chaos_store, s.seeds[0])
+                + s.fault_flags)
+        resume = _resume_id(s.chaos_store)
+        if resume is not None:
+            argv += ["--resume", resume]
+        faulted = _run(argv, s.env)
+        if faulted.returncode == 0:
+            s.faulted = [faulted.stdout]
+            s.out(f"[repro chaos] faulted campaign completed after "
+                  f"{s.restarts} restart(s)")
+            return
+        s.restarts += 1
+        s.out(f"[repro chaos] campaign killed (exit {faulted.returncode}); "
+              f"restart {s.restarts} "
+              f"{'resuming ' + resume if resume else 'fresh'}")
+    raise RuntimeError(f"campaign still failing after {s.args.max_restarts} "
+                       f"restarts\n{faulted.stderr if faulted else ''}")
 
 
-def _serve_job_once(url: str, params: dict):
-    """Submit + watch one campaign job; returns the terminal event pair.
+def _drive_serve(s: Scenario) -> None:
+    """Run the faulted campaign as a served job, restarting the daemon
+    and resubmitting each time a ``host=1`` fault kills it; the daemon's
+    store resume picks the interrupted run back up."""
+    from repro.serve.client import ServeError
 
-    Returns ``(job_id, event_name, report_or_error)`` — ``event_name`` is
-    ``None`` when the daemon died under us (connection drop, stream
-    ending without a terminal event).
-    """
-    from repro.serve.client import ServeClient, ServeError
-
-    client = ServeClient(url, timeout=30.0)
-    try:
-        status, payload = client.submit("campaign", params)
-        if status not in (200, 201):
-            return None, "rejected", str(payload)
-        job_id = payload["job"]["job_id"]
-        final = None
-        for event in client.watch(job_id, timeout=_SUBPROCESS_TIMEOUT_S):
-            if event["event"] in ("completed", "failed", "cancelled"):
-                final = event
-        if final is None:
-            return job_id, None, None
-        if final["event"] == "completed":
-            job = client.job(job_id)
-            return job_id, "completed", (job.get("result") or {}).get(
-                "report", "")
-        return job_id, final["event"], (final.get("data") or {}).get(
-            "error")
-    except (ServeError, OSError) as exc:
-        return None, None, str(exc)
-
-
-def run_chaos_serve(args, out=print) -> int:
-    """Clean-vs-faulted comparison with the faulted side behind a
-    ``repro serve`` daemon; returns an exit code.
-
-    ``host=1`` faults now kill the *daemon* mid-job: recovery is
-    restarting the daemon and resubmitting, and the daemon's own
-    store-resume picks the interrupted run back up.  The verdicts are the
-    same as :func:`run_chaos` — completion, incident accounting in ledger
-    and manifest, no shm leaks — plus the service-layer one: the report a
-    client finally receives is byte-identical to a direct CLI run.
-    """
-    spec = (DEFAULT_SERVE_SPEC if args.inject_faults == DEFAULT_SPEC
-            else args.inject_faults)
-    try:
-        FaultPlan.parse(spec)
-    except FaultSpecError as exc:
-        out(f"repro chaos: error: bad fault spec: {exc}")
-        return 2
-
-    work = Path(tempfile.mkdtemp(prefix="repro-chaos-serve-"))
-    clean_store = work / "clean-store"
-    chaos_store = work / "chaos-store"
-    ledger = work / "faults-ledger.jsonl"
-    ready = work / "serve-ready.txt"
-    serve_log = work / "serve.log"
-    env = _scrubbed_env()
-    daemon = None
-    try:
-        out(f"[repro chaos] schedule: {spec} (daemon-hosted)")
-        out(f"[repro chaos] scratch dir: {work}")
-
-        clean = _run(_campaign_argv(args, clean_store), env)
-        if clean.returncode != 0:
-            out("[repro chaos] FAIL: the clean (fault-free) campaign "
-                f"exited {clean.returncode}")
-            out(clean.stderr)
-            return 1
-
-        params = {
-            "runs": args.runs, "events": args.events, "seed": args.seed,
-            "workers": args.workers, **_engine_params(args),
-        }
-        if args.chunk_timeout is not None:
-            params["chunk_timeout"] = args.chunk_timeout
-        argv = _serve_argv(args, chaos_store, ready, ledger, spec)
-
-        restarts = 0
-        report = None
-        for _attempt in range(args.max_restarts + 1):
-            if daemon is None or daemon.poll() is not None:
-                daemon = _start_daemon(argv, env, ready, serve_log)
-            url = ready.read_text().strip()
-            job_id, outcome, detail = _serve_job_once(url, params)
-            if outcome == "completed":
-                report = detail
-                break
-            restarts += 1
-            try:  # give an injected kill a moment to register
-                daemon.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                pass
-            if daemon.poll() is not None:
-                out(f"[repro chaos] daemon killed (exit "
-                    f"{daemon.returncode}); restart {restarts}, "
-                    "resubmitting")
-            else:
-                out(f"[repro chaos] job {job_id or '?'} ended "
-                    f"{outcome or 'without a terminal event'}"
-                    + (f": {detail}" if detail else "")
-                    + f"; resubmission {restarts}")
-        else:
-            out(f"[repro chaos] FAIL: no completed job after "
-                f"{args.max_restarts} restarts (daemon log: {serve_log})")
-            return 1
-        out(f"[repro chaos] faulted campaign completed through the "
-            f"daemon after {restarts} restart(s)/resubmission(s)")
-
-        plan = FaultPlan.parse(spec, ledger=ledger)
-        injected = plan.ledger_counts()
-        out("[repro chaos] injected incidents (ledger):")
-        for point, count in sorted(injected.items()):
-            out(f"  {point}: {count}")
-        if not injected:
-            out("[repro chaos] FAIL: the schedule injected nothing — "
-                "the run never reached its fault points")
-            return 1
-
-        from repro.runs import RunStore
-
-        final = next(
-            m for m in RunStore(chaos_store).list_runs()
-            if m.command == "campaign" and m.status == "completed"
-        )
-        problems = []
-        for point, count in injected.items():
-            seen = final.counters.get(f"fault.{point}")
-            if seen != count:
-                problems.append(
-                    f"manifest counter fault.{point} is {seen}, "
-                    f"ledger says {count}")
-        quarantined = final.counters.get("artifacts_quarantined", 0)
-        out(f"[repro chaos] final manifest: run {final.run_id}, "
-            f"{quarantined} artifact(s) quarantined")
-        if any(point.startswith("store.") for point in injected) \
-                and not quarantined:
-            problems.append(
-                "a store write was torn but nothing was quarantined")
-
-        clean_lines = _report_lines(clean.stdout)
-        fault_lines = _report_lines(report or "")
-        if clean_lines != fault_lines:
-            problems.append("statistics served by the daemon differ "
-                            "from the clean run")
-            for a, b in zip(clean_lines, fault_lines):
-                if a != b:
-                    out(f"  clean:  {a}")
-                    out(f"  served: {b}")
-            if len(clean_lines) != len(fault_lines):
-                out(f"  ({len(clean_lines)} clean lines vs "
-                    f"{len(fault_lines)} served)")
-
-        # Graceful daemon shutdown is part of the verdict: SIGTERM must
-        # drain to exit 0, and nothing may be left in /dev/shm.
-        daemon.send_signal(signal.SIGTERM)
-        try:
-            code = daemon.wait(timeout=60)
+    params = _job_params(s.args, s.seeds[0])
+    for _attempt in range(s.args.max_restarts + 1):
+        if s.daemon is None or s.daemon.poll() is not None:
+            client, _ = _start_daemon(s)
+        try:  # after a restart the replayed job may take the submission
+            status, payload = client.submit("campaign", params)
+            if status not in (200, 201):
+                raise RuntimeError(f"the daemon rejected the campaign job "
+                                   f"({status}: {payload})")
+            job = _job_reaching(client, payload["job"]["job_id"], _TERMINAL,
+                                _SUBPROCESS_TIMEOUT_S)
+        except (ServeError, OSError) as exc:  # the daemon died under us
+            job = {"state": "lost", "error": exc}
+        if job["state"] == "completed":
+            s.faulted = [(job.get("result") or {}).get("report", "")]
+            s.out(f"[repro chaos] faulted campaign completed through the "
+                  f"daemon after {s.restarts} restart(s)/resubmission(s)")
+            return
+        s.restarts += 1
+        try:  # give an injected kill a moment to register
+            code = s.daemon.wait(timeout=10)
+            s.out(f"[repro chaos] daemon killed (exit {code}); restart "
+                  f"{s.restarts}, resubmitting")
         except subprocess.TimeoutExpired:
-            daemon.kill()
-            problems.append("daemon did not exit within 60s of SIGTERM")
-        else:
-            if code != 0:
-                problems.append(f"daemon exited {code} on SIGTERM "
-                                "(expected 0)")
-        daemon = None
-        leaked = orphaned_segments()
-        if leaked:
-            problems.append("orphaned shared-memory segments after "
-                            "recovery: " + ", ".join(leaked))
-
-        if problems:
-            for problem in problems:
-                out(f"[repro chaos] FAIL: {problem}")
-            return 1
-        out(f"[repro chaos] PASS: {sum(injected.values())} injected "
-            f"fault(s) across {len(injected)} point(s), "
-            f"{restarts} daemon restart(s), served statistics "
-            "bit-identical to the clean run")
-        return 0
-    except RuntimeError as exc:
-        out(f"[repro chaos] FAIL: {exc}")
-        return 1
-    finally:
-        if daemon is not None and daemon.poll() is None:
-            _kill_daemon_group(daemon)
-        if args.keep:
-            out(f"[repro chaos] kept scratch dir {work}")
-        else:
-            shutil.rmtree(work, ignore_errors=True)
+            s.out(f"[repro chaos] job ended {job['state']}: "
+                  f"{job.get('error')}; resubmission {s.restarts}")
+    raise RuntimeError(f"no completed job after {s.args.max_restarts} "
+                       f"restarts (daemon log: {s.serve_log})")
 
 
-# ---------------------------------------------------------------------------
-# --kill-daemon: SIGKILL mid-campaign; the journal must lose nothing
-# ---------------------------------------------------------------------------
-
-def _wait_ready(url: str, timeout_s: float = _SERVE_START_TIMEOUT_S) -> dict:
-    """Poll ``/v1/readyz`` until the daemon reports ready (or give up)."""
-    from repro.serve.client import ServeClient, ServeError
-
-    client = ServeClient(url, timeout=5.0)
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            status, payload = client.readyz()
-        except ServeError:
-            status, payload = None, {}
-        if status == 200:
-            return payload
-        time.sleep(0.05)
-    raise RuntimeError(f"daemon at {url} not ready after {timeout_s:.0f}s")
+def _submit_new(client, params: dict) -> str:
+    status, payload = client.submit("campaign", params)
+    if status != 201:
+        raise RuntimeError(f"the job for seed {params['seed']} was not "
+                           f"accepted ({status}: {payload})")
+    return payload["job"]["job_id"]
 
 
-def _wait_job_state(client, job_id: str, states: frozenset | set,
-                    timeout_s: float):
-    """Poll one job until it reaches any of ``states``."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
+def _job_reaching(client, job_id: str, states, timeout_s: float) -> dict:
+    def reached():
         job = client.job(job_id)
-        if job["state"] in states:
-            return job
-        time.sleep(0.05)
-    raise RuntimeError(f"job {job_id} did not reach {sorted(states)} "
-                       f"within {timeout_s:.0f}s")
+        return job if job["state"] in states else None
+
+    return _poll(reached, timeout_s,
+                 f"job {job_id} to reach {'/'.join(sorted(states))}")
 
 
-def _wait_interrupted_run(store: Path, timeout_s: float) -> str:
-    """Poll until a campaign run is open in ``store``: a ``running`` job
-    writes its run manifest only once its thread has set up, and a kill
-    before that would leave nothing to resume."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        run_id = _resume_id(store)
-        if run_id is not None:
-            return run_id
-        time.sleep(0.05)
-    raise RuntimeError(f"no campaign run opened in {store} "
-                       f"within {timeout_s:.0f}s")
+def _drive_kill(s: Scenario) -> None:
+    """Stage job A running (held mid-chunk by the hang fault), job B
+    queued behind it and a duplicate of A attached; SIGKILL the daemon
+    alone, as the OOM killer would; restart it on the same store and let
+    journal replay finish both jobs."""
+    params = [_job_params(s.args, seed) for seed in s.seeds]
+    client, _ = _start_daemon(s)
+    job_a = _submit_new(client, params[0])
+    _job_reaching(client, job_a, {"running"}, 30.0)
+    # a running job writes its run manifest only once its thread has set
+    # up, and a kill before that would leave nothing to resume
+    _poll(lambda: _resume_id(s.chaos_store), 30.0,
+          f"a campaign run to open in {s.chaos_store}")
+    job_b = _submit_new(client, params[1])
+    s.facts.update(jobs=[job_a, job_b],
+                   attaches=[client.submit("campaign", params[0])])
+    s.out(f"[repro chaos] staged: {job_a} running, {job_b} queued, "
+          f"one deduplicated attach; sending SIGKILL")
 
-
-def run_chaos_serve_kill(args, out=print) -> int:
-    """SIGKILL the daemon mid-campaign; the journal must make it whole.
-
-    Scenario: job A running (held mid-chunk by a hang fault so the kill
-    provably lands mid-run), job B queued behind it, and a duplicate
-    submission of A's content key attached.  The daemon is SIGKILL'd,
-    restarted against the same store, and the verdict requires:
-
-    * the daemon's pool workers, left running by a SIGKILL of the
-      daemon alone, exit on their own;
-    * journal replay requeues both jobs (A marked recovered-from-running);
-    * A's content key, resubmitted after the restart, attaches to the
-      *original* job id (dedupe survives the crash);
-    * both jobs complete with statistics byte-identical to direct CLI
-      runs, A resuming its interrupted run-store manifest;
-    * zero duplicate computation: exactly one completed campaign
-      manifest per identity, and every job's ``run_id`` maps to one
-      (journal <-> manifest parity);
-    * SIGTERM then drains to exit 0 and leaves a compacted journal whose
-      replay shows only terminal jobs, with no shm leaks.
-    """
-    from argparse import Namespace
-
-    spec = (KILL_SERVE_SPEC if args.inject_faults == DEFAULT_SPEC
-            else args.inject_faults)
+    # the daemon alone: its pool workers must notice and exit on their own
+    pgid = s.daemon.pid
+    workers = [pid for pid in _live_group_members(pgid) if pid != pgid]
+    s.daemon.kill()
+    s.daemon.wait()
     try:
-        FaultPlan.parse(spec)
+        _poll(lambda: not _live_group_members(pgid), _ORPHAN_EXIT_TIMEOUT_S,
+              "the killed daemon's pool workers to exit")
+    except RuntimeError:
+        s.facts["orphans"] = _live_group_members(pgid)
+        _kill_group(pgid)
+    else:
+        s.out(f"[repro chaos] pool workers exited with the killed daemon "
+              f"({len(workers)})" if workers
+              else "[repro chaos] no pool workers were up at the kill")
+
+    client, readyz = _start_daemon(s)
+    s.facts["replay"] = readyz.get("journal", {})
+    s.out(f"[repro chaos] journal replay after restart: {s.facts['replay']}")
+    s.facts["attaches"].append(client.submit("campaign", params[0]))
+    s.facts["finals"] = [
+        _job_reaching(client, job_id, _TERMINAL, _SUBPROCESS_TIMEOUT_S)
+        for job_id in (job_a, job_b)]
+    s.faulted = [(job.get("result") or {}).get("report", "")
+                 for job in s.facts["finals"]]
+
+
+def _incidents_accounted(s: Scenario) -> list[str]:
+    """The schedule injected something, the final manifest's
+    ``fault.<point>`` counters equal the ledger's incidents, and a torn
+    ``store.*`` write left at least one quarantined artifact."""
+    s.out("[repro chaos] injected incidents (ledger):")
+    for point, count in sorted(s.injected.items()):
+        s.out(f"  {point}: {count}")
+    if not s.injected:
+        return ["the schedule injected nothing — the run never reached "
+                "its fault points"]
+    final = s.completed[0]
+    problems = [f"manifest counter fault.{point} is "
+                f"{final.counters.get(f'fault.{point}')}, ledger says {count}"
+                for point, count in s.injected.items()
+                if final.counters.get(f"fault.{point}") != count]
+    quarantined = final.counters.get("artifacts_quarantined", 0)
+    s.out(f"[repro chaos] final manifest: run {final.run_id}, "
+          f"{quarantined} artifact(s) quarantined")
+    if not quarantined and any(p.startswith("store.") for p in s.injected):
+        problems.append("a store write was torn but nothing was quarantined")
+    return problems
+
+
+def _reports_identical(s: Scenario) -> list[str]:
+    """Each faulted report equals its clean run's, line for line."""
+    import difflib  # only a failing run needs it; keep CLI start-up lean
+
+    problems = []
+    for seed, clean, faulted in zip(s.seeds, s.clean, s.faulted):
+        clean_lines = _report_lines(clean)
+        fault_lines = _report_lines(faulted or "")
+        if clean_lines == fault_lines:
+            continue
+        problems.append(f"faulted statistics for seed {seed} differ from "
+                        "the clean run")
+        for line in difflib.unified_diff(clean_lines, fault_lines, "clean",
+                                         "faulted", lineterm="", n=0):
+            s.out(f"  {line}")
+    return problems
+
+
+def _sigterm_drains(s: Scenario) -> list[str]:
+    """SIGTERM drains the daemon to exit 0 within the window."""
+    s.daemon.send_signal(signal.SIGTERM)
+    try:
+        code = s.daemon.wait(timeout=_DRAIN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return [f"daemon did not exit within {_DRAIN_TIMEOUT_S:g}s of "
+                "SIGTERM"]
+    return [] if code == 0 else [f"daemon exited {code} on SIGTERM "
+                                 "(expected 0)"]
+
+
+def _no_leaked_segments(s: Scenario) -> list[str]:
+    """Every faulted process is gone, so any surviving repro-shm segment
+    is a leak the recovery story missed."""
+    leaked = orphaned_segments()
+    return ["orphaned shared-memory segments after recovery: "
+            + ", ".join(leaked)] if leaked else []
+
+
+def _pool_workers_exited(s: Scenario) -> list[str]:
+    """The SIGKILL'd daemon's pool workers exited on their own."""
+    orphans = s.facts.get("orphans")
+    return [f"pool workers {orphans} outlived the killed daemon by "
+            f"{_ORPHAN_EXIT_TIMEOUT_S:g}s"] if orphans else []
+
+
+#: what journal replay must report after the kill: A (running) and B
+#: (queued) requeued, A flagged recovered-from-running, nothing terminal
+_EXPECTED_REPLAY = {"requeued": 2, "recovered_running": 1, "terminal": 0}
+
+
+def _replay_requeued_both(s: Scenario) -> list[str]:
+    replay = s.facts["replay"]
+    return [f"journal replay counted {key}={replay.get(key)}, expected "
+            f"{want}" for key, want in _EXPECTED_REPLAY.items()
+            if replay.get(key) != want]
+
+
+def _dedupe_held(s: Scenario) -> list[str]:
+    """A's content key attached to the original job id, before the kill
+    and again after the restart (dedupe survives the crash)."""
+    job_a = s.facts["jobs"][0]
+    return [f"a duplicate submission {when} did not attach to {job_a} "
+            f"({status}: {payload.get('job', {}).get('job_id')})"
+            for when, (status, payload) in zip(
+                ("before the kill", "after the restart"), s.facts["attaches"])
+            if not (status == 200 and payload.get("deduped")
+                    and payload.get("job", {}).get("job_id") == job_a)]
+
+
+def _jobs_recovered(s: Scenario) -> list[str]:
+    """Both jobs completed, and A resumed its interrupted run."""
+    finals = s.facts["finals"]
+    problems = [f"job {job['job_id']} ended {job['state']}: "
+                f"{job.get('error')}"
+                for job in finals if job["state"] != "completed"]
+    job_a = finals[0]
+    if job_a.get("recovered") is not True:
+        problems.append(f"job {job_a['job_id']} was not flagged as "
+                        "recovered from a mid-run crash")
+    if job_a["state"] == "completed" and \
+            not (job_a.get("result") or {}).get("resumed_from"):
+        problems.append(f"job {job_a['job_id']} recomputed from scratch "
+                        "instead of resuming its interrupted run")
+    return problems
+
+
+def _no_duplicate_computation(s: Scenario) -> list[str]:
+    """One completed manifest per seed, each job's ``run_id`` among them,
+    and a compacted journal (read after the drain) of terminal jobs only,
+    whose run ids are exactly the manifests' — journal/manifest parity."""
+    problems = []
+    run_ids = {m.run_id for m in s.completed}
+    if len(s.completed) != len(s.seeds):
+        problems.append(f"{len(s.completed)} completed campaign manifests "
+                        f"in the store, expected exactly {len(s.seeds)} "
+                        "(duplicate or lost computation)")
+    for job in s.facts["finals"]:
+        run_id = (job.get("result") or {}).get("run_id")
+        if run_id not in run_ids:
+            problems.append(f"job {job['job_id']} result run {run_id} has "
+                            "no completed manifest")
+    jobs = s.journal.jobs
+    if s.journal.requeued != 0 or len(jobs) != len(s.seeds):
+        problems.append(
+            f"compacted journal replays {len(jobs)} jobs with "
+            f"{s.journal.requeued} requeued, expected {len(s.seeds)} "
+            "terminal jobs and 0 requeued")
+    journal_runs = {(job.result or {}).get("run_id") for job in jobs}
+    if journal_runs != run_ids:
+        problems.append(f"journal result runs "
+                        f"{sorted(map(str, journal_runs))} != completed "
+                        f"manifests {sorted(run_ids)}")
+    return problems
+
+
+@dataclass(frozen=True)
+class Leg:
+    """What one chaos scenario does differently from the others."""
+
+    default_spec: str
+    #: the faulted phase: fills ``Scenario.faulted``, one report per seed
+    drive: Callable[[Scenario], None]
+    #: run in order after ``drive``; each returns problem strings
+    verdicts: tuple[Callable[[Scenario], list[str]], ...]
+    #: the PASS line's text
+    passed: Callable[[Scenario], str]
+    #: clean seeds compared: ``--seed`` onwards
+    seeds: int = 1
+    #: appended to the schedule line
+    banner: str = ""
+
+
+def _fault_tally(s: Scenario) -> str:
+    return (f"{sum(s.injected.values())} injected fault(s) across "
+            f"{len(s.injected)} point(s)")
+
+
+LEGS = {
+    "cli": Leg(
+        DEFAULT_SPEC, _drive_cli,
+        (_incidents_accounted, _no_leaked_segments, _reports_identical),
+        lambda s: f"{_fault_tally(s)}, {s.restarts} restart(s), "
+                  "statistics bit-identical to the clean run"),
+    "serve": Leg(
+        DEFAULT_SERVE_SPEC, _drive_serve,
+        (_incidents_accounted, _reports_identical, _sigterm_drains,
+         _no_leaked_segments),
+        lambda s: f"{_fault_tally(s)}, {s.restarts} daemon restart(s), "
+                  "served statistics bit-identical to the clean run",
+        banner=" (daemon-hosted)"),
+    "kill-daemon": Leg(
+        KILL_SERVE_SPEC, _drive_kill,
+        (_pool_workers_exited, _replay_requeued_both, _dedupe_held,
+         _jobs_recovered, _reports_identical, _sigterm_drains,
+         _no_duplicate_computation, _no_leaked_segments),
+        lambda s: "SIGKILL with 1 running + 1 queued + 1 deduplicated "
+                  "job; journal replay requeued both, dedupe held the "
+                  "original job id, statistics bit-identical to the "
+                  "clean runs, no duplicate computation, clean SIGTERM "
+                  "left a compacted journal",
+        seeds=2, banner=" + daemon SIGKILL"),
+}
+
+
+def _select(args) -> tuple[Leg, str]:
+    """The leg ``--serve``/``--kill-daemon`` pick, and its schedule:
+    ``--inject-faults`` when given, else the leg's default."""
+    leg = LEGS["kill-daemon" if args.kill_daemon
+               else "serve" if args.serve else "cli"]
+    spec = args.inject_faults
+    return leg, leg.default_spec if spec is None else spec
+
+
+def cmd_chaos(args, out=print) -> int:
+    """Run ``repro chaos``: clean campaigns, the leg's faulted phase, its
+    verdicts; returns a process exit code."""
+    leg, spec = _select(args)
+    try:
+        FaultPlan.parse(spec)  # fail fast, before any scratch or process
     except FaultSpecError as exc:
         out(f"repro chaos: error: bad fault spec: {exc}")
         return 2
 
-    work = Path(tempfile.mkdtemp(prefix="repro-chaos-kill-"))
-    clean_store = work / "clean-store"
-    chaos_store = work / "chaos-store"
-    ledger = work / "faults-ledger.jsonl"
-    ready = work / "serve-ready.txt"
-    serve_log = work / "serve.log"
-    env = _scrubbed_env()
-    daemon = None
-    terminal = {"completed", "failed", "cancelled"}
+    s = Scenario(args, spec,
+                 Path(tempfile.mkdtemp(prefix="repro-chaos-")),
+                 tuple(range(args.seed, args.seed + leg.seeds)), out,
+                 _scrubbed_env())
     try:
-        out(f"[repro chaos] schedule: {spec} + daemon SIGKILL")
-        out(f"[repro chaos] scratch dir: {work}")
-
-        args_b = Namespace(**vars(args))
-        args_b.seed = args.seed + 1
-        clean_a = _run(_campaign_argv(args, clean_store), env)
-        clean_b = _run(_campaign_argv(args_b, clean_store), env)
-        for name, clean in (("A", clean_a), ("B", clean_b)):
-            if clean.returncode != 0:
-                out(f"[repro chaos] FAIL: clean campaign {name} exited "
-                    f"{clean.returncode}")
-                out(clean.stderr)
-                return 1
-
-        base_params = {
-            "runs": args.runs, "events": args.events,
-            "workers": args.workers, **_engine_params(args),
-        }
-        if args.chunk_timeout is not None:
-            base_params["chunk_timeout"] = args.chunk_timeout
-        params_a = dict(base_params, seed=args.seed)
-        params_b = dict(base_params, seed=args.seed + 1)
-
-        from repro.serve.client import ServeClient
-
-        argv = _serve_argv(args, chaos_store, ready, ledger, spec)
-        daemon = _start_daemon(argv, env, ready, serve_log)
-        url = ready.read_text().strip()
-        _wait_ready(url)
-        client = ServeClient(url, timeout=30.0)
-
-        status, payload = client.submit("campaign", params_a)
-        if status != 201:
-            out(f"[repro chaos] FAIL: job A not accepted "
-                f"({status}: {payload})")
-            return 1
-        job_a = payload["job"]["job_id"]
-        _wait_job_state(client, job_a, {"running"}, 30.0)
-        _wait_interrupted_run(chaos_store, 30.0)
-        status, payload = client.submit("campaign", params_b)
-        if status != 201:
-            out(f"[repro chaos] FAIL: job B not accepted "
-                f"({status}: {payload})")
-            return 1
-        job_b = payload["job"]["job_id"]
-        status, payload = client.submit("campaign", params_a)
-        if not (status == 200 and payload.get("deduped")
-                and payload["job"]["job_id"] == job_a):
-            out(f"[repro chaos] FAIL: duplicate submission did not "
-                f"attach to {job_a} ({status}: {payload})")
-            return 1
-        out(f"[repro chaos] staged: {job_a} running, {job_b} queued, "
-            f"one deduplicated attach; sending SIGKILL")
-
-        # the daemon alone, as the OOM killer would: its pool workers
-        # must notice and exit on their own
-        workers = [pid for pid in _live_group_members(daemon.pid)
-                   if pid != daemon.pid]
-        daemon.kill()
-        daemon.wait()
-        orphans = _wait_group_gone(daemon.pid, _ORPHAN_EXIT_TIMEOUT_S)
-        if orphans:
-            os.killpg(daemon.pid, signal.SIGKILL)
-            out(f"[repro chaos] FAIL: pool workers {orphans} outlived the "
-                f"killed daemon by {_ORPHAN_EXIT_TIMEOUT_S:.0f}s")
-            return 1
-        if workers:
-            out(f"[repro chaos] pool workers exited with the killed "
-                f"daemon ({len(workers)})")
-        else:
-            out("[repro chaos] no pool workers were up at the kill")
-
-        daemon = _start_daemon(argv, env, ready, serve_log)
-        url = ready.read_text().strip()
-        readyz = _wait_ready(url)
-        client = ServeClient(url, timeout=30.0)
-        replay = readyz.get("journal", {})
-        out(f"[repro chaos] journal replay after restart: {replay}")
-
-        problems = []
-        if replay.get("requeued") != 2:
-            problems.append(f"replay requeued {replay.get('requeued')} "
-                            "jobs, expected 2")
-        if replay.get("recovered_running") != 1:
-            problems.append("replay recovered "
-                            f"{replay.get('recovered_running')} mid-run "
-                            "jobs, expected 1")
-        if replay.get("terminal") != 0:
-            problems.append(f"replay saw {replay.get('terminal')} "
-                            "terminal jobs before the kill, expected 0")
-
-        status, payload = client.submit("campaign", params_a)
-        if not (status == 200 and payload.get("deduped")
-                and payload["job"]["job_id"] == job_a):
-            problems.append(
-                "a resubmitted content key did not attach to the "
-                f"original job after the restart ({status}: "
-                f"{payload.get('job', {}).get('job_id')})")
-
-        finals = {}
-        for job_id in (job_a, job_b):
-            finals[job_id] = _wait_job_state(
-                client, job_id, terminal, _SUBPROCESS_TIMEOUT_S)
-        for job_id, job in finals.items():
-            if job["state"] != "completed":
-                problems.append(f"job {job_id} ended {job['state']}: "
-                                f"{job.get('error')}")
-        if finals[job_a].get("recovered") is not True:
-            problems.append(f"job {job_a} was not flagged as recovered "
-                            "from a mid-run crash")
-        if finals[job_a]["state"] == "completed" and \
-                not (finals[job_a].get("result") or {}).get("resumed_from"):
-            problems.append(f"job {job_a} recomputed from scratch "
-                            "instead of resuming its interrupted run")
-
-        for job_id, clean in ((job_a, clean_a), (job_b, clean_b)):
-            if finals[job_id]["state"] != "completed":
-                continue
-            served = _report_lines(
-                (finals[job_id].get("result") or {}).get("report", ""))
-            if served != _report_lines(clean.stdout):
-                problems.append(f"job {job_id} statistics differ from "
-                                "its clean CLI run")
-
-        from repro.runs import RunStore
-
-        completed = [m for m in RunStore(chaos_store).list_runs()
-                     if m.command == "campaign"
-                     and m.status == "completed"]
-        if len(completed) != 2:
-            problems.append(f"{len(completed)} completed campaign "
-                            "manifests in the store, expected exactly 2 "
-                            "(duplicate or lost computation)")
-        run_ids = {m.run_id for m in completed}
-        for job_id, job in finals.items():
-            run_id = (job.get("result") or {}).get("run_id")
-            if run_id not in run_ids:
-                problems.append(f"job {job_id} result run {run_id} has "
-                                "no completed manifest")
-
-        daemon.send_signal(signal.SIGTERM)
-        try:
-            code = daemon.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            daemon.kill()
-            problems.append("daemon did not exit within 60s of SIGTERM")
-        else:
-            if code != 0:
-                problems.append(f"daemon exited {code} on SIGTERM "
-                                "(expected 0)")
-        daemon = None
-
-        from repro.serve.journal import JobJournal
-
-        compacted = JobJournal(chaos_store).replay()
-        if compacted.requeued != 0 or len(compacted.jobs) != 2:
-            problems.append(
-                f"compacted journal replays {len(compacted.jobs)} jobs "
-                f"with {compacted.requeued} requeued, expected 2 "
-                "terminal jobs and 0 requeued")
-        journal_runs = {(job.result or {}).get("run_id")
-                        for job in compacted.jobs}
-        if journal_runs != run_ids:
-            problems.append(
-                f"journal result runs {sorted(map(str, journal_runs))} "
-                f"!= completed manifests {sorted(run_ids)}")
-
-        leaked = orphaned_segments()
-        if leaked:
-            problems.append("orphaned shared-memory segments after "
-                            "recovery: " + ", ".join(leaked))
-
+        out(f"[repro chaos] schedule: {spec}{leg.banner}")
+        out(f"[repro chaos] scratch dir: {s.work}")
+        problems = _problems(leg, s)
+        for problem in problems:
+            out(f"[repro chaos] FAIL: {problem}")
         if problems:
-            for problem in problems:
-                out(f"[repro chaos] FAIL: {problem}")
             return 1
-        out("[repro chaos] PASS: SIGKILL with 1 running + 1 queued + 1 "
-            "deduplicated job; journal replay requeued both, dedupe "
-            "held the original job id, statistics bit-identical to the "
-            "clean runs, no duplicate computation, clean SIGTERM left a "
-            "compacted journal")
+        out(f"[repro chaos] PASS: {leg.passed(s)}")
         return 0
-    except RuntimeError as exc:
-        out(f"[repro chaos] FAIL: {exc}")
-        return 1
     finally:
-        if daemon is not None and daemon.poll() is None:
-            _kill_daemon_group(daemon)
+        if s.daemon is not None and s.daemon.poll() is None:
+            _kill_group(s.daemon.pid)
+            s.daemon.wait()
         if args.keep:
-            out(f"[repro chaos] kept scratch dir {work}")
+            out(f"[repro chaos] kept scratch dir {s.work}")
         else:
-            shutil.rmtree(work, ignore_errors=True)
+            shutil.rmtree(s.work, ignore_errors=True)
 
 
-def cmd_chaos(args) -> int:
-    """Dispatch ``repro chaos``; returns a process exit code."""
-    if getattr(args, "kill_daemon", False):
-        return run_chaos_serve_kill(args)
-    if getattr(args, "serve", False):
-        return run_chaos_serve(args)
-    return run_chaos(args)
+def _problems(leg: Leg, s: Scenario) -> list[str]:
+    """Clean runs, the faulted phase, then every verdict's problems; a
+    RuntimeError on the way is the one problem."""
+    try:
+        for seed in s.seeds:
+            clean = _run(_campaign_argv(s.args, s.clean_store, seed), s.env)
+            if clean.returncode != 0:
+                raise RuntimeError(
+                    f"the clean (fault-free) campaign for seed {seed} "
+                    f"exited {clean.returncode}\n{clean.stderr}")
+            s.clean.append(clean.stdout)
+        if leaked := orphaned_segments():
+            raise RuntimeError("the clean campaign leaked shared-memory "
+                               f"segments: {', '.join(leaked)}")
+        leg.drive(s)
+        return [problem for verdict in leg.verdicts
+                for problem in verdict(s)]
+    except RuntimeError as exc:
+        return [str(exc)]

@@ -92,6 +92,17 @@ def _at_least(name: str, low: int):
 _resolve_samples = _at_least("samples", 1)
 
 
+def _above_zero(name: str):
+    """A resolve hook rejecting a timeout of 0 or less, as the CLI does:
+    such a bound times out every job and quietly falls back to serial."""
+    def resolve(value: float | None, params: dict) -> float | None:
+        if value is not None and not value > 0:
+            raise ValueError(f"parameter {name!r} must be above 0 seconds "
+                             f"(got {value})")
+        return value
+    return resolve
+
+
 #: accepted parameters per job kind — defaults mirror the CLI parsers, so
 #: a submitted job and the equivalent ``repro <kind>`` invocation build
 #: the same run-session config (and therefore the same artifacts)
@@ -106,7 +117,8 @@ JOB_KINDS: dict[str, tuple[_Param, ...]] = {
                choices=("materialize", "streaming"),
                resolve=_resolve_stats),
         _Param("workers", int, None, identity=False),
-        _Param("chunk_timeout", float, None, identity=False),
+        _Param("chunk_timeout", float, None, identity=False,
+               resolve=_above_zero("chunk_timeout")),
         _Param("fleet_size", int, None),
         _Param("fleet_scheme", str, "trio"),
     ),
@@ -115,13 +127,15 @@ JOB_KINDS: dict[str, tuple[_Param, ...]] = {
         _Param("samples", int, 20_000, resolve=_resolve_samples),
         _Param("seed", int, 1234),
         _Param("workers", int, None, identity=False),
-        _Param("cell_timeout", float, None, identity=False),
+        _Param("cell_timeout", float, None, identity=False,
+               resolve=_above_zero("cell_timeout")),
     ),
     "fig8": (
         _Param("samples", int, 20_000, resolve=_resolve_samples),
         _Param("seed", int, 1234),
         _Param("workers", int, None, identity=False),
-        _Param("cell_timeout", float, None, identity=False),
+        _Param("cell_timeout", float, None, identity=False,
+               resolve=_above_zero("cell_timeout")),
     ),
 }
 

@@ -63,6 +63,21 @@ class TestNormalization:
             normalize_params("campaign", {name: -1})
         assert normalize_params("campaign", {name: 0})[name] == 0
 
+    @pytest.mark.parametrize("kind,params", [
+        ("campaign", {"chunk_timeout": 0}),
+        ("campaign", {"chunk_timeout": -1.5}),
+        ("evaluate", {"scheme": "duet", "cell_timeout": 0}),
+        ("fig8", {"cell_timeout": -1}),
+    ])
+    def test_non_positive_timeouts_rejected(self, kind, params):
+        with pytest.raises(JobError, match="must be above 0 seconds"):
+            normalize_params(kind, params)
+
+    def test_positive_or_unset_timeouts_accepted(self):
+        assert normalize_params(
+            "campaign", {"chunk_timeout": 0.5})["chunk_timeout"] == 0.5
+        assert normalize_params("fig8", {})["cell_timeout"] is None
+
     def test_choices_enforced(self):
         with pytest.raises(JobError, match="one of"):
             normalize_params("campaign", {"engine": "warp"})

@@ -130,6 +130,12 @@ class TestBasics:
             for params in ({"runs": -2}, {"events": -1}):
                 status, payload = client.submit("campaign", params)
                 assert status == 400 and "at least 0" in payload["error"]
+            for kind, params in (("campaign", {"chunk_timeout": 0}),
+                                 ("evaluate", {"scheme": "trio",
+                                               "cell_timeout": -1})):
+                status, payload = client.submit(kind, params)
+                assert status == 400
+                assert "must be above 0 seconds" in payload["error"]
             status, payload = client.submit("campaign",
                                             {"engine": "columnar"})
             assert status == 400 and "must be one of" in payload["error"]

@@ -234,6 +234,57 @@ class TestCampaignEdges:
         assert "at least 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("chaos", "--events", "-1"),
+        ("chaos", "--runs", "-2"),
+        ("chaos", "--max-restarts", "-1"),
+    ])
+    def test_negative_chaos_counts_exit_2(self, capsys, monkeypatch,
+                                          command, flag, value):
+        # rejected by argparse, before any scratch dir or clean campaign
+        import subprocess
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("a subprocess was started")
+
+        monkeypatch.setattr(subprocess, "run", no_subprocess)
+        monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "at least 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--chunk-timeout", "0"],
+        ["campaign", "--chunk-timeout", "-1"],
+        ["chaos", "--chunk-timeout", "0"],
+        ["evaluate", "trio", "--cell-timeout", "0"],
+        ["fig8", "--cell-timeout", "-1"],
+        ["report", "--cell-timeout", "nan"],
+    ])
+    def test_non_positive_timeouts_exit_2(self, capsys, argv):
+        # a bound of 0 or less would time out every job and quietly fall
+        # back to serial evaluation
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be above 0 seconds" in err
+        assert "Traceback" not in err
+
+    def test_positive_timeouts_parse(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(
+            ["campaign", "--chunk-timeout", "2.5"]).chunk_timeout == 2.5
+        assert parser.parse_args(
+            ["evaluate", "trio", "--cell-timeout", "1e-3"]).cell_timeout \
+            == 1e-3
+        assert parser.parse_args(["chaos"]).chunk_timeout is None
+
     @pytest.mark.parametrize("command", ["campaign", "chaos"])
     def test_removed_columnar_engine_exits_2(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
