@@ -3,9 +3,10 @@
 The Monte Carlo evaluation of Table 2 / Figure 8 rests on the vectorized
 batch decoders; this benchmark measures their entry-decode throughput so
 regressions in the hot path are caught.  pytest-benchmark runs each decoder
-repeatedly over a fixed random error batch, and the packed syndrome-LUT
-fast path of the binary schemes is held to >= 5x the unpacked reference
-decoder it replaced.
+repeatedly over a fixed random error batch.  The packed syndrome-LUT fast
+path of the binary schemes is held to >= 5x the unpacked reference decoder
+it replaced, and the Reed-Solomon schemes' packed path to an absolute
+500,000 entries/s.
 """
 
 import time
@@ -21,6 +22,7 @@ from repro.gf.gf2 import pack_rows
 
 BATCH = 20_000
 SCHEMES = ("ni-secded", "duet", "trio", "i-ssc-csc", "ssc-dsd+", "dsc")
+RS_SCHEMES = ("i-ssc", "i-ssc-csc", "ssc-dsd+")
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +57,15 @@ def test_batch_decoder_throughput(benchmark, name, error_batch):
     assert entries_per_second > 20_000
 
 
-@pytest.mark.parametrize("name", binary_scheme_names())
+#: the Reed-Solomon schemes' packed path, in entries/s on the 20,000-row
+#: batch: an absolute floor rather than a ratio over their reference oracle
+RS_PACKED_FLOOR = 500_000
+
+
+@pytest.mark.parametrize("name", binary_scheme_names() + RS_SCHEMES)
 def test_packed_lut_speedup(name, error_batch):
-    """The packed syndrome-LUT path must beat the unpacked reference >= 5x."""
+    """The binary packed syndrome-LUT path must beat the unpacked reference
+    >= 5x; the RS packed path must clear RS_PACKED_FLOOR entries/s."""
     scheme = get_scheme(name)
     words = pack_rows(error_batch)
 
@@ -71,5 +79,8 @@ def test_packed_lut_speedup(name, error_batch):
         f"bits->LUT {fast:>12,.0f} entries/s ({fast / reference:.1f}x)\n"
         f"packed    {packed:>12,.0f} entries/s ({packed / reference:.1f}x)",
     )
-    assert fast / reference >= 5.0
-    assert packed / reference >= 5.0
+    if name in RS_SCHEMES:
+        assert packed >= RS_PACKED_FLOOR
+    else:
+        assert fast / reference >= 5.0
+        assert packed / reference >= 5.0

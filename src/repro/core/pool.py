@@ -203,8 +203,12 @@ def run_with_requeue(
     (complete unless poison jobs were quarantined under
     ``allow_poisoned=True``) and the :class:`PoolReport` accounting.
     Raises :class:`PoisonedJobs` when a pool-path job exhausts every
-    retry tier and ``allow_poisoned`` is False.
+    retry tier and ``allow_poisoned`` is False, and :class:`ValueError`,
+    before any pool starts, when ``timeout`` is set but not above 0 (a
+    timeout of 0 would requeue every job and quietly fall back to serial).
     """
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be above 0 seconds, got {timeout!r}")
     logger = logger or _LOGGER
     retry = retry or RetryPolicy()
     results: dict = {}

@@ -24,12 +24,16 @@ single pin.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from repro.codes.reed_solomon import ReedSolomonCode, RSDecodeStatus
-from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, NUM_PINS
+from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, ENTRY_BYTES, NUM_PINS
+from repro.core.rs_packed import RSPackedTables, build_rs_tables
 from repro.core.sanity_check import csc_violation, csc_violation_batch
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
+from repro.gf.gf2 import bytes_from_rows, bytes_from_words, syndromes_from_bytes
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER, gf_mul
 
 __all__ = ["InterleavedSSCScheme"]
@@ -42,6 +46,11 @@ _PIN_GROUPS = NUM_PINS // 4  # 18
 _BEAT_PAIRS = 2
 
 _BIT_WEIGHTS = (1 << np.arange(BITS_PER_BYTE)).astype(np.int64)
+
+#: codeword ``cw``'s S0 | S1 << 8 sits in bits 16·cw .. 16·cw + 15 of the
+#: packed syndrome (see :mod:`repro.core.rs_packed`)
+_LANE_SHIFTS = np.array([0, 16], dtype=np.uint32)
+_LANE_MASK = np.uint32(0xFFFF)
 
 
 def _symbol_bit_positions(group: int, beat_pair: int) -> np.ndarray:
@@ -147,8 +156,39 @@ class InterleavedSSCScheme(ECCScheme):
         status = DecodeStatus.CORRECTED if corrected_bits else DecodeStatus.CLEAN
         return DecodeResult(status, data, tuple(corrected_bits))
 
-    # -- batch decode -----------------------------------------------------------
+    # -- batch decode (packed syndrome-LUT fast path) ---------------------------
     def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
+        errors = self._check_errors(errors)
+        return self._decode_packed_bytes(bytes_from_rows(errors))
+
+    def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
+        words = self._check_packed(words)
+        return self._decode_packed_bytes(bytes_from_words(words, ENTRY_BYTES))
+
+    def _decode_packed_bytes(self, entry_bytes: np.ndarray) -> BatchDecode:
+        """Decode byte-packed error rows through the per-codeword slot LUT."""
+        tables, lut = _packed_tables()
+        combined = syndromes_from_bytes(tables.syndromes, entry_bytes)
+        slots = lut[(combined[:, None] >> _LANE_SHIFTS) & _LANE_MASK]
+
+        due = (slots < 0).any(axis=1)
+        codewords_correcting = (slots > 0).sum(axis=1)
+        slots = np.maximum(slots, 0)
+        if self.csc:
+            # The CSC only applies when both codewords correct.
+            applies = np.nonzero(codewords_correcting == _NUM_CODEWORDS)[0]
+            if applies.size:
+                due[applies] |= csc_violation_batch(
+                    tables.corrected_positions(slots[applies]),
+                    codewords_correcting[applies],
+                )
+
+        residual_data = tables.residual_data(entry_bytes, slots)
+        corrected = (codewords_correcting > 0) & ~due
+        return BatchDecode(due=due, residual_data=residual_data, corrected=corrected)
+
+    # -- batch decode (unpacked reference — the oracle for the fast path) -------
+    def decode_batch_errors_reference(self, errors: np.ndarray) -> BatchDecode:
         errors = self._check_errors(errors)
         batch = errors.shape[0]
         due = np.zeros(batch, dtype=bool)
@@ -160,12 +200,7 @@ class InterleavedSSCScheme(ECCScheme):
             symbols = self._gather_symbols(errors, cw)
             s0 = np.bitwise_xor.reduce(symbols, axis=1)
             s1 = np.bitwise_xor.reduce(gf_mul(symbols, self._alpha[None, :]), axis=1)
-
-            nonzero = (s0 != 0) & (s1 != 0)
-            log_diff = (LOG_TABLE[s1] - LOG_TABLE[s0]) % ORDER
-            location = np.where(nonzero, log_diff, 0)
-            corrects = nonzero & (location < _SYMBOLS_PER_CW)
-            cw_due = ((s0 != 0) | (s1 != 0)) & ~corrects
+            location, corrects, cw_due = _one_shot_rule(s0, s1)
             due |= cw_due
             codewords_correcting += corrects
 
@@ -187,3 +222,36 @@ class InterleavedSSCScheme(ECCScheme):
 
         corrected = (codewords_correcting > 0) & ~due
         return BatchDecode(due=due, residual_data=residual_data, corrected=corrected)
+
+
+def _one_shot_rule(s0: np.ndarray, s1: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One codeword's Figure-7c decision: ``(location, corrects, due)``.
+
+    A single error makes both syndromes non-zero and ``dlog(S1) - dlog(S0)``
+    its location; anything else non-zero is a DUE.
+    """
+    nonzero = (s0 != 0) & (s1 != 0)
+    log_diff = (LOG_TABLE[s1] - LOG_TABLE[s0]) % ORDER
+    location = np.where(nonzero, log_diff, 0)
+    corrects = nonzero & (location < _SYMBOLS_PER_CW)
+    due = ((s0 != 0) | (s1 != 0)) & ~corrects
+    return location, corrects, due
+
+
+@cache
+def _packed_tables() -> tuple[RSPackedTables, np.ndarray]:
+    """The layout's :class:`RSPackedTables` and the per-codeword slot LUT.
+
+    ``lut[S0 | S1 << 8]`` is the correction slot ``location · 256 + S0``
+    (always > 0), 0 for a clean codeword, or -1 for a codeword DUE —
+    :func:`_one_shot_rule` over all 65,536 syndrome pairs.  Shared by
+    I:SSC and I:SSC+CSC.
+    """
+    every = np.arange(1 << 16)
+    s0, s1 = every & 0xFF, every >> 8
+    location, corrects, due = _one_shot_rule(s0, s1)
+    lut = np.where(corrects, location * 256 + s0, 0)
+    lut = np.where(due, -1, lut).astype(np.int16)
+    lut.flags.writeable = False
+    return build_rs_tables(_build_layout(), _CHECK_SYMBOLS), lut

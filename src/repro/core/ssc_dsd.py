@@ -20,11 +20,15 @@ only evaluated scheme that cannot correct permanent pin failures.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from repro.codes.reed_solomon import ReedSolomonCode, RSDecodeStatus
-from repro.core.layout import BITS_PER_BYTE, NUM_BYTES
+from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, NUM_BYTES
+from repro.core.rs_packed import RSPackedTables, build_rs_tables
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
+from repro.gf.gf2 import bytes_from_rows, bytes_from_words, syndromes_from_bytes
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER, gf_mul
 
 __all__ = ["SSCDSDPlusScheme"]
@@ -33,6 +37,9 @@ _CHECK_SYMBOLS = 4
 _DATA_SYMBOLS = NUM_BYTES - _CHECK_SYMBOLS  # 32
 
 _BIT_WEIGHTS = (1 << np.arange(BITS_PER_BYTE)).astype(np.int64)
+
+#: S0..S3 sit in the four byte lanes of the packed syndrome
+_LANE_SHIFTS = np.array([0, 8, 16, 24], dtype=np.uint32)
 
 
 class SSCDSDPlusScheme(ECCScheme):
@@ -97,8 +104,28 @@ class SSCDSDPlusScheme(ECCScheme):
         )
         return DecodeResult(status, data, tuple(corrected_bits))
 
-    # -- batch decode -----------------------------------------------------------
+    # -- batch decode (packed syndrome fast path) -------------------------------
     def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
+        errors = self._check_errors(errors)
+        return self._decode_packed_bytes(bytes_from_rows(errors))
+
+    def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
+        words = self._check_packed(words)
+        return self._decode_packed_bytes(bytes_from_words(words, NUM_BYTES))
+
+    def _decode_packed_bytes(self, entry_bytes: np.ndarray) -> BatchDecode:
+        """Decode byte-packed error rows: S0..S3 from one byte-table gather,
+        then the three-locator agreement over the four byte lanes."""
+        tables = _packed_tables()
+        combined = syndromes_from_bytes(tables.syndromes, entry_bytes)
+        syndromes = (combined[:, None] >> _LANE_SHIFTS) & np.uint32(0xFF)
+        location, corrects, due = _agreement_rule(syndromes)
+        slots = np.where(corrects, location * 256 + syndromes[:, 0], 0)
+        residual_data = tables.residual_data(entry_bytes, slots[:, None])
+        return BatchDecode(due=due, residual_data=residual_data, corrected=corrects)
+
+    # -- batch decode (unpacked reference — the oracle for the fast path) -------
+    def decode_batch_errors_reference(self, errors: np.ndarray) -> BatchDecode:
         errors = self._check_errors(errors)
         symbols = self._to_symbols(errors)
 
@@ -109,27 +136,36 @@ class SSCDSDPlusScheme(ECCScheme):
             )
             for m in range(_CHECK_SYMBOLS - 1)
         ]
-        syndromes = [s0, *higher]  # S0..S3
-
-        any_error = np.zeros(errors.shape[0], dtype=bool)
-        all_nonzero = np.ones(errors.shape[0], dtype=bool)
-        for syndrome in syndromes:
-            any_error |= syndrome != 0
-            all_nonzero &= syndrome != 0
-
-        # Three independent location estimates must agree (EAC subtract of
-        # the discrete logs, modulo 255).
-        logs = [LOG_TABLE[syndrome] for syndrome in syndromes]
-        loc01 = (logs[1] - logs[0]) % ORDER
-        loc12 = (logs[2] - logs[1]) % ORDER
-        loc23 = (logs[3] - logs[2]) % ORDER
-        agree = (loc01 == loc12) & (loc12 == loc23)
-        corrects = all_nonzero & agree & (loc01 < NUM_BYTES)
-        due = any_error & ~corrects
+        location, corrects, due = _agreement_rule(np.stack([s0, *higher], axis=1))
 
         residual = symbols.copy()
         rows = np.nonzero(corrects)[0]
-        residual[rows, loc01[rows]] ^= s0[rows]
+        residual[rows, location[rows]] ^= s0[rows]
         residual_data = residual[:, _CHECK_SYMBOLS:].any(axis=1)
 
         return BatchDecode(due=due, residual_data=residual_data, corrected=corrects)
+
+
+def _agreement_rule(syndromes: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The DSD+ decision over ``(B, 4)`` syndromes S0..S3:
+    ``(location, corrects, due)``.
+
+    Three independent location estimates — the EAC subtract of adjacent
+    syndromes' discrete logs, modulo 255 — must agree and point inside
+    the codeword; any other non-zero syndrome is a DUE.
+    """
+    logs = LOG_TABLE[syndromes]
+    estimates = (logs[:, 1:] - logs[:, :-1]) % ORDER
+    location = estimates[:, 0]
+    agree = (location == estimates[:, 1]) & (location == estimates[:, 2])
+    corrects = (syndromes != 0).all(axis=1) & agree & (location < NUM_BYTES)
+    due = (syndromes != 0).any(axis=1) & ~corrects
+    return location, corrects, due
+
+
+@cache
+def _packed_tables() -> RSPackedTables:
+    """The one-codeword, byte-per-symbol layout's :class:`RSPackedTables`."""
+    layout = np.arange(ENTRY_BITS).reshape(1, NUM_BYTES, BITS_PER_BYTE)
+    return build_rs_tables(layout, _CHECK_SYMBOLS)

@@ -39,7 +39,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-from repro.core.shm import orphaned_segments
 from repro.faults.plan import (
     ENV_HOST_PID,
     ENV_LEDGER,
@@ -517,6 +516,8 @@ def _sigterm_drains(s: Scenario) -> list[str]:
 def _no_leaked_segments(s: Scenario) -> list[str]:
     """Every faulted process is gone, so any surviving repro-shm segment
     is a leak the recovery story missed."""
+    from repro.core.shm import orphaned_segments
+
     leaked = orphaned_segments()
     return ["orphaned shared-memory segments after recovery: "
             + ", ".join(leaked)] if leaked else []
@@ -694,6 +695,8 @@ def cmd_chaos(args, out=print) -> int:
 def _problems(leg: Leg, s: Scenario) -> list[str]:
     """Clean runs, the faulted phase, then every verdict's problems; a
     RuntimeError on the way is the one problem."""
+    from repro.core.shm import orphaned_segments
+
     try:
         for seed in s.seeds:
             clean = _run(_campaign_argv(s.args, s.clean_store, seed), s.env)

@@ -129,11 +129,14 @@ def bytes_from_words(words: np.ndarray, num_bytes: int) -> np.ndarray:
     """Expand packed ``uint64`` words into their first ``num_bytes`` bytes.
 
     Inverse of the byte-grouping in :func:`pack_rows`; endian-independent.
+    The result is a read-only byte view of the little-endian words, so it
+    costs no copy when ``words`` already is little-endian and contiguous.
     """
-    words = np.asarray(words, dtype=np.uint64)
-    shifts = (np.uint64(8) * np.arange(8, dtype=np.uint64))
-    byte_rows = ((words[..., None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
-    return byte_rows.reshape(words.shape[:-1] + (-1,))[..., :num_bytes]
+    words = np.ascontiguousarray(words, dtype="<u8")
+    byte_rows = words.view(np.uint8).reshape(words.shape[:-1] + (-1,))
+    byte_rows = byte_rows[..., :num_bytes]
+    byte_rows.flags.writeable = False
+    return byte_rows
 
 
 def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
@@ -174,11 +177,14 @@ def syndrome_byte_table(h_matrix: np.ndarray) -> np.ndarray:
 def syndromes_from_bytes(table: np.ndarray, byte_rows: np.ndarray) -> np.ndarray:
     """Packed syndromes of byte-packed rows via a :func:`syndrome_byte_table`.
 
-    ``byte_rows`` has shape ``(B, num_bytes)``; the result is ``(B,)``.
+    ``byte_rows`` has shape ``(B, num_bytes)``; the result is ``(B,)``.  One
+    gather per byte position keeps the intermediate at ``(B,)``.
     """
     byte_rows = np.asarray(byte_rows, dtype=np.uint8)
-    positions = np.arange(table.shape[0])
-    return np.bitwise_xor.reduce(table[positions, byte_rows], axis=-1)
+    combined = table[0][byte_rows[..., 0]]
+    for position in range(1, table.shape[0]):
+        combined ^= table[position][byte_rows[..., position]]
+    return combined
 
 
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

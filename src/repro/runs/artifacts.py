@@ -20,11 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.beam.microbenchmark import MismatchRecord
 from repro.runs.durable import durable_write_text
 from repro.errormodel.montecarlo import PatternOutcome
 from repro.errormodel.patterns import ErrorPattern
+
+if TYPE_CHECKING:  # the beam package (and its shm engine) loads on first use
+    from repro.beam.microbenchmark import MismatchRecord
 
 __all__ = [
     "ArtifactCorrupt",
@@ -127,6 +130,8 @@ def mismatch_to_record(record: MismatchRecord) -> dict:
 
 def mismatch_from_record(record: dict) -> MismatchRecord:
     """Inverse of :func:`mismatch_to_record`."""
+    from repro.beam.microbenchmark import MismatchRecord
+
     return MismatchRecord(
         time_s=float(record["time_s"]),
         run=int(record["run"]),

@@ -134,3 +134,15 @@ class TestRequeueCounters:
         n_chunks = (EVENTS + CHUNK - 1) // CHUNK
         assert len(chunks) == SWEEPS * n_chunks
         assert {c.attrs["index"] for c in chunks} == set(range(n_chunks))
+
+
+@pytest.mark.parametrize("timeout", [-1, 0, float("nan")])
+def test_non_positive_chunk_timeout_raises_before_any_pool(monkeypatch,
+                                                            timeout):
+    def _no_pool(max_workers=None, initializer=None):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(ValueError, match="timeout must be above 0"):
+        run_statistics_campaign(3000, engine="shm", workers=2,
+                                chunk_timeout=timeout)

@@ -1,10 +1,14 @@
-"""The packed syndrome-LUT fast path against the unpacked reference oracle.
+"""The packed syndrome-LUT fast paths against their unpacked reference oracles.
 
-`BinaryEntryScheme.decode_batch_errors_reference` is the original
-matmul-based batch decoder; the packed path (`decode_batch_errors` /
-`decode_batch_packed`) must reproduce its every output field on structured
-and random error batches alike.
+Every Table-2 scheme keeps its original unpacked batch decoder as
+``decode_batch_errors_reference``: the binary schemes' matmul decoder and
+the Reed-Solomon schemes' symbol gather + ``gf_mul`` decoder.  The packed
+path (`decode_batch_errors` / `decode_batch_packed`) must reproduce its
+every output field on exhaustive, structured and random error batches.
 """
+
+import importlib
+from functools import cache
 
 import numpy as np
 import pytest
@@ -12,14 +16,18 @@ import pytest
 from repro.core import get_scheme
 from repro.core.layout import ENTRY_BITS, ENTRY_WORDS
 from repro.core.registry import SCHEME_NAMES, binary_scheme_names
+from repro.core.scheme import ECCScheme
+from repro.errormodel.montecarlo import sdc_risk_table
 from repro.errormodel.sampling import (
+    enumerate_bit_errors,
     enumerate_byte_errors,
     enumerate_double_bit_errors,
     enumerate_pin_errors,
 )
-from repro.gf.gf2 import pack_rows
+from repro.gf.gf2 import pack_rows, unpack_rows
 
 BINARY = binary_scheme_names()
+REED_SOLOMON = ("i-ssc", "i-ssc-csc", "ssc-dsd+")
 
 
 def _assert_same(reference, other, context):
@@ -28,25 +36,33 @@ def _assert_same(reference, other, context):
     assert np.array_equal(reference.corrected, other.corrected), context
 
 
+@cache
 def _batches():
     rng = np.random.default_rng(2024)
     return {
-        "sparse": (rng.random((1500, ENTRY_BITS)) < 0.01).astype(np.uint8),
-        "dense": (rng.random((800, ENTRY_BITS)) < 0.25).astype(np.uint8),
+        "bits": enumerate_bit_errors(),
         "pins": enumerate_pin_errors(),
         "bytes": enumerate_byte_errors(),
-        "doubles": enumerate_double_bit_errors()[::7],
+        "doubles": enumerate_double_bit_errors(),
+        "sparse": (rng.random((1500, ENTRY_BITS)) < 0.01).astype(np.uint8),
+        "dense": (rng.random((65_536, ENTRY_BITS)) < 0.25).astype(np.uint8),
         "zero": np.zeros((4, ENTRY_BITS), dtype=np.uint8),
     }
 
 
-@pytest.mark.parametrize("name", BINARY)
+@cache
+def _reference(name, batch_name):
+    """The oracle's outcome, computed once for both input forms."""
+    return get_scheme(name).decode_batch_errors_reference(_batches()[batch_name])
+
+
+@pytest.mark.parametrize("name", BINARY + REED_SOLOMON)
 class TestPackedAgainstReference:
     def test_bit_input_matches_reference(self, name):
         scheme = get_scheme(name)
         for batch_name, errors in _batches().items():
             _assert_same(
-                scheme.decode_batch_errors_reference(errors),
+                _reference(name, batch_name),
                 scheme.decode_batch_errors(errors),
                 (name, batch_name),
             )
@@ -55,18 +71,27 @@ class TestPackedAgainstReference:
         scheme = get_scheme(name)
         for batch_name, errors in _batches().items():
             _assert_same(
-                scheme.decode_batch_errors_reference(errors),
+                _reference(name, batch_name),
                 scheme.decode_batch_packed(pack_rows(errors)),
                 (name, batch_name),
             )
 
     def test_packed_tables_built(self, name):
-        assert get_scheme(name)._packed_ok
+        """The binary schemes pass their packed gate; the RS schemes build
+        their tables once per layout (I:SSC and I:SSC+CSC share one set)."""
+        scheme = get_scheme(name)
+        if name in BINARY:
+            assert scheme._packed_ok
+        else:
+            module = importlib.import_module(type(scheme).__module__)
+            assert module._packed_tables() is module._packed_tables()
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 class TestPackedEntryPoint:
-    """decode_batch_packed exists on every scheme (default: unpack+delegate)."""
+    """decode_batch_packed agrees with decode_batch_errors on every Table-2
+    scheme, each through its own packed path (the base class's
+    unpack-and-delegate default serves only schemes outside Table 2)."""
 
     def test_packed_equals_unpacked(self, name):
         scheme = get_scheme(name)
@@ -78,9 +103,32 @@ class TestPackedEntryPoint:
             name,
         )
 
+    def test_overrides_the_unpacking_default(self, name):
+        assert (type(get_scheme(name)).decode_batch_packed
+                is not ECCScheme.decode_batch_packed)
+
     def test_rejects_wrong_shape(self, name):
         scheme = get_scheme(name)
         with pytest.raises(ValueError):
             scheme.decode_batch_packed(
                 np.zeros((3, ENTRY_WORDS + 1), dtype=np.uint64)
             )
+
+
+def test_rs_sweep_equals_the_reference_oracle_sweep(monkeypatch):
+    """Table 2's RS rows are the same with every packed decode replaced by
+    the unpacked reference oracle."""
+    schemes = [get_scheme(name) for name in REED_SOLOMON]
+    fast = sdc_risk_table(schemes, samples=2000)
+
+    calls = []
+
+    def _reference_packed(self, words):
+        calls.append(self.name)
+        return self.decode_batch_errors_reference(unpack_rows(words, ENTRY_BITS))
+
+    for scheme in schemes:
+        monkeypatch.setattr(type(scheme), "decode_batch_packed",
+                            _reference_packed)
+    assert sdc_risk_table(schemes, samples=2000) == fast
+    assert set(calls) == set(REED_SOLOMON)

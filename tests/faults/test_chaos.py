@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main
+from repro.core import shm
 from repro.faults import chaos
 from repro.faults.chaos import (
     DEFAULT_SERVE_SPEC,
@@ -183,7 +184,7 @@ def _judge(monkeypatch, verdict, seeds=1, leaks=(), **state):
         subprocess.CompletedProcess(argv, 0, CLEAN, "")))
     # the first call is the clean-run check, the second the verdict's
     segments = iter([[], list(leaks)])
-    monkeypatch.setattr(chaos, "orphaned_segments", lambda: next(segments))
+    monkeypatch.setattr(shm, "orphaned_segments", lambda: next(segments))
     state.setdefault("faulted", [CLEAN] * seeds)
 
     def drive(s):
@@ -266,7 +267,7 @@ def test_a_clean_campaign_failure_or_leak_stops_the_run(monkeypatch):
             in report)
     monkeypatch.setattr(chaos, "_run", lambda argv, env: (
         subprocess.CompletedProcess(argv, 0, CLEAN, "")))
-    monkeypatch.setattr(chaos, "orphaned_segments", lambda: ["repro-shm-1"])
+    monkeypatch.setattr(shm, "orphaned_segments", lambda: ["repro-shm-1"])
     code, report = _chaos()
     assert code == 1
     assert ("FAIL: the clean campaign leaked shared-memory segments: "

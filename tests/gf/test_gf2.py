@@ -175,9 +175,12 @@ class TestPackedRows:
     def test_bytes_from_words_matches_bytes_from_rows(self):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, (5, 288), dtype=np.uint8)
-        assert np.array_equal(
-            bytes_from_words(pack_rows(bits), 36), bytes_from_rows(bits)
-        )
+        words = pack_rows(bits)
+        for form in (words, words.astype(">u8"), np.asfortranarray(words)):
+            byte_rows = bytes_from_words(form, 36)
+            assert np.array_equal(byte_rows, bytes_from_rows(bits))
+            # a view of the caller's words: writing through it is refused
+            assert not byte_rows.flags.writeable
 
 
 class TestSyndromeByteTable:

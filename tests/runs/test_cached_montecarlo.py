@@ -159,3 +159,14 @@ class TestGracefulDegradation:
         assert fanned == serial
         assert any("cannot start worker pool" in rec.message
                    for rec in caplog.records)
+
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan")])
+    def test_non_positive_cell_timeout_raises_before_any_pool(
+            self, monkeypatch, timeout):
+        def _no_pool(max_workers=None, initializer=None):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _no_pool)
+        with pytest.raises(ValueError, match="timeout must be above 0"):
+            evaluate_scheme(get_scheme("trio"), samples=SAMPLES, seed=SEED,
+                            workers=2, cell_timeout=timeout)

@@ -346,11 +346,9 @@ class TestReport:
 class TestStartupImports:
     """The CLI's start-up must not load what most commands never use."""
 
-    @pytest.mark.parametrize("code", [
-        "import repro.cli",
-        "from repro.cli import build_parser; build_parser()",
-    ], ids=["import", "build_parser"])
-    def test_no_asyncio_or_scipy(self, code):
+    @staticmethod
+    def _loaded(code, modules):
+        """Which of ``modules`` a fresh interpreter holds after ``code``."""
         import os
         import subprocess
         import sys
@@ -363,11 +361,25 @@ class TestStartupImports:
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         probe = (f"{code}\nimport sys\n"
-                 "print(sorted(m for m in ('asyncio', 'scipy') "
+                 f"print(sorted(m for m in {tuple(modules)!r} "
                  "if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        return result.stdout.strip()
+
+    @pytest.mark.parametrize("code", [
+        "import repro.cli",
+        "from repro.cli import build_parser; build_parser()",
+    ], ids=["import", "build_parser"])
+    def test_no_asyncio_or_scipy(self, code):
+        assert self._loaded(code, ("asyncio", "scipy")) == "[]"
+
+    def test_no_shared_memory_until_a_chaos_verdict_needs_it(self):
+        # the chaos parser is built on every command; only its leak
+        # verdicts use repro.core.shm (and multiprocessing.shared_memory)
+        code = "from repro.cli import build_parser; build_parser()"
+        assert self._loaded(code, ("repro.core.shm",
+                                   "multiprocessing.shared_memory")) == "[]"
 
     def test_lazy_analysis_names_still_import(self):
         from repro.analysis import fit_exponential, format_table

@@ -32,6 +32,7 @@ MODULES = [
     "repro.core.scheme",
     "repro.core.sanity_check",
     "repro.core.binary",
+    "repro.core.rs_packed",
     "repro.core.rs_ssc",
     "repro.core.ssc_dsd",
     "repro.core.algebraic_schemes",
