@@ -176,7 +176,8 @@ class Scenario:
     restarts: int = 0
     daemon: subprocess.Popen | None = None
     #: what the kill-daemon leg staged and saw: job ids, dedupe attaches,
-    #: orphaned pool workers, the replay counters, the final jobs
+    #: the pool workers up at the kill and any that outlived it, the
+    #: replay counters, the final jobs
     facts: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -427,6 +428,16 @@ def _drive_kill(s: Scenario) -> None:
     # up, and a kill before that would leave nothing to resume
     _poll(lambda: _resume_id(s.chaos_store), 30.0,
           f"a campaign run to open in {s.chaos_store}")
+    # the manifest can precede the job's worker pool; hold the kill until
+    # a pool worker is up, or the leg cannot show that workers die with
+    # the daemon (no worker at the kill fails _pool_workers_exited)
+    pgid = s.daemon.pid
+    try:
+        s.facts["workers"] = _poll(
+            lambda: [pid for pid in _live_group_members(pgid) if pid != pgid],
+            30.0, "a pool worker to start under the daemon")
+    except RuntimeError:
+        s.facts["workers"] = []
     job_b = _submit_new(client, params[1])
     s.facts.update(jobs=[job_a, job_b],
                    attaches=[client.submit("campaign", params[0])])
@@ -434,8 +445,6 @@ def _drive_kill(s: Scenario) -> None:
           f"one deduplicated attach; sending SIGKILL")
 
     # the daemon alone: its pool workers must notice and exit on their own
-    pgid = s.daemon.pid
-    workers = [pid for pid in _live_group_members(pgid) if pid != pgid]
     s.daemon.kill()
     s.daemon.wait()
     try:
@@ -446,8 +455,7 @@ def _drive_kill(s: Scenario) -> None:
         _kill_group(pgid)
     else:
         s.out(f"[repro chaos] pool workers exited with the killed daemon "
-              f"({len(workers)})" if workers
-              else "[repro chaos] no pool workers were up at the kill")
+              f"({len(s.facts['workers'])})")
 
     client, readyz = _start_daemon(s)
     s.facts["replay"] = readyz.get("journal", {})
@@ -524,7 +532,10 @@ def _no_leaked_segments(s: Scenario) -> list[str]:
 
 
 def _pool_workers_exited(s: Scenario) -> list[str]:
-    """The SIGKILL'd daemon's pool workers exited on their own."""
+    """Pool workers were up at the SIGKILL, and exited on their own."""
+    if not s.facts.get("workers"):
+        return ["no pool workers were up at the kill, so the leg did not "
+                "test that they exit with the daemon"]
     orphans = s.facts.get("orphans")
     return [f"pool workers {orphans} outlived the killed daemon by "
             f"{_ORPHAN_EXIT_TIMEOUT_S:g}s"] if orphans else []

@@ -34,11 +34,14 @@ from __future__ import annotations
 
 from functools import cache
 
+import numpy as np
+
 from repro.codes.hsiao import hsiao_search_code
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER
 from repro.hardware.circuit import Circuit
 from repro.hardware.gates import GateKind
 from repro.hardware.synth import (
+    _DLOG_CONTENTS,
     Table3Row,
     _eac_subtractor,
     _equality,
@@ -49,7 +52,7 @@ from repro.hardware.synth import (
     rs_ssc_decoder,
     ssc_dsd_decoder,
 )
-from repro.hardware.xor_tree import gf_const_mult, xor_combine_bytes, xor_rows
+from repro.hardware.xor_tree import gf_const_mult_matrix, xor_combine_bytes, xor_rows
 
 __all__ = [
     "bch_dec_decoder",
@@ -229,9 +232,6 @@ _CUBE_CONTENTS = [0] + [
     int(EXP_TABLE[(3 * int(LOG_TABLE[value])) % ORDER]) for value in range(1, 256)
 ]
 
-#: DLogα ROM image (zero entry gated off upstream).
-_DLOG_CONTENTS = [0] + [int(LOG_TABLE[value]) for value in range(1, 256)]
-
 #: Expα ROM: antilog of a mod-255 exponent; address 255 is the EAC
 #: subtractor's ones'-complement double zero and reads as α^0 = 1.
 _EXP_CONTENTS = [int(EXP_TABLE[value % ORDER]) for value in range(256)]
@@ -251,52 +251,43 @@ def bch_dec_decoder(*, efficient: bool = False,
 
     circuit = _new_circuit(name, efficient)
     fold = _Fold(circuit)
-    balanced = True
     copies = 288 // code.n
-    column_values = code.column_syndromes.tolist()
+    positions = np.arange(code.n)
+    # Chien search: position j is a root iff α^{2j} + S1·α^j + Λ2 = 0.
+    chien_matrix = gf_const_mult_matrix(EXP_TABLE[positions % ORDER]) \
+        .reshape(8 * code.n, 8)
+    chien_roots = EXP_TABLE[(2 * positions) % ORDER]
 
     for codeword in range(copies):
         received = circuit.add_input(code.n)
-        syndrome = xor_rows(circuit, code.h, received, balanced=balanced)
+        syndrome = xor_rows(circuit, code.h, received)
         s1, s3 = syndrome[:8], syndrome[8:]
-        s1_nonzero = circuit.or_tree(s1, balanced=balanced)
-        any_nonzero = circuit.or_tree(syndrome, balanced=balanced)
+        s1_nonzero = circuit.or_tree(s1)
+        any_nonzero = circuit.or_tree(syndrome)
 
         # Single-error path: S3 = S1^3 and the 16-bit syndrome matches a column.
         s1_cubed = circuit.rom(s1, 8, contents=_CUBE_CONTENTS)
-        single_consistent = _equality(circuit, s1_cubed, s3, efficient=efficient)
+        single_consistent = int(_equality(circuit, s1_cubed, s3))
         single_mode = circuit.gate(GateKind.AND2, s1_nonzero, single_consistent)
-        hcm = [
-            circuit.match_constant(syndrome, int(value), balanced=balanced)
-            for value in column_values
-        ]
+        hcm = circuit.match_constants(syndrome, code.column_syndromes).tolist()
 
         # Locator coefficient Λ2 = (S1^3 + S3) / S1 via log-domain division.
-        numerator = xor_combine_bytes(circuit, [s1_cubed, s3], balanced=balanced)
+        numerator = xor_combine_bytes(circuit, [s1_cubed, s3])
         log_numerator = circuit.rom(numerator, 8, contents=_DLOG_CONTENTS)
         log_denominator = circuit.rom(s1, 8, contents=_DLOG_CONTENTS)
-        log_lambda2 = _eac_subtractor(
-            circuit, log_numerator, log_denominator, efficient=efficient
-        )
+        log_lambda2 = _eac_subtractor(circuit, log_numerator, log_denominator)
         lambda2 = circuit.rom(log_lambda2, 8, contents=_EXP_CONTENTS)
 
-        # Chien search: position j is a root iff α^{2j} + S1·α^j + Λ2 = 0.
-        roots = []
-        for j in range(code.n):
-            term = gf_const_mult(
-                circuit, int(EXP_TABLE[j % ORDER]), s1, balanced=balanced
-            )
-            trial = xor_combine_bytes(circuit, [term, lambda2], balanced=balanced)
-            roots.append(
-                circuit.match_constant(
-                    trial, int(EXP_TABLE[(2 * j) % ORDER]), balanced=balanced
-                )
-            )
+        terms = xor_rows(circuit, chien_matrix, s1).reshape(code.n, 8)
+        trials = xor_combine_bytes(
+            circuit, np.stack([terms, np.broadcast_to(lambda2, terms.shape)],
+                              axis=1)
+        )
+        roots = circuit.match_constants(trials, chien_roots).tolist()
         root_count = _popcount(fold, roots)
-        two_roots = circuit.match_constant(root_count, 2, balanced=balanced)
+        two_roots = circuit.match_constant(root_count, 2)
         double_mode = circuit.and_tree(
-            [s1_nonzero, circuit.gate(GateKind.NOT, single_consistent), two_roots],
-            balanced=balanced,
+            [s1_nonzero, circuit.gate(GateKind.NOT, single_consistent), two_roots]
         )
 
         flips = [
@@ -408,7 +399,7 @@ def polar_encoder(*, efficient: bool = False,
     circuit = _new_circuit(name, efficient)
     fold = _Fold(circuit)
     data = circuit.add_input(code.data_bits)
-    crc = xor_rows(circuit, code._crc_matrix, data, balanced=True)
+    crc = xor_rows(circuit, code._crc_matrix, data).tolist()
 
     u = [fold.const(0)] * code.n
     info = code.info_positions.tolist()

@@ -292,7 +292,7 @@ def _final(job_id, run_id, **extra):
 
 def _kill_state(**facts):
     base = {
-        "jobs": _JOBS, "orphans": [],
+        "jobs": _JOBS, "workers": [4243], "orphans": [],
         "replay": {"requeued": 2, "recovered_running": 1, "terminal": 0},
         "attaches": [_ATTACH, _ATTACH],
         "finals": [_final("job-a", "run-a", recovered=True),
@@ -356,6 +356,9 @@ def test_kill_verdicts_pass_a_good_run(monkeypatch, verdict):
      {"finals": [_final("job-a", "run-a", recovered=True),
                  _final("job-b", "run-x")]},
      "job job-b result run run-x has no completed manifest"),
+    (chaos._pool_workers_exited, {"workers": []},
+     "no pool workers were up at the kill, so the leg did not test that "
+     "they exit with the daemon"),
 ])
 def test_kill_verdicts_fail_on_bad_facts(monkeypatch, verdict, facts, fail):
     fails, _ = _judge(monkeypatch, verdict, seeds=2, **_kill_state(**facts))
@@ -398,12 +401,16 @@ def test_default_schedule_recovers_bit_identically():
 
 
 @pytest.mark.slow
-def test_shm_arena_leak_is_reclaimed_on_resume():
+def test_shm_arena_leak_is_reclaimed_on_resume(monkeypatch):
     # shm.arena.create with host=1 kills the coordinator right after the
     # shared-memory segment exists — a deliberate leak.  The --resume
     # recovery must reclaim it (the harness fails on any surviving
     # repro-shm segment) and still end bit-identical to the clean run.
     # Only the materialized shm path ships results through an arena.
+    # A clean run takes about 2 s, and the --resume campaign has been
+    # seen to spin without end once, so each campaign invocation gets
+    # 60 s instead of the harness's 600 s: a hang fails in a minute.
+    monkeypatch.setattr(chaos, "_SUBPROCESS_TIMEOUT_S", 60.0)
     spec = ("pool.worker.crash:mode=exit,times=1;"
             "shm.arena.create:mode=exit,host=1,times=1")
     code, report = _chaos(stats="materialize", inject_faults=spec)
