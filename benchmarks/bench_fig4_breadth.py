@@ -5,11 +5,12 @@
 (c) byte-aligned vs non-byte-aligned multi-bit errors with words/entry.
 """
 
+import numpy as np
 import pytest
 
 from benchmarks._output import emit
 from repro.analysis.tables import format_table
-from repro.beam.events import EventClass, SoftErrorEventGenerator
+from repro.beam.events import BatchEventSynthesis, EventClass
 from repro.beam.postprocess import (
     breadth_class_fractions,
     byte_alignment_stats,
@@ -22,10 +23,9 @@ NUM_EVENTS = 8000
 
 @pytest.fixture(scope="module")
 def observed_events():
-    generator = SoftErrorEventGenerator(seed=20211018)
-    return events_from_truth(
-        [generator.generate_event(20.0 * i) for i in range(NUM_EVENTS)]
-    )
+    return events_from_truth(BatchEventSynthesis(seed=20211018).events_at(
+        20.0 * np.arange(NUM_EVENTS)
+    ))
 
 
 def test_fig4a_event_classes(benchmark, observed_events):

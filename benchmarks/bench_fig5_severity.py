@@ -7,11 +7,12 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from benchmarks._output import emit
 from repro.analysis.tables import format_table
-from repro.beam.events import SoftErrorEventGenerator
+from repro.beam.events import BatchEventSynthesis
 from repro.beam.postprocess import bits_per_word_histogram, events_from_truth
 
 NUM_EVENTS = 8000
@@ -19,10 +20,9 @@ NUM_EVENTS = 8000
 
 @pytest.fixture(scope="module")
 def observed_events():
-    generator = SoftErrorEventGenerator(seed=20211018)
-    return events_from_truth(
-        [generator.generate_event(20.0 * i) for i in range(NUM_EVENTS)]
-    )
+    return events_from_truth(BatchEventSynthesis(seed=20211018).events_at(
+        20.0 * np.arange(NUM_EVENTS)
+    ))
 
 
 def _binomial_conditional(width, minimum=2):

@@ -5,7 +5,7 @@ fraction of broad-and-severe logic errors (MBSE+MBME) proportional to the
 number of memory accesses, while narrow array errors (SBSE+SBME) are
 proportional to exposure time — the evidence that multi-bit errors
 originate in DRAM logic rather than direct cell strikes.  This benchmark
-reproduces the sweep with the generator's utilization model.
+reproduces the sweep with the event model's utilization scaling.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from benchmarks._output import emit
 from repro.analysis.fitting import fit_linear
 from repro.analysis.tables import format_table
-from repro.beam.events import EventClass, SoftErrorEventGenerator
+from repro.beam.events import BatchEventSynthesis, EventClass
 
 UTILIZATIONS = (0.1, 0.25, 0.5, 0.75, 1.0)
 DURATION_S = 60_000.0  # long exposure for tight statistics
@@ -22,8 +22,9 @@ DURATION_S = 60_000.0  # long exposure for tight statistics
 def _sweep():
     results = {}
     for index, utilization in enumerate(UTILIZATIONS):
-        generator = SoftErrorEventGenerator(seed=100 + index)
-        events = generator.events_in(DURATION_S, utilization=utilization)
+        events = BatchEventSynthesis(seed=100 + index).interval_events(
+            DURATION_S, utilization=utilization
+        )
         multi = sum(
             1 for event in events
             if event.event_class in (EventClass.MBSE, EventClass.MBME)

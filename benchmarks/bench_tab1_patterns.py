@@ -2,17 +2,18 @@
 
 Runs the full characterization pipeline: a simulated beam campaign for the
 observation path (device, scanning, intermittent filtering, grouping),
-supplemented with generator-truth events for statistical weight, then
+supplemented with synthesized ground-truth events for statistical weight, then
 classifies every event into the 7 patterns with the paper's priority rule.
 """
 
+import numpy as np
 import pytest
 
 from benchmarks._output import emit
 from repro.analysis.tables import format_table
 from repro.beam.campaign import BeamCampaign, CampaignConfig
 from repro.beam.displacement import DamageParameters
-from repro.beam.events import EventParameters, SoftErrorEventGenerator
+from repro.beam.events import BatchEventSynthesis, EventParameters
 from repro.beam.postprocess import (
     derive_table1,
     events_from_truth,
@@ -34,11 +35,10 @@ def _characterize():
     filtered = filter_intermittent(result.records)
     observed = group_events(filtered.soft_records)
 
-    # Statistical weight: generator-truth events at analysis scale.
-    generator = SoftErrorEventGenerator(seed=20211018)
-    observed += events_from_truth(
-        [generator.generate_event(20.0 * i) for i in range(6000)]
-    )
+    # Statistical weight: synthesized ground-truth events at analysis scale.
+    observed += events_from_truth(BatchEventSynthesis(seed=20211018).events_at(
+        20.0 * np.arange(6000)
+    ))
     return derive_table1(observed), len(observed), len(filtered.damaged_entries)
 
 

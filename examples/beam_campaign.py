@@ -10,12 +10,14 @@ and report the soft-error patterns of Figures 4-5 and Table 1.
 Run:  python examples/beam_campaign.py
 """
 
+import numpy as np
+
 from repro.beam import (
+    BatchEventSynthesis,
     BeamCampaign,
     CampaignConfig,
     DamageParameters,
     EventParameters,
-    SoftErrorEventGenerator,
     breadth_class_fractions,
     byte_alignment_stats,
     derive_table1,
@@ -60,10 +62,9 @@ def main() -> None:
     observed = group_events(filtered.soft_records)
     print(f"\nGrouped {len(observed)} soft-error events from the logs.")
 
-    # Add generator-truth events so the statistics below are stable.
-    generator = SoftErrorEventGenerator(seed=7)
+    # Add synthesized ground-truth events so the statistics below are stable.
     observed += events_from_truth(
-        [generator.generate_event(20.0 * i) for i in range(3000)]
+        BatchEventSynthesis(seed=7).events_at(20.0 * np.arange(3000))
     )
 
     print("\nError breadth/severity classes (Figure 4a):")

@@ -2,7 +2,7 @@
 """Simulating a GPU's memory in the field, end to end.
 
 Stores real payloads in the simulated HBM2 through the protected-memory
-controller, bombards it with generator SEU events (mapped onto the stored
+controller, bombards it with synthesized SEU events (mapped onto the stored
 layout), periodically scrubs, and reports the driver-style RAS counters —
 the view a fleet operator gets.  Run once with SEC-DED and once with
 TrioECC to see the paper's proposal as operational telemetry.
@@ -12,7 +12,7 @@ Run:  python examples/field_simulation.py
 
 import numpy as np
 
-from repro.beam.events import SoftErrorEventGenerator
+from repro.beam.events import BatchEventSynthesis
 from repro.core import get_scheme
 from repro.core.layout import ENTRY_BITS, NUM_PINS
 from repro.dram import (
@@ -37,14 +37,15 @@ def transmitted_flips(positions) -> np.ndarray:
 
 
 def run_fleet_window(scheme_name: str) -> tuple[dict, int]:
-    generator = SoftErrorEventGenerator(seed=2026)
+    events = BatchEventSynthesis(seed=2026).events_at(
+        20.0 * np.arange(NUM_EVENTS)
+    )
     device = SimulatedHBM2(HBM2Geometry.for_gpu(32))
     memory = ProtectedMemory(device, get_scheme(scheme_name))
     rng = np.random.default_rng(0)
 
     silent_corruptions = 0
-    for index in range(NUM_EVENTS):
-        event = generator.generate_event(20.0 * index)
+    for index, event in enumerate(events):
         for entry_index, positions in list(event.flips.items())[
             :ENTRIES_PER_EVENT
         ]:

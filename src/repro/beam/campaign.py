@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.beam.displacement import DamageParameters, DisplacementDamageModel
-from repro.beam.events import EventParameters, SoftErrorEvent, SoftErrorEventGenerator
+from repro.beam.events import BatchEventSynthesis, EventParameters, SoftErrorEvent
 from repro.beam.flux import CHIPIR_FLUX, FluenceClock
 from repro.beam.microbenchmark import (
     DataPattern,
@@ -34,12 +34,8 @@ from repro.beam.microbenchmark import (
 from repro.dram.device import SimulatedHBM2
 from repro.dram.geometry import HBM2Geometry
 from repro.dram.refresh import RefreshConfig
-from repro.gf.gf2 import pack_rows
 
 __all__ = ["CampaignConfig", "CampaignResult", "BeamCampaign", "refresh_sweep"]
-
-_DATA_BITS = 256
-_ENTRY_BITS = 288
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,18 @@ class BeamCampaign:
         self.damage = DisplacementDamageModel(
             geometry, self.config.damage_parameters, seed=self.config.seed
         )
-        self.events = SoftErrorEventGenerator(
+        self.events = BatchEventSynthesis(
             geometry, self.config.event_parameters, seed=self.config.seed + 1
         )
         self._event_log: list[SoftErrorEvent] = []
         self._accumulation: list[tuple[float, int]] = []
+        # the running run's events: arrival times, per-event site offsets,
+        # site entries and packed flip rows, and how many are injected
+        self._times = np.empty(0)
+        self._site_start = np.zeros(1, dtype=np.int64)
+        self._site_entry = np.empty(0, dtype=np.int64)
+        self._site_rows = np.empty((0, 5), dtype=np.uint64)
+        self._applied = 0
 
     # -- environment stepping -----------------------------------------------
     def _environment(self, dt_s: float) -> None:
@@ -117,21 +120,17 @@ class BeamCampaign:
                 self.device.install_weak_cells_batch(
                     entries, bits, retentions, leaks
                 )
-            for event in self.events.events_in(dt_s, self.clock.elapsed_s - dt_s):
-                self._apply_event(event)
+            # every pending event that arrived before the clock
+            due = int(np.searchsorted(self._times, self.clock.elapsed_s))
+            sites = slice(self._site_start[self._applied],
+                          self._site_start[due])
+            self.device.inject_upsets_batch(
+                self._site_entry[sites], self._site_rows[sites]
+            )
+            self._applied = due
         self._accumulation.append(
             (self.clock.fluence, self.damage.damaged_count)
         )
-
-    def _apply_event(self, event: SoftErrorEvent) -> None:
-        self._event_log.append(event)
-        entries = np.fromiter(
-            event.flips, dtype=np.int64, count=len(event.flips)
-        )
-        rows = np.zeros((entries.size, _ENTRY_BITS), dtype=np.uint8)
-        for row, positions in zip(rows, event.flips.values()):
-            row[positions] = 1
-        self.device.inject_upsets_batch(entries, pack_rows(rows))
 
     # -- campaign ------------------------------------------------------------
     def run(
@@ -148,14 +147,24 @@ class BeamCampaign:
         append-only progress log behind.
         """
         patterns = patterns or STANDARD_PATTERNS()
+        config = self.config
         benchmark = Microbenchmark(
             self.device,
-            write_cycles=self.config.write_cycles,
-            reads_per_write=self.config.reads_per_write,
-            loop_time_s=self.config.loop_time_s,
+            write_cycles=config.write_cycles,
+            reads_per_write=config.reads_per_write,
+            loop_time_s=config.loop_time_s,
         )
+        # One synthesis call covers every loop step of every run.
+        duration_s = (config.runs * config.write_cycles
+                      * (1 + config.reads_per_write) * config.loop_time_s)
+        pending = self.events.interval_table(duration_s, self.clock.elapsed_s)
+        self._times = pending.event_columns["time_s"]
+        self._site_start = pending.event_site_start()
+        self._site_entry = pending.site_entry
+        self._site_rows = pending.packed_rows()
+        self._applied = 0
         records: list[MismatchRecord] = []
-        for run_index in range(self.config.runs):
+        for run_index in range(config.runs):
             pattern = patterns[run_index % len(patterns)]
             records.extend(
                 benchmark.run(
@@ -167,6 +176,7 @@ class BeamCampaign:
             )
             if checkpoint is not None:
                 checkpoint.record_run(run_index, records, self.clock)
+        self._event_log.extend(pending.to_events()[:self._applied])
         return CampaignResult(
             records=records,
             events=list(self._event_log),

@@ -117,203 +117,17 @@ class SoftErrorEvent:
         return sum(positions.size for positions in self.flips.values())
 
 
-class SoftErrorEventGenerator:
-    """Draws SEU events according to :class:`EventParameters`."""
-
-    def __init__(
-        self,
-        geometry: HBM2Geometry | None = None,
-        parameters: EventParameters | None = None,
-        *,
-        seed: int = 7,
-    ) -> None:
-        self.geometry = geometry or HBM2Geometry.for_gpu(32)
-        self.parameters = parameters or EventParameters()
-        self._rng = np.random.default_rng(seed)
-
-    # -- arrival process ----------------------------------------------------
-    def events_in(self, duration_s: float, start_time_s: float = 0.0,
-                  utilization: float = 1.0) -> list[SoftErrorEvent]:
-        """Poisson arrivals over an in-beam interval.
-
-        ``utilization`` models the Section-5 DRAM-utilization sweep: narrow
-        array errors (SBSE/SBME — direct bitcell strikes) accrue with
-        exposure *time*, while broad-and-severe logic errors (MBSE/MBME —
-        strikes in the access path) only manifest on memory *accesses*, so
-        their rate scales with the benchmark's utilization.  The default
-        class mixture corresponds to full utilization.
-        """
-        if not 0.0 <= utilization <= 1.0:
-            raise ValueError("utilization must be in [0, 1]")
-        base = self.parameters.class_probabilities
-        array_rate = (base[0] + base[1]) / self.parameters.mean_time_to_event_s
-        logic_rate = (
-            (base[2] + base[3]) * utilization
-            / self.parameters.mean_time_to_event_s
-        )
-        total_rate = array_rate + logic_rate
-        if total_rate <= 0.0:
-            return []
-        probabilities = (
-            base[0] / (base[0] + base[1]) * array_rate / total_rate,
-            base[1] / (base[0] + base[1]) * array_rate / total_rate,
-            (base[2] / (base[2] + base[3]) * logic_rate / total_rate
-             if logic_rate else 0.0),
-            (base[3] / (base[2] + base[3]) * logic_rate / total_rate
-             if logic_rate else 0.0),
-        )
-        events: list[SoftErrorEvent] = []
-        clock = start_time_s
-        while True:
-            clock += float(self._rng.exponential(1.0 / total_rate))
-            if clock >= start_time_s + duration_s:
-                return events
-            events.append(self.generate_event(clock, class_probabilities=probabilities))
-
-    # -- event construction ----------------------------------------------------
-    def generate_event(self, time_s: float,
-                       class_probabilities: tuple[float, ...] | None = None
-                       ) -> SoftErrorEvent:
-        """Draw one event; an explicit class mixture overrides the default
-        (used by the utilization-scaled arrival process)."""
-        params = self.parameters
-        draw = self._rng.choice(
-            4, p=class_probabilities or params.class_probabilities
-        )
-        event_class = (EventClass.SBSE, EventClass.SBME,
-                       EventClass.MBSE, EventClass.MBME)[draw]
-        if event_class is EventClass.SBSE:
-            flips = self._single_bit_flips(breadth=1)
-        elif event_class is EventClass.SBME:
-            breadth = self._power_law_breadth(
-                params.sbme_breadth_alpha, params.sbme_breadth_max
-            )
-            flips = self._single_bit_flips(breadth=breadth)
-        elif event_class is EventClass.MBSE:
-            flips = self._multi_bit_flips(breadth=1)
-        else:
-            breadth = self._power_law_breadth(
-                params.mbme_breadth_alpha, params.mbme_breadth_max
-            )
-            flips = self._multi_bit_flips(breadth=breadth)
-        return SoftErrorEvent(time_s=time_s, event_class=event_class, flips=flips)
-
-    # -- helpers -----------------------------------------------------------------
-    def _power_law_breadth(self, alpha: float, cap: int) -> int:
-        """Truncated discrete power law starting at 2 entries."""
-        uniform = self._rng.random()
-        breadth = int(2 * (1.0 - uniform) ** (-1.0 / alpha))
-        return int(min(max(breadth, 2), cap))
-
-    def _contiguous_entries(self, breadth: int) -> np.ndarray:
-        """A run of consecutive entries inside one bank.
-
-        Section 5 attributes multi-entry errors to faults in DRAM logic
-        structures (row decoders, column muxes, sense amps), which are
-        bank-local: a single strike never corrupts entries in two banks.
-        Runs are clamped to the bank holding their random starting point.
-        """
-        per_bank = self.geometry.entries_per_bank
-        breadth = min(breadth, per_bank)
-        bank_start = (
-            int(self._rng.integers(self.geometry.total_entries)) // per_bank
-        ) * per_bank
-        offset = int(self._rng.integers(per_bank - breadth + 1))
-        base = bank_start + offset
-        return np.arange(base, base + breadth)
-
-    def _single_bit_flips(self, breadth: int) -> dict[int, np.ndarray]:
-        """One flipped bit per entry, the same cell column for SBME."""
-        bit = int(self._rng.integers(WORDS_PER_ENTRY * BITS_PER_WORD))
-        if breadth == 1:
-            entry = int(self._rng.integers(self.geometry.total_entries))
-            return {entry: np.array([bit], dtype=np.int64)}
-        entries = self._contiguous_entries(breadth)
-        return {int(entry): np.array([bit], dtype=np.int64) for entry in entries}
-
-    def _pin_fault_flips(self) -> dict[int, np.ndarray]:
-        """A transient interface-pin fault: the same within-word bit flipped
-        in 2-4 of one entry's words (the bit rides the same wire each beat)."""
-        bit = int(self._rng.integers(BITS_PER_WORD))
-        num_words = int(self._rng.integers(2, WORDS_PER_ENTRY + 1))
-        words = self._rng.choice(WORDS_PER_ENTRY, size=num_words, replace=False)
-        entry = int(self._rng.integers(self.geometry.total_entries))
-        positions = sorted(int(word) * BITS_PER_WORD + bit for word in words)
-        return {entry: np.array(positions, dtype=np.int64)}
-
-    def _multi_bit_flips(self, breadth: int) -> dict[int, np.ndarray]:
-        params = self.parameters
-        if breadth == 1 and self._rng.random() < params.pin_fault_fraction:
-            return self._pin_fault_flips()
-        byte_aligned = self._rng.random() < params.byte_aligned_fraction
-        if byte_aligned:
-            # One mat-local fault: the same aligned byte of every word.
-            byte_column = int(self._rng.integers(BITS_PER_WORD // 8))
-            words_dist = params.byte_aligned_words_dist
-        else:
-            byte_column = -1
-            words_dist = params.non_aligned_words_dist
-
-        if breadth == 1:
-            entries = np.array(
-                [self._rng.integers(self.geometry.total_entries)], dtype=np.int64
-            )
-        else:
-            entries = self._contiguous_entries(breadth)
-
-        flips: dict[int, np.ndarray] = {}
-        for entry in entries:
-            num_words = 1 + int(self._rng.choice(WORDS_PER_ENTRY, p=words_dist))
-            words = self._rng.choice(WORDS_PER_ENTRY, size=num_words, replace=False)
-            positions: list[int] = []
-            for word in words:
-                # Multi-bit events corrupt at least 2 bits per affected word
-                # (Figure 5's severity distributions start at 2).
-                positions.extend(self._word_flips(int(word), byte_column, minimum=2))
-            flips[int(entry)] = np.array(sorted(set(positions)), dtype=np.int64)
-        return flips
-
-    def _word_flips(self, word: int, byte_column: int, minimum: int = 1
-                    ) -> list[int]:
-        """Flipped bit positions within one 64b word.
-
-        ``byte_column >= 0`` confines flips to that aligned byte (mat-local
-        fault); otherwise they spread over the whole word.  Severity is
-        binomial with an ``inversion_fraction`` chance of flipping
-        everything.
-        """
-        params = self.parameters
-        width = 8 if byte_column >= 0 else BITS_PER_WORD
-        if self._rng.random() < params.inversion_fraction:
-            count = width
-        elif (
-            byte_column < 0
-            and self._rng.random() < params.sparse_severity_fraction
-        ):
-            count = int(self._rng.integers(2, 5))
-        else:
-            count = 0
-            while count < minimum:
-                count = int(self._rng.binomial(width, 0.5))
-        offsets = self._rng.choice(width, size=min(count, width), replace=False)
-        base = word * BITS_PER_WORD + (byte_column * 8 if byte_column >= 0 else 0)
-        return [base + int(offset) for offset in offsets]
-
-
 # ---------------------------------------------------------------------------
-# Batch (columnar) event synthesis
+# Event synthesis
 # ---------------------------------------------------------------------------
 #
-# :class:`SoftErrorEventGenerator` draws one value at a time from a single
-# stream, with data-dependent consumption (rejection loops, variable-size
-# ``choice``) that cannot be replayed by sized array draws.  The batch
-# synthesiser therefore defines its *own* draw plan with the same
-# distributions but fixed, phase-separated consumption:
+# The model has one draw plan, built so that a whole interval's events come
+# from a few sized numpy draws:
 #
 # * nine independent child streams (one ``SeedSequence`` spawn per draw
 #   phase) so variable consumption in one phase cannot desynchronise the
 #   others;
-# * every data-dependent draw is rephrased as a fixed number of uniforms —
+# * every data-dependent draw is phrased as a fixed number of uniforms —
 #   ``floor(u * n)`` for bounded integers, argsort-of-uniforms for sampling
 #   without replacement, an inverse-CDF lookup for the truncated binomial —
 #   so one sized call per phase replays the exact per-value stream.
@@ -333,8 +147,8 @@ _DATA_BITS = WORDS_PER_ENTRY * BITS_PER_WORD  # 256
 def _truncated_binomial_cdf(width: int) -> np.ndarray:
     """CDF of Binomial(width, 1/2) conditioned on >= 2, support 2..width.
 
-    ``2 + searchsorted(cdf, u, side="right")`` inverts it, replacing the
-    scalar generator's redraw-until-two rejection loop with one uniform.
+    ``2 + searchsorted(cdf, u, side="right")`` inverts it, so a severity
+    of at least two bits costs one uniform and no rejection loop.
     """
     weights = np.array(
         [math.comb(width, k) for k in range(2, width + 1)], dtype=np.float64
@@ -343,7 +157,8 @@ def _truncated_binomial_cdf(width: int) -> np.ndarray:
 
 
 def _power_law_breadths(u: np.ndarray, alpha: float, cap: int) -> np.ndarray:
-    """Vector form of :meth:`SoftErrorEventGenerator._power_law_breadth`."""
+    """Truncated discrete power law starting at 2 entries (Figure 4b's
+    long tail), by inverse CDF: one uniform per breadth."""
     raw = 2.0 * np.power(1.0 - u, -1.0 / alpha)
     clipped = np.minimum(raw, float(cap))
     return np.clip(np.floor(clipped), 2, cap).astype(np.int64)
@@ -378,9 +193,12 @@ def interval_class_mixture(
 ) -> tuple[float, tuple[float, float, float, float]]:
     """Total arrival rate and class mixture at a DRAM utilization.
 
-    The same Section-5 scaling as :meth:`SoftErrorEventGenerator.events_in`:
-    array classes (SBSE/SBME) accrue with time, logic classes (MBSE/MBME)
-    with accesses.
+    ``utilization`` models the Section-5 DRAM-utilization sweep: narrow
+    array errors (SBSE/SBME — direct bitcell strikes) accrue with exposure
+    *time*, while broad-and-severe logic errors (MBSE/MBME — strikes in the
+    access path) only manifest on memory *accesses*, so their rate scales
+    with the benchmark's utilization.  The default class mixture
+    corresponds to full utilization.
     """
     if not 0.0 <= utilization <= 1.0:
         raise ValueError("utilization must be in [0, 1]")
@@ -434,6 +252,12 @@ class BatchEventSynthesis:
             for name, child in zip(_PHASES, children)
         }
 
+    def _breadth_tails(self) -> dict[int, tuple[float, int]]:
+        """Power-law ``(alpha, cap)`` per multi-entry class code."""
+        params = self.parameters
+        return {1: (params.sbme_breadth_alpha, params.sbme_breadth_max),
+                3: (params.mbme_breadth_alpha, params.mbme_breadth_max)}
+
     def _class_cdf(self, probabilities) -> np.ndarray:
         return np.cumsum(np.asarray(
             probabilities or self.parameters.class_probabilities,
@@ -483,28 +307,27 @@ class BatchEventSynthesis:
     # -- public API --------------------------------------------------------
     def interval_table(self, duration_s: float, start_time_s: float = 0.0,
                        utilization: float = 1.0):
-        """Vectorized equivalent of
-        :meth:`SoftErrorEventGenerator.events_in`, as a ``FlipTable``."""
-        rngs = self._phase_rngs()
-        rate, probabilities = interval_class_mixture(
-            self.parameters, utilization
-        )
-        times = self._arrival_times(
-            rngs["arrival"], duration_s, start_time_s, rate, batch=True
-        )
-        return self._table(rngs, times, probabilities)
+        """Poisson arrivals over an in-beam interval, as a ``FlipTable``
+        (class mixture and rate from :func:`interval_class_mixture`)."""
+        return self._interval(duration_s, start_time_s, utilization,
+                              batch=True)
 
     def interval_events(self, duration_s: float, start_time_s: float = 0.0,
                         utilization: float = 1.0) -> list[SoftErrorEvent]:
         """Scalar oracle for :meth:`interval_table` (same streams)."""
+        return self._interval(duration_s, start_time_s, utilization,
+                              batch=False)
+
+    def _interval(self, duration_s, start_time_s, utilization, *, batch):
         rngs = self._phase_rngs()
         rate, probabilities = interval_class_mixture(
             self.parameters, utilization
         )
         times = self._arrival_times(
-            rngs["arrival"], duration_s, start_time_s, rate, batch=False
+            rngs["arrival"], duration_s, start_time_s, rate, batch=batch
         )
-        return self._events(rngs, times, probabilities)
+        synthesize = self._table if batch else self._events
+        return synthesize(rngs, times, probabilities)
 
     def table_at(self, times, class_probabilities=None):
         """Synthesize one event per entry of ``times``, vectorized."""
@@ -529,42 +352,25 @@ class BatchEventSynthesis:
         geometry = self.geometry
         per_bank = geometry.entries_per_bank
         n = times.size
-        if n == 0:
-            return FlipTable.from_flips(
-                np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.int64), np.empty(0, np.int64),
-                n_events=0,
-                event_columns={
-                    "time_s": times.copy(),
-                    "class_code": np.empty(0, np.int64),
-                },
-            )
-
         # klass: one uniform per event through the class CDF
         class_cdf = self._class_cdf(class_probabilities)
         codes = np.minimum(
             np.searchsorted(class_cdf, rngs["klass"].random(n), side="right"),
             3,
         ).astype(np.int64)
-        is_sbme = codes == 1
         is_mbse = codes == 2
-        is_mbme = codes == 3
-        is_mb = is_mbse | is_mbme
+        is_mb = is_mbse | (codes == 3)
 
         # breadth: one uniform per event (unused for single-entry classes)
         u_breadth = rngs["breadth"].random(n)
         breadth = np.ones(n, dtype=np.int64)
-        breadth[is_sbme] = _power_law_breadths(
-            u_breadth[is_sbme], params.sbme_breadth_alpha,
-            params.sbme_breadth_max,
-        )
-        breadth[is_mbme] = _power_law_breadths(
-            u_breadth[is_mbme], params.mbme_breadth_alpha,
-            params.mbme_breadth_max,
-        )
+        for code, (alpha, cap) in self._breadth_tails().items():
+            tail = codes == code
+            breadth[tail] = _power_law_breadths(u_breadth[tail], alpha, cap)
         breadth = np.minimum(breadth, per_bank)
 
-        # place: (u_site, u_off) per event; multi-entry runs stay bank-local
+        # place: (u_site, u_off) per event; a multi-entry run stays in the
+        # bank of its random start (Section 5's logic faults are bank-local)
         u_place = rngs["place"].random(2 * n).reshape(n, 2)
         first_entry = _floor_scaled(u_place[:, 0], geometry.total_entries)
         bank_start = (first_entry // per_bank) * per_bank
@@ -701,8 +507,8 @@ class BatchEventSynthesis:
         geometry = self.geometry
         per_bank = geometry.entries_per_bank
         class_cdf = self._class_cdf(class_probabilities)
-        classes = (EventClass.SBSE, EventClass.SBME,
-                   EventClass.MBSE, EventClass.MBME)
+        classes = list(EventClass)
+        tails = self._breadth_tails()
         cum_ba = np.cumsum(np.asarray(params.byte_aligned_words_dist))
         cum_na = np.cumsum(np.asarray(params.non_aligned_words_dist))
         cdf_by_width = {
@@ -716,18 +522,11 @@ class BatchEventSynthesis:
                 class_cdf, rngs["klass"].random(), side="right"
             )), 3)
             u_breadth = rngs["breadth"].random()
-            if code == 1:
+            breadth = 1
+            if code in tails:
                 breadth = int(_power_law_breadths(
-                    np.array([u_breadth]), params.sbme_breadth_alpha,
-                    params.sbme_breadth_max,
+                    np.array([u_breadth]), *tails[code]
                 )[0])
-            elif code == 3:
-                breadth = int(_power_law_breadths(
-                    np.array([u_breadth]), params.mbme_breadth_alpha,
-                    params.mbme_breadth_max,
-                )[0])
-            else:
-                breadth = 1
             breadth = min(breadth, per_bank)
 
             u_site, u_off = rngs["place"].random(2)
@@ -759,13 +558,9 @@ class BatchEventSynthesis:
                 u_words = rngs["words"].random()
                 if is_pin:
                     nw = 2 + int(np.floor(u_words * (WORDS_PER_ENTRY - 1)))
-                elif aligned:
-                    nw = 1 + min(int(np.searchsorted(
-                        cum_ba, u_words, side="right"
-                    )), WORDS_PER_ENTRY - 1)
                 else:
                     nw = 1 + min(int(np.searchsorted(
-                        cum_na, u_words, side="right"
+                        cum_ba if aligned else cum_na, u_words, side="right"
                     )), WORDS_PER_ENTRY - 1)
                 rank = _inverse_permutations(rngs["pick"].random(4))
                 words = np.nonzero(rank < nw)[0]
@@ -806,3 +601,17 @@ class BatchEventSynthesis:
                 flips=flips,
             ))
         return events
+
+
+class SoftErrorEventGenerator(BatchEventSynthesis):
+    """Scalar front over :class:`BatchEventSynthesis`, kept for the public
+    API: every call draws from the synthesizer's next seed spawn."""
+
+    def generate_event(self, time_s: float, class_probabilities=None
+                       ) -> SoftErrorEvent:
+        """One event at ``time_s``; an explicit class mixture overrides the
+        default."""
+        return self.events_at([time_s], class_probabilities)[0]
+
+    #: Poisson arrivals over an in-beam interval (see ``interval_events``)
+    events_in = BatchEventSynthesis.interval_events

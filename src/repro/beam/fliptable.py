@@ -196,6 +196,40 @@ class FlipTable:
             },
         )
 
+    def to_events(self):
+        """Scalar :class:`~repro.beam.events.SoftErrorEvent` objects, the
+        inverse of :meth:`from_events` (requires ``time_s`` and
+        ``class_code`` columns, as the synthesizer writes them)."""
+        from repro.beam.events import EventClass, SoftErrorEvent
+
+        classes = list(EventClass)
+        entries = self.site_entry.tolist()
+        bits = np.split(self.flip_bit, self.site_flip_start[1:-1])
+        starts = self.event_site_start().tolist()
+        return [
+            SoftErrorEvent(
+                time_s=float(time_s),
+                event_class=classes[code],
+                flips=dict(zip(entries[lo:hi], bits[lo:hi])),
+            )
+            for time_s, code, lo, hi in zip(
+                self.event_columns["time_s"].tolist(),
+                self.event_columns["class_code"].tolist(),
+                starts[:-1], starts[1:],
+            )
+        ]
+
+    def packed_rows(self) -> np.ndarray:
+        """Each site's flips as one bit-packed ``(S, 5)`` uint64 row."""
+        bit = self.flip_bit.astype(np.int64)
+        site = np.repeat(np.arange(self.n_sites), self.flips_per_site())
+        rows = np.zeros((self.n_sites, -(-ENTRY_BITS // 64)), dtype=np.uint64)
+        np.bitwise_or.at(
+            rows, (site, bit >> 6),
+            np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)),
+        )
+        return rows
+
     def to_observed_events(self):
         """Reconstruct scalar :class:`~repro.beam.postprocess.ObservedEvent`
         objects (requires ``run``/``write_cycle``/``read_pass`` columns)."""

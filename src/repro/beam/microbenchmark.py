@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.beam.ancode import an_pattern_words_batch
+from repro.beam.fliptable import unpack_packed_rows
 from repro.dram.device import SimulatedHBM2
 from repro.gf.gf2 import pack_rows
 
@@ -175,13 +176,11 @@ class Microbenchmark:
         write_cycles: int = 10,
         reads_per_write: int = 20,
         loop_time_s: float = 0.05,
-        use_batch_scan: bool = False,
     ) -> None:
         self.device = device
         self.write_cycles = write_cycles
         self.reads_per_write = reads_per_write
         self.loop_time_s = loop_time_s
-        self.use_batch_scan = use_batch_scan
 
     def run(
         self,
@@ -229,31 +228,17 @@ class Microbenchmark:
     def _scan(self, expected, packed):
         """Mismatching (entry, data-bit positions) pairs, ascending entries.
 
-        The batch path zeroes the packed ECC word (bits 256-287 live
-        entirely in word 4) and unpacks only surviving rows — record for
-        record what the scalar scan's ``bit < 256`` filter produces.
+        One packed scan over every fault site.  ECC is disabled, so only
+        the four data words (bits 0-255) of each difference are observed.
         """
-        if not self.use_batch_scan:
-            for mismatch in self.device.scan_mismatches(expected):
-                data_positions = tuple(
-                    bit for bit in mismatch.bit_positions if bit < _DATA_BITS
-                )
-                if data_positions:
-                    yield mismatch.entry_index, data_positions
-            return
         entries, diff = self.device.scan_mismatches_batch(expected, packed)
-        diff = diff.copy()
-        diff[:, _DATA_BITS // 64:] = 0
-        keep = diff.any(axis=1)
-        if not keep.any():
-            return
-        from repro.beam.fliptable import unpack_packed_rows
-
-        kept_entries = entries[keep]
-        row_of_flip, bits = unpack_packed_rows(diff[keep])
-        starts = np.searchsorted(row_of_flip,
-                                 np.arange(kept_entries.size + 1))
+        data = diff[:, :_DATA_BITS // 64]
+        keep = data.any(axis=1)
+        row_of_flip, bits = unpack_packed_rows(data[keep])
+        kept_entries = entries[keep].tolist()
+        starts = np.searchsorted(
+            row_of_flip, np.arange(len(kept_entries) + 1)
+        ).tolist()
+        bits = bits.tolist()
         for index, entry in enumerate(kept_entries):
-            yield int(entry), tuple(
-                int(b) for b in bits[starts[index]:starts[index + 1]]
-            )
+            yield entry, tuple(bits[starts[index]:starts[index + 1]])

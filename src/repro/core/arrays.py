@@ -5,14 +5,15 @@ them together at a merge point; every one of those merge points needs the
 same two-line dance (``np.concatenate`` unless the list is empty, in which
 case a *typed* empty array — ``np.concatenate([])`` raises).  This module
 is the one home for that dance so the engine, transport and table code
-stop growing private ``_cat`` clones.
+stop growing private ``_cat`` clones.  It also holds ``sorted_unique``,
+which the device scan and the dedupe index use in place of ``np.unique``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["concat_or_empty"]
+__all__ = ["concat_or_empty", "sorted_unique"]
 
 
 def concat_or_empty(parts: list, dtype, *, consume: bool = False) -> np.ndarray:
@@ -28,3 +29,12 @@ def concat_or_empty(parts: list, dtype, *, consume: bool = False) -> np.ndarray:
     if consume:
         parts.clear()
     return stacked
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` for int64 by sort and run-start mask (numpy's own
+    imports ``numpy.ma`` on first use, a cost a short CLI run notices)."""
+    values = np.sort(values)
+    if values.size > 1:
+        values = values[np.r_[True, values[1:] != values[:-1]]]
+    return values

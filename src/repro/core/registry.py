@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from repro.codes.hsiao import hsiao_code, hsiao_search_code
+from repro.codes.hsiao import HSIAO_72_64, hsiao_search_code
 from repro.codes.sec2bec import (
     SEC_2BEC_72_64,
     interleave_column_permutation,
@@ -128,15 +128,15 @@ def _build_scheme(name: str) -> ECCScheme:
     """Build the scheme for one *canonical* registry name (cached)."""
     if name == "ni-secded":
         return BinaryEntryScheme(
-            hsiao_code(), interleaved=False, name=name, label="NI:SEC-DED"
+            HSIAO_72_64, interleaved=False, name=name, label="NI:SEC-DED"
         )
     if name == "i-secded":
         return BinaryEntryScheme(
-            hsiao_code(), interleaved=True, name=name, label="I:SEC-DED"
+            HSIAO_72_64, interleaved=True, name=name, label="I:SEC-DED"
         )
     if name == "duet":
         return BinaryEntryScheme(
-            hsiao_code(),
+            HSIAO_72_64,
             interleaved=True,
             csc=True,
             name=name,

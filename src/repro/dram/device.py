@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.arrays import sorted_unique
 from repro.dram.geometry import HBM2Geometry
 from repro.dram.refresh import RefreshConfig, WeakCell
 from repro.gf.gf2 import pack_rows, unpack_rows
@@ -342,14 +343,12 @@ class SimulatedHBM2:
         """
         self._consolidate_upsets()
         self._consolidate_weak()
-        entries = np.union1d(
-            np.union1d(
-                self._upset_entries_arr,
-                np.fromiter(self._written, dtype=np.int64,
-                            count=len(self._written)),
-            ),
+        entries = sorted_unique(np.concatenate([
+            self._upset_entries_arr,
+            np.fromiter(self._written, dtype=np.int64,
+                        count=len(self._written)),
             self._weak_entry,
-        ).astype(np.int64)
+        ]).astype(np.int64))
         if not entries.size:
             return entries, np.empty((0, _PACKED_WORDS), dtype=np.uint64)
 

@@ -511,12 +511,12 @@ def scheme_hardware() -> dict[str, tuple[Table3Row | None, Table3Row | None]]:
     The extension tier's multi-cycle iterative decoders have no single-cycle
     netlist and map to ``(None, None)``.
     """
-    from repro.codes.hsiao import hsiao_code
+    from repro.codes.hsiao import HSIAO_72_64
     from repro.codes.reed_solomon import ReedSolomonCode
     from repro.codes.sec2bec import SEC_2BEC_72_64, paper_pair_table
     from repro.core.registry import known_scheme_names
 
-    hsiao = hsiao_code()
+    hsiao = HSIAO_72_64
     sec2bec = SEC_2BEC_72_64
     pairs = paper_pair_table()
     rs18 = ReedSolomonCode(18, 16)

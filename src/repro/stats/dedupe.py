@@ -41,18 +41,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.arrays import concat_or_empty
+from repro.core.arrays import concat_or_empty, sorted_unique
 
 __all__ = ["EntryOccupancy"]
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` for int64 by sort and run-start mask (numpy's own
-    imports ``numpy.ma`` on first use, a cost a short CLI run notices)."""
-    values = np.sort(values)
-    if values.size > 1:
-        values = values[np.r_[True, values[1:] != values[:-1]]]
-    return values
 
 
 #: entries per slice when the set folds into the new bitmap: bounds the
@@ -91,7 +82,7 @@ class EntryOccupancy:
         unique_entries = np.asarray(unique_entries, dtype=np.int64)
         if unique_entries.size > 1 \
                 and (unique_entries[1:] <= unique_entries[:-1]).any():
-            unique_entries = _sorted_unique(unique_entries)
+            unique_entries = sorted_unique(unique_entries)
         if unique_entries.size:
             if int(unique_entries[-1]) >= self.total_entries \
                     or int(unique_entries[0]) < 0:
@@ -157,7 +148,7 @@ class EntryOccupancy:
         """Sorted unique damaged entries folded so far (int64)."""
         if not self._damaged_parts:
             return np.empty(0, dtype=np.int64)
-        merged = _sorted_unique(
+        merged = sorted_unique(
             concat_or_empty(self._damaged_parts, np.int64))
         # keep the deduped form so repeated calls stay cheap
         self._damaged_parts = [merged]

@@ -5,23 +5,26 @@ import pytest
 
 from repro.beam.campaign import BeamCampaign, CampaignConfig, refresh_sweep
 from repro.beam.displacement import DamageParameters, DisplacementDamageModel
-from repro.beam.events import EventParameters
+from repro.beam.events import BatchEventSynthesis, EventParameters
 from repro.beam.postprocess import filter_intermittent, group_events
+from repro.dram.geometry import HBM2Geometry
 from repro.dram.refresh import RefreshConfig
+
+
+CONFIG = CampaignConfig(
+    runs=2,
+    write_cycles=5,
+    reads_per_write=4,
+    loop_time_s=2.0,
+    seed=77,
+    event_parameters=EventParameters(mean_time_to_event_s=6.0),
+    damage_parameters=DamageParameters(leaky_pool=60, saturation_fluence=2e8),
+)
 
 
 @pytest.fixture(scope="module")
 def result():
-    config = CampaignConfig(
-        runs=2,
-        write_cycles=5,
-        reads_per_write=4,
-        loop_time_s=2.0,
-        seed=77,
-        event_parameters=EventParameters(mean_time_to_event_s=6.0),
-        damage_parameters=DamageParameters(leaky_pool=60, saturation_fluence=2e8),
-    )
-    return BeamCampaign(config).run()
+    return BeamCampaign(CONFIG).run()
 
 
 class TestCampaign:
@@ -71,6 +74,25 @@ class TestCampaign:
             soft_entries.update(event.flips)
         for entry in filtered.damaged_entries:
             assert entry in weak_entries or entry in soft_entries
+
+
+class TestGroundTruth:
+    def test_events_come_from_one_synthesis_call(self, result):
+        """The injected events are one interval draw over the whole
+        campaign, not one draw per loop step."""
+        duration_s = (CONFIG.runs * CONFIG.write_cycles
+                      * (1 + CONFIG.reads_per_write) * CONFIG.loop_time_s)
+        truth = BatchEventSynthesis(
+            HBM2Geometry.for_gpu(CONFIG.gpu_capacity_gb),
+            CONFIG.event_parameters, seed=CONFIG.seed + 1,
+        ).interval_events(duration_s)
+        assert len(result.events) == len(truth) > 5
+        for got, want in zip(result.events, truth):
+            assert got.time_s == want.time_s
+            assert got.event_class is want.event_class
+            assert list(got.flips) == list(want.flips)
+            for entry, positions in want.flips.items():
+                assert np.array_equal(got.flips[entry], positions)
 
 
 class TestRefreshSweep:

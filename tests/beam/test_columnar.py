@@ -13,6 +13,7 @@ from repro.beam.microbenchmark import (
     ANPattern,
     CheckerboardPattern,
     Microbenchmark,
+    MismatchRecord,
     STANDARD_PATTERNS,
     UniformPattern,
 )
@@ -51,6 +52,24 @@ class TestPacking:
         assert np.array_equal(bit_back, bits[order])
 
 
+    def test_table_packed_rows_and_events(self):
+        times = np.arange(300, dtype=np.float64) * 20.0
+        table = BatchEventSynthesis(seed=5).table_at(times)
+        events = BatchEventSynthesis(seed=5).events_at(times)
+        dense = np.zeros((table.n_sites, 288), dtype=np.uint8)
+        for row, positions in zip(
+            dense, (p for e in events for p in e.flips.values())
+        ):
+            row[positions] = 1
+        assert np.array_equal(table.packed_rows(), pack_rows(dense))
+        back = table.to_events()
+        assert [(e.time_s, e.event_class, list(e.flips)) for e in back] \
+            == [(e.time_s, e.event_class, list(e.flips)) for e in events]
+        for got, want in zip(back, events):
+            for entry, positions in want.flips.items():
+                assert np.array_equal(got.flips[entry], positions)
+
+
 # ---------------------------------------------------------------------------
 # Vectorized synthesis vs the scalar oracle
 # ---------------------------------------------------------------------------
@@ -87,41 +106,67 @@ class TestBatchSynthesis:
 
 
 # ---------------------------------------------------------------------------
-# Batched device scan vs the scalar scan
+# The microbenchmark's packed scan vs the scalar device scan
 # ---------------------------------------------------------------------------
+
+def _corruptor(seed: int):
+    """Injects 40 three-bit upsets per call, the same ones for one seed."""
+    rng = np.random.default_rng(seed)
+
+    def corrupt(device):
+        for entry in rng.integers(0, 10_000, size=40):
+            flips = np.zeros(288, dtype=np.uint8)
+            flips[rng.choice(288, size=3, replace=False)] = 1
+            device.inject_upset(int(entry), flips)
+
+    return corrupt
+
 
 class TestBatchScan:
     @pytest.mark.parametrize("pattern_index", [0, 1, 2])
     def test_microbenchmark_records_identical(self, pattern_index):
-        pattern_scalar = STANDARD_PATTERNS()[pattern_index]
-        pattern_batch = STANDARD_PATTERNS()[pattern_index]
-        rng = np.random.default_rng(9)
+        write_cycles, reads_per_write = 2, 2
+        device = SimulatedHBM2(_small_geometry())
+        corrupt = _corruptor(9)
+        bench = Microbenchmark(
+            device, write_cycles=write_cycles,
+            reads_per_write=reads_per_write,
+        )
+        records = bench.run(
+            STANDARD_PATTERNS()[pattern_index],
+            environment=lambda dt: corrupt(device),
+        )
 
-        def corrupt(device):
-            for entry in rng.integers(0, 10_000, size=40):
-                flips = np.zeros(288, dtype=np.uint8)
-                flips[rng.choice(288, size=3, replace=False)] = 1
-                device.inject_upset(int(entry), flips)
-
-        results = []
-        for pattern, use_batch in (
-            (pattern_scalar, False), (pattern_batch, True)
-        ):
-            rng = np.random.default_rng(9)
-            device = SimulatedHBM2(_small_geometry())
+        # The oracle: the same loop and corruption schedule, written out
+        # over the scalar scan with its data-bit filter.
+        pattern = STANDARD_PATTERNS()[pattern_index]
+        device = SimulatedHBM2(_small_geometry())
+        corrupt = _corruptor(9)
+        expected_records = []
+        clock = 0.0
+        for cycle in range(write_cycles):
+            inverted = cycle % 2 == 1
+            expected = pattern.entry_fn(inverted)
+            device.write_all(expected)
             corrupt(device)
-            bench = Microbenchmark(
-                device, write_cycles=2, reads_per_write=2,
-                use_batch_scan=use_batch,
-            )
-            # re-corrupt after each write via the environment hook
-            cycle = {"n": 0}
-
-            def environment(dt, device=device):
+            clock += bench.loop_time_s
+            for read_pass in range(reads_per_write):
+                for mismatch in device.scan_mismatches(expected):
+                    data = tuple(
+                        bit for bit in mismatch.bit_positions if bit < 256
+                    )
+                    if data:
+                        expected_records.append(MismatchRecord(
+                            time_s=clock, run=0, pattern=pattern.name,
+                            write_cycle=cycle, read_pass=read_pass,
+                            inverted=inverted,
+                            entry_index=mismatch.entry_index,
+                            bit_positions=data,
+                        ))
                 corrupt(device)
-
-            results.append(bench.run(pattern, environment=environment))
-        assert results[0] == results[1]
+                clock += bench.loop_time_s
+        assert records
+        assert records == expected_records
 
 
 # ---------------------------------------------------------------------------
