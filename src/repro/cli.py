@@ -1,27 +1,8 @@
 """Command-line interface: ``python -m repro <command>`` (or ``repro``).
 
-Gives shell access to the main workflows of the library:
-
-``schemes``     list every available ECC organization
-``evaluate``    per-pattern and Table-1-weighted outcomes for one scheme
-``fig8``        the Figure-8 comparison across all nine organizations
-``hardware``    Table-3 encoder/decoder synthesis estimates
-                (``--expansion`` adds the expansion-tier circuits)
-``rank``        code-space superset ranking: resilience x area x delay
-                across every registered organization
-``campaign``    run a simulated beam campaign and derive the error patterns
-``system``      exascale MTTI/MTTF and the ISO 26262 automotive assessment
-``search``      run the genetic SEC-2bEC code search and print the H matrix
-``report``      generate the full reproduction report as Markdown
-``runs``        inspect the persistent run store (list/show/diff/gc)
-``chaos``       campaign under a seeded fault schedule (crash-consistency
-                harness; asserts recovery and clean-identical statistics;
-                ``--serve`` targets the daemon instead of the CLI)
-``serve``       run the multi-tenant async campaign service (HTTP/JSON
-                API with dedupe, fair-share scheduling and SSE progress)
-``submit``      submit one job to a running ``repro serve`` daemon
-``jobs``        list/show/watch/cancel jobs on a running daemon
-``version``     print the package version (also ``repro --version``)
+Gives shell access to the main workflows of the library.  Each command is
+declared once in ``_COMMANDS`` — its one-line help, the function that adds
+its arguments and its handler; ``repro -h`` lists them all.
 
 Every evaluation subcommand also accepts ``--inject-faults SPEC`` (or the
 ``REPRO_FAULTS`` environment variable) to activate the deterministic
@@ -39,7 +20,10 @@ as cache hits, so only the unfinished work is recomputed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
+from typing import Callable, NamedTuple
 
 from repro.analysis.tables import format_percent, format_table
 
@@ -72,12 +56,14 @@ def _scheme_or_error(name: str):
         ) from None
 
 
+@functools.cache
 def version_string() -> str:
     """``repro <version>`` from installed metadata, else the package.
 
     An installed distribution's metadata wins (it reflects what pip
     actually deployed); a source checkout that was never installed falls
-    back to ``repro.__version__``.
+    back to ``repro.__version__``.  Cached: each metadata lookup scans
+    ``sys.path``, and the serve daemon's ``/healthz`` asks on every call.
     """
     try:
         from importlib.metadata import version as _dist_version
@@ -171,111 +157,114 @@ def _add_store_flags(parser: argparse.ArgumentParser,
              "cycles so 'times=' budgets hold globally")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser for every subcommand."""
+class _VersionAction(argparse.Action):
+    """``--version``, whose string is computed only when the flag is given:
+    :func:`version_string` imports ``importlib.metadata``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(version_string())
+        parser.exit()
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, or of ``command`` alone
+    (what :func:`main` builds, so it imports no other command's module).
+    The one-command parser still names every command in its usage line,
+    so its error messages read exactly as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Characterizing and Mitigating Soft "
                     "Errors in GPU DRAM' (MICRO 2021).",
     )
-    parser.add_argument("--version", action="version",
-                        version=version_string())
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("--version", action=_VersionAction, nargs=0,
+                        default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name in _COMMANDS if command is None else (command,):
+        spec = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=spec.help)
+        if spec.arguments is not None:
+            spec.arguments(subparser)
+    return parser
 
-    sub.add_parser("version", help="print the package version")
 
-    sub.add_parser("schemes", help="list available ECC organizations")
+def _sweep_arguments(parser, samples_help: str | None = None,
+                     seed: int = 1234) -> None:
+    """``--samples``, ``--seed`` and the run-store flags of a sweep."""
+    parser.add_argument("--samples", type=_sample_count, default=20_000,
+                        help=samples_help)
+    parser.add_argument("--seed", type=int, default=seed)
+    _add_store_flags(parser)
 
-    evaluate = sub.add_parser("evaluate", help="evaluate one ECC scheme")
-    evaluate.add_argument("scheme", help="registry name, e.g. trio")
-    evaluate.add_argument("--samples", type=_sample_count, default=20_000,
-                          help="Monte Carlo samples per sampled pattern")
-    evaluate.add_argument("--seed", type=int, default=1234)
-    _add_store_flags(evaluate)
 
-    fig8 = sub.add_parser("fig8", help="Figure-8 comparison of all schemes")
-    fig8.add_argument("--samples", type=_sample_count, default=20_000)
-    fig8.add_argument("--seed", type=int, default=1234)
-    _add_store_flags(fig8)
+_SAMPLES_HELP = "Monte Carlo samples per sampled pattern"
 
-    hardware = sub.add_parser("hardware", help="Table-3 synthesis estimates")
-    hardware.add_argument(
+
+def _evaluate_arguments(parser) -> None:
+    parser.add_argument("scheme", help="registry name, e.g. trio")
+    _sweep_arguments(parser, _SAMPLES_HELP)
+
+
+def _hardware_arguments(parser) -> None:
+    parser.add_argument(
         "--expansion", action="store_true",
         help="also synthesize the expansion-tier circuits (searched Hsiao, "
              "SEC-DAEC, BCH DEC, polar) against the SEC-DED baseline")
 
-    rank = sub.add_parser(
-        "rank", help="code-space superset ranking: resilience x area x delay "
-                     "across every registered organization")
-    rank.add_argument("--samples", type=_sample_count, default=20_000,
-                      help="Monte Carlo samples per sampled pattern")
-    rank.add_argument("--seed", type=int, default=1234)
-    _add_store_flags(rank)
 
-    campaign = sub.add_parser("campaign", help="run a simulated beam campaign")
-    campaign.add_argument("--runs", type=_campaign_count, default=3)
-    campaign.add_argument("--seed", type=int, default=2021)
-    campaign.add_argument("--events", type=_campaign_count, default=3000,
-                          help="generator-truth events for the statistics")
-    campaign.add_argument("--engine", choices=["shm", "reference"],
-                          default="shm",
-                          help="statistics-campaign implementation "
-                               "(bit-identical results; default shm, the "
-                               "fused shared-memory fast path; reference "
-                               "is the scalar oracle)")
-    campaign.add_argument("--stats", choices=["materialize", "streaming"],
-                          default=None,
-                          help="statistics path: stream mergeable "
-                               "accumulators in bounded memory (default), "
-                               "or materialize per-event columns "
-                               "(identical numbers; the default and only "
-                               "choice on --engine reference)")
-    campaign.add_argument("--workers", type=int, default=None, metavar="N",
-                          help="fan statistics chunks out over N worker "
-                               "processes (bit-identical to the serial run)")
-    campaign.add_argument("--fleet-size", type=int, default=None,
-                          metavar="N",
-                          help="scale the campaign's Table 1 to a fleet of "
-                               "N GPUs: FIT split, SDC/DUE MTBF, and "
-                               "mission risk under --fleet-scheme")
-    campaign.add_argument("--fleet-scheme", default="trio",
-                          help="ECC scheme the fleet model assumes "
-                               "(default: trio)")
-    campaign.add_argument("--chunk-timeout", type=_timeout_seconds,
-                          default=None, metavar="SECONDS",
-                          help="per-chunk wall-clock bound in the fanned-out "
-                               "path (timed-out chunks are requeued, then "
-                               "run serially)")
-    _add_store_flags(campaign, workers=False)
+def _campaign_arguments(parser) -> None:
+    parser.add_argument("--runs", type=_campaign_count, default=3)
+    parser.add_argument("--seed", type=int, default=2021)
+    parser.add_argument("--events", type=_campaign_count, default=3000,
+                        help="generator-truth events for the statistics")
+    parser.add_argument(
+        "--engine", choices=["shm", "reference"], default="shm",
+        help="statistics-campaign implementation (bit-identical results; "
+             "default shm, the fused shared-memory fast path; reference is "
+             "the scalar oracle)")
+    parser.add_argument(
+        "--stats", choices=["materialize", "streaming"], default=None,
+        help="statistics path: stream mergeable accumulators in bounded "
+             "memory (default), or materialize per-event columns (identical "
+             "numbers; the default and only choice on --engine reference)")
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="fan statistics chunks out over N worker "
+                             "processes (bit-identical to the serial run)")
+    parser.add_argument(
+        "--fleet-size", type=int, default=None, metavar="N",
+        help="scale the campaign's Table 1 to a fleet of N GPUs: FIT split, "
+             "SDC/DUE MTBF, and mission risk under --fleet-scheme")
+    parser.add_argument("--fleet-scheme", default="trio",
+                        help="ECC scheme the fleet model assumes "
+                             "(default: trio)")
+    parser.add_argument(
+        "--chunk-timeout", type=_timeout_seconds, default=None,
+        metavar="SECONDS",
+        help="per-chunk wall-clock bound in the fanned-out path (timed-out "
+             "chunks are requeued, then run serially)")
+    _add_store_flags(parser, workers=False)
 
-    system = sub.add_parser("system", help="HPC and automotive system models")
-    system.add_argument("--scheme", default="trio")
-    system.add_argument("--samples", type=_sample_count, default=20_000)
-    system.add_argument("--exaflops", type=float, nargs="+",
+
+def _system_arguments(parser) -> None:
+    parser.add_argument("--scheme", default="trio")
+    parser.add_argument("--samples", type=_sample_count, default=20_000)
+    parser.add_argument("--exaflops", type=float, nargs="+",
                         default=[0.5, 1.0, 2.0])
-    _add_store_flags(system)
+    _add_store_flags(parser)
 
-    report = sub.add_parser("report", help="full reproduction report (Markdown)")
-    report.add_argument("-o", "--output", default=None,
+
+def _report_arguments(parser) -> None:
+    parser.add_argument("-o", "--output", default=None,
                         help="write to a file instead of stdout")
-    report.add_argument("--samples", type=_sample_count, default=20_000)
-    report.add_argument("--seed", type=int, default=20211018)
-    _add_store_flags(report)
+    _sweep_arguments(parser, seed=20211018)
 
-    search = sub.add_parser("search", help="genetic SEC-2bEC code search")
-    search.add_argument("--population", type=int, default=24)
-    search.add_argument("--generations", type=int, default=40)
-    search.add_argument("--seed", type=int, default=2021)
 
-    from repro.faults.chaos import add_chaos_parser
-    from repro.runs.cli import add_runs_parser
-    from repro.serve.options import add_client_parsers, add_serve_parser
-
-    add_runs_parser(sub)
-    add_chaos_parser(sub)
-    add_serve_parser(sub)
-    add_client_parsers(sub)
-    return parser
+def _search_arguments(parser) -> None:
+    parser.add_argument("--population", type=int, default=24)
+    parser.add_argument("--generations", type=int, default=40)
+    parser.add_argument("--seed", type=int, default=2021)
 
 
 def _install_fault_plan(args) -> None:
@@ -334,16 +323,12 @@ class _NullSession:
     tracer = None
 
     def stage(self, name):
-        import contextlib
-
         return contextlib.nullcontext()
 
     def record_counters(self, counters: dict) -> None:
         pass
 
     def active(self):
-        import contextlib
-
         return contextlib.nullcontext()
 
     def summary(self):
@@ -396,6 +381,7 @@ def evaluate_session_config(args) -> dict:
 
 
 def fig8_session_config(args) -> dict:
+    """The config of a sweep over every scheme (fig8, rank, report)."""
     return {
         "samples": args.samples, "seed": args.seed,
         "workers": args.workers, "cell_timeout": args.cell_timeout,
@@ -569,17 +555,10 @@ def _cmd_hardware(args=None) -> None:
             print()
 
 
-def rank_session_config(args) -> dict:
-    return {
-        "samples": args.samples, "seed": args.seed,
-        "workers": args.workers, "cell_timeout": args.cell_timeout,
-    }
-
-
 def _cmd_rank(args, out=print):
     from repro.analysis.ranking import format_ranking, ranking_rows
 
-    session = _session_or_null(args, "rank", rank_session_config(args))
+    session = _session_or_null(args, "rank", fig8_session_config(args))
     cfg = session.config
     with session.active():
         with session.stage("rank"):
@@ -748,10 +727,7 @@ def _cmd_system(args) -> None:
 def _cmd_report(args) -> None:
     from repro.analysis.report import generate_report
 
-    session = _session_or_null(args, "report", {
-        "samples": args.samples, "seed": args.seed,
-        "workers": args.workers, "cell_timeout": args.cell_timeout,
-    })
+    session = _session_or_null(args, "report", fig8_session_config(args))
     cfg = session.config
     with session.active():
         with session.stage("report"):
@@ -785,9 +761,87 @@ def _cmd_search(args) -> None:
         print(f"  {row}")
 
 
+def _run_campaign(args) -> int | None:
+    from repro.stats import TooFewEventsError
+
+    try:
+        _cmd_campaign(args)
+    except TooFewEventsError as exc:
+        print(f"repro: error: the campaign observed too few events "
+              f"to derive its statistics ({exc})", file=sys.stderr)
+        return 1
+
+
+def _lazy(target: str) -> Callable:
+    """The function ``"module:name"``, imported on its first call, so a
+    command's module loads only when that command is built or run."""
+    module, name = target.split(":")
+
+    def call(*args):
+        from importlib import import_module
+
+        return getattr(import_module(module), name)(*args)
+    return call
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: Callable | None  #: adds its arguments to a subparser
+    run: Callable  #: args -> exit code; a non-int (a run session) means 0
+
+
+#: every command, in ``repro -h`` order
+_COMMANDS = {
+    "version": _Command("print the package version", None,
+                        lambda args: print(version_string())),
+    "schemes": _Command("list available ECC organizations", None,
+                        lambda args: _cmd_schemes()),
+    "evaluate": _Command("evaluate one ECC scheme", _evaluate_arguments,
+                         _cmd_evaluate),
+    "fig8": _Command("Figure-8 comparison of all schemes", _sweep_arguments,
+                     _cmd_fig8),
+    "hardware": _Command("Table-3 synthesis estimates", _hardware_arguments,
+                         _cmd_hardware),
+    "rank": _Command("code-space superset ranking: resilience x area x "
+                     "delay across every registered organization",
+                     functools.partial(_sweep_arguments,
+                                       samples_help=_SAMPLES_HELP),
+                     _cmd_rank),
+    "campaign": _Command("run a simulated beam campaign", _campaign_arguments,
+                         _run_campaign),
+    "system": _Command("HPC and automotive system models", _system_arguments,
+                       _cmd_system),
+    "report": _Command("full reproduction report (Markdown)",
+                       _report_arguments, _cmd_report),
+    "search": _Command("genetic SEC-2bEC code search", _search_arguments,
+                       _cmd_search),
+    "runs": _Command("inspect the persistent run store",
+                     _lazy("repro.runs.cli:add_runs_arguments"),
+                     _lazy("repro.runs.cli:cmd_runs")),
+    "chaos": _Command("campaign under a seeded fault schedule; asserts "
+                      "recovery and clean-run-identical statistics",
+                      _lazy("repro.faults.chaos:add_chaos_arguments"),
+                      _lazy("repro.faults.chaos:cmd_chaos")),
+    "serve": _Command("run the multi-tenant campaign service (HTTP/JSON + "
+                      "SSE)",
+                      _lazy("repro.serve.options:add_serve_arguments"),
+                      _lazy("repro.serve.server:cmd_serve")),
+    "submit": _Command("submit a job to a running repro serve daemon",
+                       _lazy("repro.serve.options:add_submit_arguments"),
+                       _lazy("repro.serve.client:cmd_submit")),
+    "jobs": _Command("inspect or control jobs on a repro serve daemon",
+                     _lazy("repro.serve.options:add_jobs_arguments"),
+                     _lazy("repro.serve.client:cmd_jobs")),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named command's parser; anything else (no argv, -h,
+    # --version, an unknown name) gets every command for its help or error
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if hasattr(args, "engine"):  # campaign, chaos: the engine's stats mode
         from repro.beam.engine import resolve_stats_mode
@@ -810,57 +864,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     try:
-        if args.command == "version":
-            print(version_string())
-        elif args.command == "schemes":
-            _cmd_schemes()
-        elif args.command == "evaluate":
-            _cmd_evaluate(args)
-        elif args.command == "fig8":
-            _cmd_fig8(args)
-        elif args.command == "hardware":
-            _cmd_hardware(args)
-        elif args.command == "rank":
-            _cmd_rank(args)
-        elif args.command == "campaign":
-            from repro.stats import TooFewEventsError
-
-            try:
-                _cmd_campaign(args)
-            except TooFewEventsError as exc:
-                print(f"repro: error: the campaign observed too few events "
-                      f"to derive its statistics ({exc})", file=sys.stderr)
-                return 1
-        elif args.command == "system":
-            _cmd_system(args)
-        elif args.command == "report":
-            _cmd_report(args)
-        elif args.command == "search":
-            _cmd_search(args)
-        elif args.command == "runs":
-            from repro.runs.cli import cmd_runs
-
-            return cmd_runs(args)
-        elif args.command == "chaos":
-            from repro.faults.chaos import cmd_chaos
-
-            return cmd_chaos(args)
-        elif args.command == "serve":
-            from repro.serve.server import cmd_serve
-
-            return cmd_serve(args)
-        elif args.command == "submit":
-            from repro.serve.client import cmd_submit
-
-            return cmd_submit(args)
-        elif args.command == "jobs":
-            from repro.serve.client import cmd_jobs
-
-            return cmd_jobs(args)
-        return 0
+        code = _COMMANDS[args.command].run(args)
     except SchemeNameError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    return code if isinstance(code, int) else 0
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ __all__ = [
     "DEFAULT_SPEC",
     "KILL_SERVE_SPEC",
     "LEGS",
-    "add_chaos_parser",
+    "add_chaos_arguments",
     "cmd_chaos",
 ]
 
@@ -97,15 +97,10 @@ _DRAIN_TIMEOUT_S = 60.0
 _TERMINAL = frozenset({"completed", "failed", "cancelled"})
 
 
-def add_chaos_parser(sub) -> None:
-    """Register the ``chaos`` subcommand on the main CLI's subparsers."""
+def add_chaos_arguments(chaos) -> None:
+    """Add the ``chaos`` command's arguments to its subparser."""
     from repro.cli import _campaign_count, _timeout_seconds
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="campaign under a seeded fault schedule; asserts recovery "
-             "and clean-run-identical statistics",
-    )
     chaos.add_argument("--events", type=_campaign_count, default=1200,
                        help="generator-truth events (>= 2 chunks so the "
                             "worker pool engages; default 1200)")

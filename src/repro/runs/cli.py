@@ -20,12 +20,11 @@ from repro.analysis.tables import format_table
 from repro.runs.session import read_checkpoint
 from repro.runs.store import RunStore
 
-__all__ = ["add_runs_parser", "cmd_runs"]
+__all__ = ["add_runs_arguments", "cmd_runs"]
 
 
-def add_runs_parser(sub) -> None:
-    """Register the ``runs`` subcommand on the main CLI's subparsers."""
-    runs = sub.add_parser("runs", help="inspect the persistent run store")
+def add_runs_arguments(runs) -> None:
+    """Add the ``runs`` command's arguments to its subparser."""
     runs.add_argument("--runs-dir", default=None,
                       help="store root (default: $REPRO_RUNS_DIR or "
                            "~/.cache/repro-runs)")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import secrets
-import subprocess
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -31,17 +30,66 @@ def new_run_id(now: float | None = None) -> str:
     return f"{stamp}-{secrets.token_hex(3)}"
 
 
+_HEX = frozenset("0123456789abcdef")
+
+
 def git_commit() -> str | None:
-    """Short commit hash of the working tree, or None outside a checkout."""
+    """Short (7-digit) commit hash of the working tree, or None outside a
+    checkout.
+
+    Read from the repository's files rather than by running ``git``, which
+    costs a few milliseconds on every run: find ``.git`` from the working
+    directory up (a directory, or a ``gitdir:`` file in a linked worktree
+    or submodule), then follow ``HEAD`` through the loose ref files and
+    ``packed-refs``.  A detached ``HEAD`` holds the hash itself.
+    """
     try:
-        result = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=2.0, check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
+        git_dir = _find_git_dir(Path.cwd())
+        if git_dir is None:
+            return None
+        common = git_dir
+        if (git_dir / "commondir").is_file():
+            common = git_dir / (git_dir / "commondir").read_text().strip()
+        head = (git_dir / "HEAD").read_text().strip()
+        for _ in range(8):  # symbolic refs may chain; bound the walk
+            if not head.startswith("ref:"):
+                break
+            head = _read_ref(git_dir, common, head[4:].strip())
+    except (OSError, UnicodeDecodeError, ValueError):
         return None
-    commit = result.stdout.strip()
-    return commit if result.returncode == 0 and commit else None
+    if len(head) in (40, 64) and set(head) <= _HEX:  # SHA-1 or SHA-256
+        return head[:7]
+    return None
+
+
+def _find_git_dir(start: Path) -> Path | None:
+    for folder in (start, *start.parents):
+        dot_git = folder / ".git"
+        if dot_git.is_dir():
+            return dot_git
+        if dot_git.is_file():
+            text = dot_git.read_text().strip()
+            if text.startswith("gitdir:"):
+                return folder / text[len("gitdir:"):].strip()
+    return None
+
+
+def _read_ref(git_dir: Path, common: Path, name: str) -> str:
+    """What ref ``name`` holds (a hash or ``ref: ...``); "" if unknown."""
+    for root in dict.fromkeys((git_dir, common)):  # per-worktree refs first
+        try:
+            return (root / name).read_text().strip()
+        except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+            pass
+    try:
+        packed = (common / "packed-refs").read_text()
+    except FileNotFoundError:
+        return ""
+    for line in packed.splitlines():
+        value, _, ref = line.partition(" ")
+        if ref == name and not line.startswith(("#", "^")):
+            return value
+    return ""
 
 
 @dataclass

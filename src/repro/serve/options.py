@@ -1,4 +1,4 @@
-"""Argument parsers of the ``serve``, ``submit`` and ``jobs`` subcommands.
+"""Arguments of the ``serve``, ``submit`` and ``jobs`` subcommands.
 
 Kept apart from :mod:`repro.serve.server` and :mod:`repro.serve.client`
 so that building the main CLI parser imports neither asyncio nor
@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import argparse
 
-__all__ = ["DEFAULT_URL", "add_client_parsers", "add_serve_parser"]
+__all__ = ["DEFAULT_URL", "add_jobs_arguments", "add_serve_arguments",
+           "add_submit_arguments"]
 
 DEFAULT_URL = "http://127.0.0.1:8023"
 
 
-def add_serve_parser(sub) -> None:
-    """Register the ``serve`` subcommand on the main CLI's subparsers."""
-    serve = sub.add_parser(
-        "serve",
-        help="run the multi-tenant campaign service (HTTP/JSON + SSE)",
-    )
+def add_serve_arguments(serve) -> None:
+    """Add the ``serve`` command's arguments to its subparser."""
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8023,
                        help="TCP port (0 picks a free one; default 8023)")
@@ -62,10 +59,8 @@ def add_serve_parser(sub) -> None:
     serve.add_argument("--faults-ledger", default=None, metavar="FILE")
 
 
-def add_client_parsers(sub) -> None:
-    """Register ``submit`` and ``jobs`` on the main CLI's subparsers."""
-    submit = sub.add_parser(
-        "submit", help="submit a job to a running repro serve daemon")
+def add_submit_arguments(submit) -> None:
+    """Add the ``submit`` command's arguments to its subparser."""
     submit.add_argument("kind", choices=("campaign", "evaluate", "fig8"))
     submit.add_argument("params", nargs="*", metavar="NAME=VALUE",
                         help="job parameters, e.g. scheme=on_die_ecc "
@@ -89,8 +84,9 @@ def add_client_parsers(sub) -> None:
     submit.add_argument("--timeout", type=float, default=3600.0,
                         help="watch timeout in seconds (default 3600)")
 
-    jobs = sub.add_parser(
-        "jobs", help="inspect or control jobs on a repro serve daemon")
+
+def add_jobs_arguments(jobs) -> None:
+    """Add the ``jobs`` command's arguments to its subparser."""
     jobs.add_argument("--url", default=None,
                       help="daemon URL (default: $REPRO_SERVE_URL or "
                            f"{DEFAULT_URL})")

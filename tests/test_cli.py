@@ -34,6 +34,89 @@ class TestParser:
         assert args.samples == 20_000
 
 
+#: one representative argv per command, for the one-command parser checks
+REPRESENTATIVE_ARGV = {
+    "version": ["version"],
+    "schemes": ["schemes"],
+    "evaluate": ["evaluate", "trio", "--samples", "500", "--no-cache"],
+    "fig8": ["fig8", "--seed", "3", "--workers", "2"],
+    "hardware": ["hardware", "--expansion"],
+    "rank": ["rank", "--samples", "300", "--cell-timeout", "5"],
+    "campaign": ["campaign", "--runs", "1", "--events", "2500",
+                 "--heartbeat", "0", "--engine", "reference"],
+    "system": ["system", "--scheme", "duet", "--exaflops", "1", "2"],
+    "report": ["report", "-o", "report.md", "--seed", "7"],
+    "search": ["search", "--population", "8", "--generations", "2"],
+    "runs": ["runs", "--runs-dir", "store", "trace", "run-1", "--limit", "0"],
+    "chaos": ["chaos", "--kill-daemon", "--events", "1200"],
+    "serve": ["serve", "--port", "0", "--tenant-weight", "a=2"],
+    "submit": ["submit", "campaign", "runs=1", "events=800", "--watch"],
+    "jobs": ["jobs", "list", "--state", "queued", "--url", "http://x"],
+}
+
+
+class TestOneCommandParser:
+    """``main`` builds only the named command's parser, which must read,
+    parse and fail exactly as the full parser does."""
+
+    @staticmethod
+    def _outcome(parser, argv, capsys):
+        """Exit code and printed text of parsing ``argv``."""
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return excinfo.value.code, captured.out, captured.err
+
+    def test_every_command_has_a_representative_argv(self, capsys):
+        from repro.cli import _COMMANDS
+
+        assert list(REPRESENTATIVE_ARGV) == list(_COMMANDS)
+        _, _, err = self._outcome(build_parser(), [], capsys)
+        assert "{" + ",".join(_COMMANDS) + "}" in err
+
+    @pytest.mark.parametrize("command", list(REPRESENTATIVE_ARGV))
+    def test_matches_the_full_parser(self, command, capsys):
+        one, full = build_parser(command), build_parser()
+        for argv in ([command, "-h"], [command, "--no-such-flag"]):
+            assert (self._outcome(one, argv, capsys)
+                    == self._outcome(full, argv, capsys))
+        argv = REPRESENTATIVE_ARGV[command]
+        assert one.parse_args(argv) == full.parse_args(argv)
+
+    @pytest.mark.parametrize("argv,built", [
+        (["version"], "version"),
+        ([], None),
+        (["-h"], None),
+        (["--version"], None),
+        (["frobnicate"], None),
+    ])
+    def test_main_builds_only_the_named_command(self, monkeypatch, argv,
+                                                built):
+        from repro import cli
+
+        built_for = []
+        real = cli.build_parser
+
+        def spy(command=None):
+            built_for.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        assert built_for == [built]
+
+    def test_version_flag_prints_what_the_version_command_prints(self,
+                                                                 capsys):
+        assert main(["version"]) == 0
+        command = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out == command
+
+
 class TestCommands:
     def test_schemes(self, capsys):
         assert main(["schemes"]) == 0
@@ -380,6 +463,16 @@ class TestStartupImports:
         code = "from repro.cli import build_parser; build_parser()"
         assert self._loaded(code, ("repro.core.shm",
                                    "multiprocessing.shared_memory")) == "[]"
+
+    def test_one_command_parser_loads_no_other_command(self):
+        # only --version needs importlib.metadata; only the named
+        # command's module is imported, and the campaign's engine loads
+        # when the command runs, not when its arguments are parsed
+        code = ("from repro.cli import build_parser\n"
+                "build_parser('campaign').parse_args(['campaign'])")
+        assert self._loaded(code, (
+            "importlib.metadata", "repro.faults.chaos", "repro.serve",
+            "repro.runs.cli", "repro.core.shm", "repro.beam")) == "[]"
 
     def test_lazy_analysis_names_still_import(self):
         from repro.analysis import fit_exponential, format_table
