@@ -2,17 +2,23 @@
 
 Tracks the injection->decode->label pipeline that produces Table 2 and
 Figure 8: per-cell events/second for representative schemes (surfacing the
-``PatternOutcome.elapsed_s`` counters), and the ``workers=`` fan-out of
+``PatternOutcome.elapsed_s`` counters), the packed samplers against their
+byte-row oracles, and the ``workers=`` fan-out of
 :func:`repro.errormodel.montecarlo.evaluate_scheme`, which must stay
 bit-identical to the serial run whatever the worker count.
 """
 
 import time
 
+import numpy as np
+
 from benchmarks._output import emit
 from repro.core import get_scheme
+from repro.errormodel import sampling
 from repro.errormodel.montecarlo import evaluate_scheme
 from repro.errormodel.patterns import ErrorPattern
+from repro.gf.gf2 import pack_rows
+from tests.errormodel import sampling_oracle
 
 SAMPLES = 20_000
 SEED = 20211018
@@ -41,6 +47,43 @@ def test_montecarlo_cell_throughput():
     emit("Throughput — Monte Carlo harness (per Table-2 cell)", "\n".join(rows))
     # The harness needs ~1e5 events/s overall to reach paper-scale samples.
     assert overall > 50_000
+
+
+#: sampler -> floor on its speedup over the byte-row oracle (packed, so
+#: both produce the words the decoders consume), 20,000 rows, best of 7
+SAMPLER_FLOORS = {"triple_bit": 1.5, "beat": 3.0, "entry": 1.3}
+
+
+def _best_seconds(fn, repeats=7):
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_packed_sampler_throughput():
+    """Each packed sampler beats its oracle on the identical stream."""
+    rows = [f"{'sampler':<11} {'oracle ms':>10} {'packed ms':>10} {'speedup':>8}"]
+    speedups = {}
+    for name, floor in SAMPLER_FLOORS.items():
+        packed = getattr(sampling, f"sample_{name}_errors_packed")
+        oracle = getattr(sampling_oracle, f"sample_{name}_errors")
+        assert np.array_equal(
+            packed(SAMPLES, np.random.default_rng(SEED)),
+            pack_rows(oracle(SAMPLES, np.random.default_rng(SEED))))
+        oracle_s = _best_seconds(
+            lambda: pack_rows(oracle(SAMPLES, np.random.default_rng(SEED))))
+        packed_s = _best_seconds(
+            lambda: packed(SAMPLES, np.random.default_rng(SEED)))
+        speedups[name] = oracle_s / packed_s
+        rows.append(f"{name:<11} {oracle_s * 1e3:>10.1f} {packed_s * 1e3:>10.1f} "
+                    f"{speedups[name]:>7.1f}x (floor {floor}x)")
+    emit("Throughput — packed samplers vs byte-row oracle", "\n".join(rows))
+    for name, floor in SAMPLER_FLOORS.items():
+        assert speedups[name] >= floor, (name, speedups[name])
 
 
 def test_montecarlo_workers_bit_identical():

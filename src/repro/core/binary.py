@@ -38,12 +38,14 @@ import numpy as np
 from repro.codes.linear import BinaryLinearCode, PairTable
 from repro.core.interleave import deinterleave_permutation
 from repro.core.layout import DATA_BITS, ENTRY_BITS, ENTRY_BYTES, NUM_BEATS, NUM_PINS
+from repro.core.rs_packed import PackedTables
 from repro.core.sanity_check import csc_violation, csc_violation_batch
+from repro.core.sanity_check import csc_violation_masks
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
 from repro.gf.gf2 import (
-    bytes_from_rows,
     bytes_from_words,
     pack_bits,
+    pack_rows,
     syndrome_byte_table,
     syndromes_batch,
     syndromes_from_bytes,
@@ -144,10 +146,11 @@ class BinaryEntryScheme(ECCScheme):
         An entry-wide ``(4R, 288)`` parity check stacks each codeword's H on
         its transmitted bit positions, so one byte-table gather yields all
         four packed syndromes in disjoint R-bit lanes of a single int64.
-        Each lane then indexes per-syndrome tables: DUE flag, correction
-        flag, corrected transmitted positions (for the CSC), and the
-        byte-packed correction mask whose XOR with the received entry gives
-        the residual.
+        Each lane then indexes per-syndrome tables: DUE and correction
+        flags, and the :class:`~repro.core.rs_packed.PackedTables` of the
+        packed-word correction (its XOR with the received entry gives the
+        residual) and of the location mask of the corrected bits (for the
+        CSC).
         """
         ncw = self.num_codewords
         r = self.code.r
@@ -155,7 +158,6 @@ class BinaryEntryScheme(ECCScheme):
         h_entry = np.zeros((ncw * r, ENTRY_BITS), dtype=np.uint8)
         for cw in range(ncw):
             h_entry[cw * r : (cw + 1) * r, self.trans_index[cw]] = self.code.h
-        self._entry_syndrome_table = syndrome_byte_table(h_entry)
         self._syndrome_shifts = (r * np.arange(ncw)).astype(np.int64)
         self._syndrome_mask = np.int64(space - 1)
 
@@ -163,28 +165,19 @@ class BinaryEntryScheme(ECCScheme):
         # decoder uses, over the whole syndrome space at once.
         every = np.tile(np.arange(space, dtype=np.int64)[:, None], (1, ncw))
         offsets, cw_due, cw_corrects = self._corrections(every)
-        lut_offsets = offsets[:, 0, :].copy()  # (space, 2), codeword-agnostic
-        self._lut_due = cw_due[:, 0].copy()
-        self._lut_corrects = cw_corrects[:, 0].copy()
+        lut_offsets = offsets[:, 0, :]  # (space, 2), codeword-agnostic
+        #: per syndrome, DUE << 8 | corrects: summed over the codewords it
+        #: counts the DUE codewords above bit 8 and the correcting ones below
+        self._lut_state = (cw_due[:, 0].astype(np.int16) << 8) | cw_corrects[:, 0]
 
-        #: corrected transmitted positions per (codeword, syndrome, slot)
-        self._lut_positions = np.where(
+        # corrected transmitted positions per (codeword, syndrome, slot)
+        positions = np.where(
             lut_offsets[None, :, :] >= 0,
             self.trans_index[:, np.maximum(lut_offsets, 0)],
             -1,
         )
-
-        corr_bits = np.zeros((ncw, space, ENTRY_BITS), dtype=np.uint8)
-        for cw in range(ncw):
-            for slot in range(2):
-                valid = np.nonzero(lut_offsets[:, slot] >= 0)[0]
-                corr_bits[cw, valid,
-                          self.trans_index[cw, lut_offsets[valid, slot]]] = 1
-        self._corr_byte_table = bytes_from_rows(corr_bits)
-
-        data_mask = np.zeros(ENTRY_BITS, dtype=np.uint8)
-        data_mask[self.data_index] = 1
-        self._data_mask_bytes = bytes_from_rows(data_mask)
+        self._tables = PackedTables.build(syndrome_byte_table(h_entry),
+                                          positions, self.data_index)
 
     # -- encode ---------------------------------------------------------------
     def encode(self, data_bits: np.ndarray) -> np.ndarray:
@@ -259,41 +252,24 @@ class BinaryEntryScheme(ECCScheme):
         errors = self._check_errors(errors)
         if not self._packed_ok:
             return self.decode_batch_errors_reference(errors)
-        return self._decode_packed_bytes(bytes_from_rows(errors))
+        return self.decode_batch_packed(pack_rows(errors))
 
     def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
         words = self._check_packed(words)
         if not self._packed_ok:
             return super().decode_batch_packed(words)
-        return self._decode_packed_bytes(bytes_from_words(words, ENTRY_BYTES))
-
-    def _decode_packed_bytes(self, entry_bytes: np.ndarray) -> BatchDecode:
-        """Decode byte-packed error rows through the syndrome LUTs."""
-        combined = syndromes_from_bytes(self._entry_syndrome_table, entry_bytes)
+        tables = self._tables
+        combined = syndromes_from_bytes(tables.syndromes,
+                                        bytes_from_words(words, ENTRY_BYTES))
         syn = (combined[:, None] >> self._syndrome_shifts) & self._syndrome_mask
 
-        due = self._lut_due[syn].any(axis=1)
-        codewords_correcting = self._lut_corrects[syn].sum(axis=1)
-
+        state = self._lut_state[syn].sum(axis=1)
+        due = state > 0xFF
+        codewords_correcting = state & 0xFF
         if self.csc:
-            # The CSC only applies when at least two codewords correct.
-            applies = np.nonzero(codewords_correcting >= 2)[0]
-            if applies.size:
-                positions = np.concatenate(
-                    [self._lut_positions[cw][syn[applies, cw]]
-                     for cw in range(self.num_codewords)],
-                    axis=1,
-                )
-                due[applies] |= csc_violation_batch(
-                    positions, codewords_correcting[applies]
-                )
+            due |= csc_violation_masks(tables.location(syn), codewords_correcting)
 
-        correction = self._corr_byte_table[0, syn[:, 0]]
-        for cw in range(1, self.num_codewords):
-            correction = correction ^ self._corr_byte_table[cw, syn[:, cw]]
-        residual = entry_bytes ^ correction
-        residual_data = ((residual & self._data_mask_bytes) != 0).any(axis=1)
-
+        residual_data = tables.residual_data(words, syn)
         corrected = (codewords_correcting > 0) & ~due
         return BatchDecode(due=due, residual_data=residual_data, corrected=corrected)
 

@@ -6,14 +6,16 @@ each symbol contributes.  Packing those contributions into one integer per
 transmitted bit — codeword ``cw``'s ``S_m`` in byte lane ``cw·r + m`` —
 gives a GF(2) parity check, so the byte-table syndrome machinery of the
 binary schemes (:func:`repro.gf.gf2.syndrome_byte_table`) yields every
-syndrome of a byte-packed batch with one gather and an XOR reduction: no
-unpacking and no GF(256) arithmetic per row.
+syndrome of a packed batch with one gather over its bytes and an XOR
+reduction: no unpacking and no GF(256) arithmetic per row.
 
 A one-shot RS decoder then decides at most one ``(location, value)``
-correction per codeword.  :class:`RSPackedTables` tabulates, per codeword,
-the byte mask of every such correction (for the residual) and its
-transmitted bit positions (for the correction sanity check), indexed by a
-*slot* ``location · 256 + value``.  Slot 0 — value 0 — is "no correction".
+correction per codeword.  :func:`build_rs_tables` tabulates, per codeword,
+the packed words of every such correction (for the residual) and the
+location mask of its flipped bits (for the correction sanity check),
+indexed by a *slot* ``location · 256 + value``.  Slot 0 — value 0 — is "no
+correction".  The binary schemes keep their per-syndrome corrections in
+the same :class:`PackedTables`, indexed by syndrome.
 """
 
 from __future__ import annotations
@@ -22,58 +24,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, ENTRY_BYTES
-from repro.gf.gf2 import bytes_from_rows, syndrome_byte_table
+from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS
+from repro.core.sanity_check import location_masks
+from repro.gf.gf2 import pack_rows, syndrome_byte_table
 from repro.gf.gf256 import EXP_TABLE, ORDER, gf_mul
 
-__all__ = ["RSPackedTables", "build_rs_tables"]
+__all__ = ["PackedTables", "build_rs_tables"]
 
 _VALUES = 1 << BITS_PER_BYTE  # 256 symbol values
 
 
 @dataclass(frozen=True)
-class RSPackedTables:
-    """Byte-row decode tables of one RS symbol layout.
+class PackedTables:
+    """Packed-word decode tables of one multi-codeword layout.
 
-    ``syndromes`` — ``(36, 256)`` uint32 :func:`syndrome_byte_table` of the
+    ``syndromes`` — ``(36, 256)`` :func:`syndrome_byte_table` of the
     packed syndromes;
-    ``corrections`` — ``(ncw, n·256, 36)`` byte mask of each slot;
-    ``positions`` — ``(ncw, n·256, 8)`` int16 transmitted positions a slot
-    flips, ``-1`` for the value's clear bits;
-    ``data_mask`` — ``(36,)`` bytes marking the data symbols' bits.
+    ``corrections`` — ``(ncw, slots, 5)`` packed words each slot flips;
+    ``locations`` — ``(ncw, slots)`` :func:`location_masks` of the bits each
+    slot flips, for the correction sanity check;
+    ``data_mask`` — ``(5,)`` packed words marking the data bits.
     """
 
     syndromes: np.ndarray
     corrections: np.ndarray
-    positions: np.ndarray
+    locations: np.ndarray
     data_mask: np.ndarray
 
     def __post_init__(self) -> None:
         # one cached set serves every caller in the process
-        for table in (self.syndromes, self.corrections, self.positions,
+        for table in (self.syndromes, self.corrections, self.locations,
                       self.data_mask):
             table.flags.writeable = False
 
-    def residual_data(self, entry_bytes: np.ndarray,
-                      slots: np.ndarray) -> np.ndarray:
-        """Whether any data bit is still wrong after applying ``slots``.
+    @classmethod
+    def build(cls, syndromes: np.ndarray, positions: np.ndarray,
+              data_index: np.ndarray) -> PackedTables:
+        """Tables of ``(ncw, slots, S)`` transmitted positions each slot
+        flips (``-1`` padded) and the data bits' transmitted indices."""
+        flips = np.zeros(positions.shape[:-1] + (ENTRY_BITS + 1,), dtype=np.uint8)
+        np.put_along_axis(flips, positions, 1, axis=-1)  # -1 sets the spare bit
+        data = np.zeros(ENTRY_BITS, dtype=np.uint8)
+        data[data_index] = 1
+        return cls(syndromes=syndromes,
+                   corrections=pack_rows(flips[..., :ENTRY_BITS]),
+                   locations=location_masks(positions), data_mask=pack_rows(data))
 
-        ``slots`` is ``(B, ncw)``, one correction slot per codeword.
-        """
-        residual = entry_bytes ^ self.corrections[0][slots[:, 0]]
+    def residual_data(self, words: np.ndarray,
+                      slots: np.ndarray) -> np.ndarray:
+        """Whether any data bit of packed ``words`` is still wrong after
+        applying ``slots``, one correction slot per codeword ``(B, ncw)``."""
+        residual = words ^ self.corrections[0][slots[:, 0]]
         for cw in range(1, slots.shape[1]):
             residual ^= self.corrections[cw][slots[:, cw]]
-        return ((residual & self.data_mask) != 0).any(axis=1)
+        return (residual & self.data_mask).any(axis=1)
 
-    def corrected_positions(self, slots: np.ndarray) -> np.ndarray:
-        """``(B, ncw)`` slots -> ``(B, 8·ncw)`` flipped positions, -1 padded."""
-        return np.concatenate(
-            [self.positions[cw][slots[:, cw]] for cw in range(slots.shape[1])],
-            axis=1,
-        )
+    def location(self, slots: np.ndarray) -> np.ndarray:
+        """``(B, ncw)`` slots -> ``(B,)`` location mask of every flipped bit."""
+        location = self.locations[0][slots[:, 0]]
+        for cw in range(1, slots.shape[1]):
+            location |= self.locations[cw][slots[:, cw]]
+        return location
 
 
-def build_rs_tables(layout: np.ndarray, check_symbols: int) -> RSPackedTables:
+def build_rs_tables(layout: np.ndarray, check_symbols: int) -> PackedTables:
     """Tables for ``layout[cw, j, bit]`` — the transmitted index of bit
     ``bit`` of codeword ``cw``'s symbol ``j`` — with the first
     ``check_symbols`` symbols of each codeword carrying the parity."""
@@ -95,18 +109,6 @@ def build_rs_tables(layout: np.ndarray, check_symbols: int) -> RSPackedTables:
 
     value_bits = ((np.arange(_VALUES)[:, None] >> np.arange(BITS_PER_BYTE)) & 1) == 1
     positions = np.where(value_bits[None, None], layout[:, :, None, :], -1)
-    positions = positions.reshape(ncw * n * _VALUES, BITS_PER_BYTE)
-    rows, slot_bits = np.nonzero(positions >= 0)
-    flips = np.zeros((positions.shape[0], ENTRY_BITS), dtype=np.uint8)
-    flips[rows, positions[rows, slot_bits]] = 1
-    corrections = bytes_from_rows(flips).reshape(ncw, n * _VALUES, ENTRY_BYTES)
-
-    data = np.zeros(ENTRY_BITS, dtype=np.uint8)
-    data[layout[:, r:].reshape(-1)] = 1
-    return RSPackedTables(
-        syndromes=syndromes,
-        corrections=corrections,
-        positions=positions.astype(np.int16).reshape(ncw, n * _VALUES,
-                                                     BITS_PER_BYTE),
-        data_mask=bytes_from_rows(data),
-    )
+    return PackedTables.build(
+        syndromes, positions.reshape(ncw, n * _VALUES, BITS_PER_BYTE),
+        layout[:, r:].reshape(-1))

@@ -30,10 +30,10 @@ import numpy as np
 
 from repro.codes.reed_solomon import ReedSolomonCode, RSDecodeStatus
 from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, ENTRY_BYTES, NUM_PINS
-from repro.core.rs_packed import RSPackedTables, build_rs_tables
-from repro.core.sanity_check import csc_violation, csc_violation_batch
+from repro.core.rs_packed import PackedTables, build_rs_tables
+from repro.core.sanity_check import csc_violation, csc_violation_batch, csc_violation_masks
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
-from repro.gf.gf2 import bytes_from_rows, bytes_from_words, syndromes_from_bytes
+from repro.gf.gf2 import bytes_from_words, pack_rows, syndromes_from_bytes
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER, gf_mul
 
 __all__ = ["InterleavedSSCScheme"]
@@ -159,31 +159,24 @@ class InterleavedSSCScheme(ECCScheme):
     # -- batch decode (packed syndrome-LUT fast path) ---------------------------
     def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
         errors = self._check_errors(errors)
-        return self._decode_packed_bytes(bytes_from_rows(errors))
+        return self.decode_batch_packed(pack_rows(errors))
 
     def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
+        """Decode packed error words through the per-codeword slot LUT."""
         words = self._check_packed(words)
-        return self._decode_packed_bytes(bytes_from_words(words, ENTRY_BYTES))
-
-    def _decode_packed_bytes(self, entry_bytes: np.ndarray) -> BatchDecode:
-        """Decode byte-packed error rows through the per-codeword slot LUT."""
         tables, lut = _packed_tables()
-        combined = syndromes_from_bytes(tables.syndromes, entry_bytes)
+        combined = syndromes_from_bytes(tables.syndromes,
+                                        bytes_from_words(words, ENTRY_BYTES))
         slots = lut[(combined[:, None] >> _LANE_SHIFTS) & _LANE_MASK]
 
         due = (slots < 0).any(axis=1)
         codewords_correcting = (slots > 0).sum(axis=1)
         slots = np.maximum(slots, 0)
         if self.csc:
-            # The CSC only applies when both codewords correct.
-            applies = np.nonzero(codewords_correcting == _NUM_CODEWORDS)[0]
-            if applies.size:
-                due[applies] |= csc_violation_batch(
-                    tables.corrected_positions(slots[applies]),
-                    codewords_correcting[applies],
-                )
+            due |= csc_violation_masks(tables.location(slots),
+                                       codewords_correcting)
 
-        residual_data = tables.residual_data(entry_bytes, slots)
+        residual_data = tables.residual_data(words, slots)
         corrected = (codewords_correcting > 0) & ~due
         return BatchDecode(due=due, residual_data=residual_data, corrected=corrected)
 
@@ -240,8 +233,8 @@ def _one_shot_rule(s0: np.ndarray, s1: np.ndarray
 
 
 @cache
-def _packed_tables() -> tuple[RSPackedTables, np.ndarray]:
-    """The layout's :class:`RSPackedTables` and the per-codeword slot LUT.
+def _packed_tables() -> tuple[PackedTables, np.ndarray]:
+    """The layout's :class:`PackedTables` and the per-codeword slot LUT.
 
     ``lut[S0 | S1 << 8]`` is the correction slot ``location · 256 + S0``
     (always > 0), 0 for a clean codeword, or -1 for a codeword DUE —

@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.codes.reed_solomon import ReedSolomonCode, RSDecodeStatus
 from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, NUM_BYTES
-from repro.core.rs_packed import RSPackedTables, build_rs_tables
+from repro.core.rs_packed import PackedTables, build_rs_tables
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
-from repro.gf.gf2 import bytes_from_rows, bytes_from_words, syndromes_from_bytes
+from repro.gf.gf2 import bytes_from_words, pack_rows, syndromes_from_bytes
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER, gf_mul
 
 __all__ = ["SSCDSDPlusScheme"]
@@ -107,21 +107,19 @@ class SSCDSDPlusScheme(ECCScheme):
     # -- batch decode (packed syndrome fast path) -------------------------------
     def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
         errors = self._check_errors(errors)
-        return self._decode_packed_bytes(bytes_from_rows(errors))
+        return self.decode_batch_packed(pack_rows(errors))
 
     def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
-        words = self._check_packed(words)
-        return self._decode_packed_bytes(bytes_from_words(words, NUM_BYTES))
-
-    def _decode_packed_bytes(self, entry_bytes: np.ndarray) -> BatchDecode:
-        """Decode byte-packed error rows: S0..S3 from one byte-table gather,
+        """Decode packed error words: S0..S3 from one byte-table gather,
         then the three-locator agreement over the four byte lanes."""
+        words = self._check_packed(words)
         tables = _packed_tables()
-        combined = syndromes_from_bytes(tables.syndromes, entry_bytes)
+        combined = syndromes_from_bytes(tables.syndromes,
+                                        bytes_from_words(words, NUM_BYTES))
         syndromes = (combined[:, None] >> _LANE_SHIFTS) & np.uint32(0xFF)
         location, corrects, due = _agreement_rule(syndromes)
         slots = np.where(corrects, location * 256 + syndromes[:, 0], 0)
-        residual_data = tables.residual_data(entry_bytes, slots[:, None])
+        residual_data = tables.residual_data(words, slots[:, None])
         return BatchDecode(due=due, residual_data=residual_data, corrected=corrects)
 
     # -- batch decode (unpacked reference — the oracle for the fast path) -------
@@ -165,7 +163,7 @@ def _agreement_rule(syndromes: np.ndarray
 
 
 @cache
-def _packed_tables() -> RSPackedTables:
-    """The one-codeword, byte-per-symbol layout's :class:`RSPackedTables`."""
+def _packed_tables() -> PackedTables:
+    """The one-codeword, byte-per-symbol layout's :class:`PackedTables`."""
     layout = np.arange(ENTRY_BITS).reshape(1, NUM_BYTES, BITS_PER_BYTE)
     return build_rs_tables(layout, _CHECK_SYMBOLS)

@@ -3,9 +3,10 @@
 Implements the paper's priority rule: "patterns are sorted in increasing ECC
 difficulty for correction, and priority is given to less-difficult errors
 whenever multiple patterns fit".  Both a scalar and a vectorized batch
-classifier are provided; the samplers in :mod:`repro.errormodel.sampling`
-use the batch version for rejection sampling, and the beam-campaign
-analysis uses the scalar version on observed corruption records.
+classifier are provided; the keep-rules of the packed samplers in
+:mod:`repro.errormodel.sampling` select exactly the rows the batch version
+labels with their pattern, and the beam-campaign analysis uses the scalar
+version on observed corruption records.
 """
 
 from __future__ import annotations

@@ -161,22 +161,14 @@ class SchemeOutcome:
         return self.detect
 
 
-def _decode_chunked(scheme: ECCScheme, errors: np.ndarray,
+def _decode_chunked(scheme: ECCScheme, words: np.ndarray,
                     chunk: int = _CHUNK) -> tuple[int, int, int]:
-    """(dce, due, sdc) counts over an error batch, decoded chunk-wise.
-
-    A ``uint64`` batch is treated as bit-packed words and decoded through
-    :meth:`ECCScheme.decode_batch_packed`; anything else goes through the
-    unpacked :meth:`ECCScheme.decode_batch_errors`.
-    """
-    packed = errors.dtype == np.uint64
+    """(dce, due, sdc) counts over a packed error batch, decoded chunk-wise
+    through :meth:`ECCScheme.decode_batch_packed`."""
     dce = due = sdc = 0
-    for start in range(0, errors.shape[0], chunk):
-        part = errors[start : start + chunk]
-        if packed:
-            outcome = scheme.decode_batch_packed(part)
-        else:
-            outcome = scheme.decode_batch_errors(part)
+    for start in range(0, words.shape[0], chunk):
+        part = words[start : start + chunk]
+        outcome = scheme.decode_batch_packed(part)
         due_part = int(outcome.due.sum())
         sdc_part = int(outcome.sdc().sum())
         due += due_part

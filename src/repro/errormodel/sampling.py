@@ -14,6 +14,10 @@ flipped independently with probability 1/2 — the conservative
 random-corruption model Section 5 selects — followed by rejection of the
 (vanishingly rare) draws that degrade into an easier pattern, matching the
 priority rule of Table 1.
+
+Sampled patterns are drawn straight into packed words; their keep-rules
+select exactly the rows :func:`classify_errors_batch` labels with the
+pattern, and the unpacked ``sample_*_errors`` unpack those words.
 """
 
 from __future__ import annotations
@@ -24,19 +28,22 @@ import numpy as np
 
 from repro.core.layout import (
     BITS_PER_BYTE,
+    BYTES_PER_BEAT,
     ENTRY_BITS,
+    ENTRY_WORDS,
     NUM_BEATS,
     NUM_BYTES,
     NUM_PINS,
-    bits_of_beat,
     bits_of_byte,
     bits_of_pin,
     byte_of,
     pin_of,
 )
-from repro.errormodel.classify import classify_errors_batch
+# perfbench's tracer wraps this module attribute; the packed keep-rules
+# no longer call it.
+from repro.errormodel.classify import classify_errors_batch  # noqa: F401
 from repro.errormodel.patterns import ErrorPattern
-from repro.gf.gf2 import pack_rows
+from repro.gf.gf2 import bytes_from_rows, pack_rows, unpack_rows, words_from_bytes
 
 __all__ = [
     "enumerate_bit_errors",
@@ -59,6 +66,10 @@ __all__ = [
     "sample_pattern",
     "pattern_space_size",
 ]
+
+
+#: set bits of every byte value
+_BYTE_WEIGHTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
 
 
 def _frozen(errors: np.ndarray) -> np.ndarray:
@@ -146,8 +157,18 @@ def enumerate_double_bit_errors_packed() -> np.ndarray:
     return _frozen(pack_rows(enumerate_double_bit_errors()))
 
 
-def iter_triple_bit_errors(chunk: int = 65536):
-    """Yield blocks of all 3-bit errors not confined to one pin or byte.
+def _triple_words(first, second: np.ndarray, third: np.ndarray) -> np.ndarray:
+    """Packed rows with the distinct bits ``first``, ``second`` and
+    ``third`` set (index arrays; ``first`` may be one index for all)."""
+    words = np.zeros((second.size, ENTRY_WORDS), dtype=np.uint64)
+    rows = np.arange(second.size)
+    for column in np.broadcast_arrays(first, second, third):
+        words[rows, column >> 6] |= np.uint64(1) << (column & 63).astype(np.uint64)
+    return words
+
+
+def iter_triple_bit_errors_packed(chunk: int = 65536):
+    """Yield packed blocks of all 3-bit errors not confined to one pin/byte.
 
     The full space has ~3.7M patterns; blocks are built vectorized (one per
     leading bit position, split to at most ``chunk`` rows) so the exhaustive
@@ -167,20 +188,14 @@ def iter_triple_bit_errors(chunk: int = 65536):
         keep = ~(same_pin | same_byte)
         second, third = second[keep], third[keep]
         for start in range(0, second.size, chunk):
-            b_part = second[start : start + chunk]
-            c_part = third[start : start + chunk]
-            block = np.zeros((b_part.size, ENTRY_BITS), dtype=np.uint8)
-            rows = np.arange(b_part.size)
-            block[:, first] = 1
-            block[rows, b_part] = 1
-            block[rows, c_part] = 1
-            yield block
+            yield _triple_words(first, second[start : start + chunk],
+                                third[start : start + chunk])
 
 
-def iter_triple_bit_errors_packed(chunk: int = 65536):
-    """:func:`iter_triple_bit_errors` with blocks packed into uint64 words."""
-    for block in iter_triple_bit_errors(chunk):
-        yield pack_rows(block)
+def iter_triple_bit_errors(chunk: int = 65536):
+    """:func:`iter_triple_bit_errors_packed` with blocks unpacked to bits."""
+    for block in iter_triple_bit_errors_packed(chunk):
+        yield unpack_rows(block, ENTRY_BITS)
 
 
 def count_triple_bit_errors() -> int:
@@ -195,14 +210,51 @@ def count_triple_bit_errors() -> int:
     return total - in_pin - in_byte
 
 
-def sample_triple_bit_errors(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform 3-bit errors (rejecting single-pin/single-byte triples)."""
+def _collect(count: int, draw) -> np.ndarray:
+    """Stack ``draw(remaining)`` batches of at most ``remaining`` kept rows
+    until ``count`` rows are held."""
     collected: list[np.ndarray] = []
     remaining = count
     while remaining > 0:
-        draw = max(remaining * 2, 1024)
+        kept = draw(remaining)
+        collected.append(kept)
+        remaining -= kept.shape[0]
+    return np.concatenate(collected, axis=0)
+
+
+def _weights(byte_rows: np.ndarray) -> np.ndarray:
+    """Set bits per row of a byte-packed batch."""
+    return _BYTE_WEIGHTS[byte_rows].sum(axis=1)
+
+
+def _is_beat(beat_bytes: np.ndarray) -> np.ndarray:
+    """Which ``(n, 9)`` one-beat byte rows classify as BEAT: at least four
+    bits (fewer is a bit, 2-bit or 3-bit error) over at least two bytes
+    (else a byte error)."""
+    return (_weights(beat_bytes) >= 4) & ((beat_bytes != 0).sum(axis=1) >= 2)
+
+
+def _is_entry(entry_bytes: np.ndarray) -> np.ndarray:
+    """Which ``(n, 36)`` entry byte rows classify as ENTRY: at least four
+    bits over at least two beats, on more than one pin (the OR of the four
+    9-byte beat slices has more than one set bit)."""
+    beats = entry_bytes.reshape(-1, NUM_BEATS, BYTES_PER_BEAT)
+    return (
+        (_weights(entry_bytes) >= 4)
+        & ((beats != 0).any(axis=2).sum(axis=1) >= 2)
+        & (_weights(np.bitwise_or.reduce(beats, axis=1)) > 1)
+    )
+
+
+def sample_triple_bit_errors_packed(count: int,
+                                    rng: np.random.Generator) -> np.ndarray:
+    """Uniform 3-bit errors (rejecting single-pin/single-byte triples), as
+    ``(count, 5)`` packed words."""
+
+    def draw(n: int) -> np.ndarray:
         picks = np.stack(
-            [rng.integers(0, ENTRY_BITS, size=draw) for _ in range(3)], axis=1
+            [rng.integers(0, ENTRY_BITS, size=max(n * 2, 1024))
+             for _ in range(3)], axis=1
         )
         distinct = (
             (picks[:, 0] != picks[:, 1])
@@ -216,75 +268,53 @@ def sample_triple_bit_errors(count: int, rng: np.random.Generator) -> np.ndarray
             ((pins[:, 0] == pins[:, 1]) & (pins[:, 1] == pins[:, 2]))
             | ((bytes_[:, 0] == bytes_[:, 1]) & (bytes_[:, 1] == bytes_[:, 2]))
         )
-        picks = picks[good][:remaining]
-        errors = np.zeros((picks.shape[0], ENTRY_BITS), dtype=np.uint8)
-        rows = np.arange(picks.shape[0])
-        for column in range(3):
-            errors[rows, picks[:, column]] = 1
-        collected.append(errors)
-        remaining -= picks.shape[0]
-    return np.concatenate(collected, axis=0)
+        return _triple_words(*picks[good][:n].T)
 
-
-def _rejection_sample(count: int, rng: np.random.Generator, pattern: ErrorPattern,
-                      draw_fn) -> np.ndarray:
-    """Draw with ``draw_fn`` until ``count`` rows classify as ``pattern``."""
-    collected: list[np.ndarray] = []
-    remaining = count
-    while remaining > 0:
-        errors = draw_fn(remaining)
-        nonzero = errors.any(axis=1)
-        errors = errors[nonzero]
-        if errors.shape[0]:
-            labels = classify_errors_batch(errors)
-            errors = errors[labels == pattern]
-        collected.append(errors[:remaining])
-        remaining -= min(remaining, errors.shape[0])
-    return np.concatenate(collected, axis=0)
-
-
-def sample_beat_errors(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random corruption of one beat (each bit flips w.p. 1/2)."""
-
-    def draw(n: int) -> np.ndarray:
-        errors = np.zeros((n, ENTRY_BITS), dtype=np.uint8)
-        beats = rng.integers(0, NUM_BEATS, size=n)
-        masks = rng.integers(0, 2, size=(n, NUM_PINS), dtype=np.uint8)
-        for beat in range(NUM_BEATS):
-            rows = np.nonzero(beats == beat)[0]
-            errors[rows[:, None], bits_of_beat(beat)[None, :]] = masks[rows]
-        return errors
-
-    return _rejection_sample(count, rng, ErrorPattern.BEAT, draw)
-
-
-def sample_entry_errors(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random corruption of the whole entry."""
-
-    def draw(n: int) -> np.ndarray:
-        return rng.integers(0, 2, size=(n, ENTRY_BITS), dtype=np.uint8)
-
-    return _rejection_sample(count, rng, ErrorPattern.ENTRY, draw)
-
-
-def sample_triple_bit_errors_packed(count: int,
-                                    rng: np.random.Generator) -> np.ndarray:
-    """:func:`sample_triple_bit_errors` packed into uint64 words.
-
-    Consumes the identical random stream as the unpacked sampler, so a
-    packed evaluation reproduces the unpacked one bit-for-bit.
-    """
-    return pack_rows(sample_triple_bit_errors(count, rng))
+    return _collect(count, draw)
 
 
 def sample_beat_errors_packed(count: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`sample_beat_errors` packed into uint64 words (same stream)."""
-    return pack_rows(sample_beat_errors(count, rng))
+    """Uniform random corruption of one beat (each bit flips w.p. 1/2), as
+    packed words: beat ``b``'s 9 bytes are entry bytes ``9b`` to ``9b + 8``."""
+
+    def draw(n: int) -> np.ndarray:
+        beats = rng.integers(0, NUM_BEATS, size=n)
+        beat_bytes = bytes_from_rows(
+            rng.integers(0, 2, size=(n, NUM_PINS), dtype=np.uint8))
+        keep = _is_beat(beat_bytes)
+        beats, beat_bytes = beats[keep], beat_bytes[keep]
+        entry = np.zeros((beats.size, 8 * ENTRY_WORDS), dtype=np.uint8)
+        columns = BYTES_PER_BEAT * beats[:, None] + np.arange(BYTES_PER_BEAT)
+        entry[np.arange(beats.size)[:, None], columns] = beat_bytes
+        return words_from_bytes(entry)
+
+    return _collect(count, draw)
 
 
 def sample_entry_errors_packed(count: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`sample_entry_errors` packed into uint64 words (same stream)."""
-    return pack_rows(sample_entry_errors(count, rng))
+    """Uniform random corruption of the whole entry, as packed words."""
+
+    def draw(n: int) -> np.ndarray:
+        entry = bytes_from_rows(
+            rng.integers(0, 2, size=(n, ENTRY_BITS), dtype=np.uint8))
+        return words_from_bytes(entry[_is_entry(entry)])
+
+    return _collect(count, draw)
+
+
+def sample_triple_bit_errors(count: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_triple_bit_errors_packed` as ``(count, 288)`` bits."""
+    return unpack_rows(sample_triple_bit_errors_packed(count, rng), ENTRY_BITS)
+
+
+def sample_beat_errors(count: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_beat_errors_packed` as ``(count, 288)`` bits."""
+    return unpack_rows(sample_beat_errors_packed(count, rng), ENTRY_BITS)
+
+
+def sample_entry_errors(count: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_entry_errors_packed` as ``(count, 288)`` bits."""
+    return unpack_rows(sample_entry_errors_packed(count, rng), ENTRY_BITS)
 
 
 def pattern_space_size(pattern: ErrorPattern) -> int | None:

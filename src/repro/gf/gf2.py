@@ -24,6 +24,7 @@ __all__ = [
     "unpack_rows",
     "bytes_from_rows",
     "bytes_from_words",
+    "words_from_bytes",
     "syndrome_byte_table",
     "syndromes_from_bytes",
     "gf2_matmul",
@@ -110,19 +111,22 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     :func:`pack_bits` there is no 63-bit width limit; this is the dense
     transport format of the fast decode path.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    width = bits.shape[-1]
-    num_words = -(-width // 64) if width else 0
-    byte_rows = bytes_from_rows(bits)
-    pad = num_words * 8 - byte_rows.shape[-1]
+    return words_from_bytes(bytes_from_rows(bits))
+
+
+def words_from_bytes(byte_rows: np.ndarray) -> np.ndarray:
+    """Group the trailing byte axis into zero-padded little-endian ``uint64``
+    words, byte ``j`` at shift ``8 * (j % 8)`` of word ``j // 8``: the inverse
+    of :func:`bytes_from_words`, a view of ``byte_rows`` when unpadded."""
+    byte_rows = np.asarray(byte_rows, dtype=np.uint8)
+    pad = -byte_rows.shape[-1] % 8
     if pad:
         byte_rows = np.concatenate(
             [byte_rows, np.zeros(byte_rows.shape[:-1] + (pad,), dtype=np.uint8)],
             axis=-1,
         )
-    grouped = byte_rows.reshape(byte_rows.shape[:-1] + (num_words, 8))
-    shifts = (np.uint64(8) * np.arange(8, dtype=np.uint64))
-    return np.bitwise_or.reduce(grouped.astype(np.uint64) << shifts, axis=-1)
+    words = np.ascontiguousarray(byte_rows).view("<u8")
+    return words.astype(np.uint64, copy=False)
 
 
 def bytes_from_words(words: np.ndarray, num_bytes: int) -> np.ndarray:

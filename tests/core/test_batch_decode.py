@@ -6,6 +6,7 @@ import pytest
 from repro.core import BatchDecode, get_scheme
 from repro.core.layout import ENTRY_BITS
 from repro.errormodel.montecarlo import _decode_chunked
+from repro.gf.gf2 import pack_rows
 
 
 class TestBatchDecodeContainer:
@@ -44,16 +45,16 @@ class TestChunkedDecoding:
         scheme = get_scheme("duet")
         rng = np.random.default_rng(1)
         errors = (rng.random((1000, ENTRY_BITS)) < 0.02).astype(np.uint8)
-        errors = errors[errors.any(axis=1)]
+        words = pack_rows(errors[errors.any(axis=1)])
 
-        whole = _decode_chunked(scheme, errors, chunk=10_000)
-        tiny = _decode_chunked(scheme, errors, chunk=7)
+        whole = _decode_chunked(scheme, words, chunk=10_000)
+        tiny = _decode_chunked(scheme, words, chunk=7)
         assert whole == tiny
 
     def test_counts_partition_batch(self):
         scheme = get_scheme("trio")
         rng = np.random.default_rng(2)
         errors = (rng.random((500, ENTRY_BITS)) < 0.05).astype(np.uint8)
-        errors = errors[errors.any(axis=1)]
-        dce, due, sdc = _decode_chunked(scheme, errors)
-        assert dce + due + sdc == errors.shape[0]
+        words = pack_rows(errors[errors.any(axis=1)])
+        dce, due, sdc = _decode_chunked(scheme, words)
+        assert dce + due + sdc == words.shape[0]

@@ -4,8 +4,43 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.layout import ENTRY_BITS, bits_of_byte, bits_of_pin
-from repro.core.sanity_check import csc_violation, csc_violation_batch
+from repro.core.layout import (
+    ENTRY_BITS,
+    NUM_BEATS,
+    NUM_PINS,
+    bits_of_byte,
+    bits_of_pin,
+)
+from repro.core.sanity_check import (
+    csc_violation,
+    csc_violation_batch,
+    csc_violation_masks,
+    location_masks,
+)
+
+#: transmitted bits on the eight ECC pins 64-71 of the non-interleaved beat
+ECC_PIN_BITS = [beat * NUM_PINS + pin for beat in range(NUM_BEATS)
+                for pin in range(64, NUM_PINS)]
+
+
+def _subset(pool):
+    return st.lists(st.sampled_from([int(p) for p in pool]),
+                    min_size=1, max_size=8, unique=True)
+
+
+#: corrected-bit sets: scattered, on the ECC pins, inside one byte (sharing
+#: a byte but no pin), on one pin, or one of those plus a stray position
+_CONFINED = st.one_of(
+    st.integers(0, 35).flatmap(lambda byte: _subset(bits_of_byte(byte))),
+    st.integers(0, NUM_PINS - 1).flatmap(lambda pin: _subset(bits_of_pin(pin))),
+    _subset(ECC_PIN_BITS),
+)
+POSITION_SETS = st.one_of(
+    st.lists(st.integers(0, ENTRY_BITS - 1), max_size=8),
+    _CONFINED,
+    st.tuples(_CONFINED, st.integers(0, ENTRY_BITS - 1)).map(
+        lambda pair: (pair[0] + [pair[1]])[:8]),
+)
 
 
 class TestScalar:
@@ -77,3 +112,39 @@ class TestBatch:
     def test_sentinel_slots_ignored(self):
         positions = np.array([[3, -1, 3, -1]], dtype=np.int64)
         assert not csc_violation_batch(positions, np.array([2]))[0]
+
+
+class TestLocationMasks:
+    @given(st.lists(st.tuples(POSITION_SETS, st.integers(0, 4),
+                              st.randoms(use_true_random=False)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=200)
+    def test_mask_csc_equals_scalar(self, cases):
+        """-1-padded slots in any order give the scalar verdict."""
+        width = 12
+        positions = np.full((len(cases), width), -1, dtype=np.int64)
+        counts = np.zeros(len(cases), dtype=np.int64)
+        for row, (pos, count, random) in enumerate(cases):
+            slots = random.sample(range(width), len(pos))
+            positions[row, slots] = pos
+            counts[row] = count
+        masks = location_masks(positions)
+        got = csc_violation_masks(masks, counts)
+        assert np.array_equal(got, csc_violation_batch(positions, counts))
+        for row, (pos, count, _) in enumerate(cases):
+            assert bool(got[row]) == csc_violation(pos, count), (pos, count)
+
+    def test_sentinel_reads_zero(self):
+        assert location_masks(np.array([-1, -1])) == 0
+
+    def test_one_field_bit_per_position(self):
+        masks = location_masks(np.arange(ENTRY_BITS)[:, None])
+        assert len(set(masks.tolist())) == ENTRY_BITS
+        assert all(bin(int(mask)).count("1") == 3 for mask in masks)
+
+    def test_ecc_pins_across_beats_are_one_pin(self):
+        pin = [64 + NUM_PINS * beat for beat in range(NUM_BEATS)]
+        assert not csc_violation_masks(location_masks(np.array(pin)), 4)
+        bytes_ = [64, 65, 71]  # byte column 8 of beat 0, three pins
+        assert not csc_violation_masks(location_masks(np.array(bytes_)), 3)
+        assert csc_violation_masks(location_masks(np.array([64, 65 + 72])), 2)

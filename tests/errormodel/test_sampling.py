@@ -26,7 +26,10 @@ from repro.errormodel.sampling import (
     sample_triple_bit_errors,
     sample_triple_bit_errors_packed,
 )
-from repro.gf.gf2 import pack_rows
+from repro.core.layout import bits_of_beat, bits_of_byte, bits_of_pin
+from repro.errormodel import sampling
+from repro.gf.gf2 import bytes_from_rows, pack_rows
+from tests.errormodel import sampling_oracle as oracle
 
 
 class TestEnumerations:
@@ -147,6 +150,15 @@ class TestCaching:
         assert enumerate_byte_errors_packed() is enumerate_byte_errors_packed()
 
 
+#: (packed sampler, its byte-row oracle)
+SAMPLER_PAIRS = [
+    (sample_triple_bit_errors_packed, oracle.sample_triple_bit_errors),
+    (sample_beat_errors_packed, oracle.sample_beat_errors),
+    (sample_entry_errors_packed, oracle.sample_entry_errors),
+]
+SAMPLER_IDS = ["triple", "beat", "entry"]
+
+
 class TestPackedVariants:
     """Packed emitters carry the exact bits of their unpacked counterparts."""
 
@@ -160,22 +172,96 @@ class TestPackedVariants:
         for unpacked, packed in pairs:
             assert np.array_equal(packed(), pack_rows(unpacked()))
 
+    @pytest.mark.parametrize("pair", SAMPLER_PAIRS)
+    def test_packed_samplers_share_random_stream(self, pair):
+        """Each packed sampler equals its byte-row oracle, packed."""
+        packed_fn, oracle_fn = pair
+        expected = pack_rows(oracle_fn(200, np.random.default_rng(42)))
+        packed = packed_fn(200, np.random.default_rng(42))
+        assert packed.dtype == np.uint64
+        assert np.array_equal(packed, expected)
+
     def test_packed_triple_iterator_matches(self):
         unpacked = next(iter_triple_bit_errors(chunk=4096))
         packed = next(iter_triple_bit_errors_packed(chunk=4096))
         assert np.array_equal(packed, pack_rows(unpacked))
 
-    @pytest.mark.parametrize("pair", [
-        (sample_triple_bit_errors, sample_triple_bit_errors_packed),
-        (sample_beat_errors, sample_beat_errors_packed),
-        (sample_entry_errors, sample_entry_errors_packed),
-    ])
-    def test_packed_samplers_share_random_stream(self, pair):
-        unpacked_fn, packed_fn = pair
-        unpacked = unpacked_fn(200, np.random.default_rng(42))
-        packed = packed_fn(200, np.random.default_rng(42))
-        assert packed.dtype == np.uint64
-        assert np.array_equal(packed, pack_rows(unpacked))
+
+class TestPackedSamplers:
+    """Each packed sampler draws the oracle's stream and keeps its rows."""
+
+    @pytest.mark.parametrize("count", [1, 3, 1000, 20000])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("pair", SAMPLER_PAIRS, ids=SAMPLER_IDS)
+    def test_packed_sampler_equals_oracle(self, pair, seed, count):
+        packed_fn, oracle_fn = pair
+        expected = pack_rows(oracle_fn(count, np.random.default_rng(seed)))
+        assert np.array_equal(packed_fn(count, np.random.default_rng(seed)),
+                              expected)
+
+    @pytest.mark.parametrize("pair", SAMPLER_PAIRS, ids=SAMPLER_IDS)
+    def test_stream_continues_identically(self, pair):
+        """Two draws in a row leave both generators in the same state."""
+        packed_fn, oracle_fn = pair
+        packed_rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        packed_fn(300, packed_rng)
+        oracle_fn(300, oracle_rng)
+        assert np.array_equal(packed_fn(300, packed_rng),
+                              pack_rows(oracle_fn(300, oracle_rng)))
+
+    def test_unpacked_samplers_unpack_the_packed_ones(self):
+        for unpacked, packed in ((sample_triple_bit_errors,
+                                  sample_triple_bit_errors_packed),
+                                 (sample_beat_errors, sample_beat_errors_packed),
+                                 (sample_entry_errors, sample_entry_errors_packed)):
+            bits = unpacked(100, np.random.default_rng(6))
+            assert bits.shape == (100, 288) and bits.dtype == np.uint8
+            assert np.array_equal(pack_rows(bits),
+                                  packed(100, np.random.default_rng(6)))
+
+
+def _sparse_rows(rng, count):
+    """Low-weight errors that straddle every Table-1 boundary: anywhere in
+    the entry, inside one beat, one byte, one pin, or two beats."""
+    rows = np.zeros((count, 288), dtype=np.uint8)
+    for row in rows:
+        weight = int(rng.integers(1, 9))
+        region = int(rng.integers(0, 5))
+        if region == 0:
+            pool = np.arange(288)
+        elif region == 1:
+            pool = bits_of_beat(int(rng.integers(0, 4)))
+        elif region == 2:
+            pool = bits_of_byte(int(rng.integers(0, 36)))
+        elif region == 3:
+            pool = bits_of_pin(int(rng.integers(0, 72)))
+        else:
+            pool = np.concatenate([bits_of_beat(0), bits_of_beat(3)])
+        row[rng.choice(pool, size=min(weight, pool.size), replace=False)] = 1
+    return rows
+
+
+class TestKeepRules:
+    """The packed keep-rules select exactly the classifier's BEAT/ENTRY."""
+
+    def test_entry_rule_matches_classifier(self):
+        rows = _sparse_rows(np.random.default_rng(11), 4000)
+        labels = classify_errors_batch(rows)
+        kept = sampling._is_entry(bytes_from_rows(rows))
+        assert np.array_equal(kept, labels == ErrorPattern.ENTRY)
+        assert kept.any() and not kept.all()
+
+    def test_beat_rule_matches_classifier(self):
+        rows = _sparse_rows(np.random.default_rng(12), 4000)
+        by_beat = rows.reshape(-1, 4, 72)
+        one_beat = by_beat.any(axis=2).sum(axis=1) == 1
+        rows, by_beat = rows[one_beat], by_beat[one_beat]
+        beats = rows.argmax(axis=1) // 72  # the beat of the first set bit
+        beat_bits = by_beat[np.arange(rows.shape[0]), beats]
+        kept = sampling._is_beat(bytes_from_rows(beat_bits))
+        labels = classify_errors_batch(rows)
+        assert np.array_equal(kept, labels == ErrorPattern.BEAT)
+        assert kept.any() and not kept.all()
 
 
 class TestDispatcher:

@@ -23,6 +23,7 @@ from repro.gf.gf2 import (
     syndromes_from_bytes,
     unpack_bits,
     unpack_rows,
+    words_from_bytes,
 )
 
 
@@ -171,6 +172,15 @@ class TestPackedRows:
         assert words[0, 0] == np.uint64(1)
         assert words[0, 1] == np.uint64(1) << np.uint64(6)  # bit 70 = word 1 bit 6
         assert words[0, 4] == np.uint64(1) << np.uint64(31)  # bit 287
+
+    @pytest.mark.parametrize("num_bytes", [1, 8, 9, 36, 40])
+    def test_words_from_bytes_inverts_bytes_from_words(self, num_bytes):
+        rng = np.random.default_rng(num_bytes)
+        byte_rows = rng.integers(0, 256, (4, num_bytes), dtype=np.uint8)
+        words = words_from_bytes(byte_rows)
+        assert words.dtype == np.uint64
+        assert words.shape == (4, -(-num_bytes // 8))
+        assert np.array_equal(bytes_from_words(words, num_bytes), byte_rows)
 
     def test_bytes_from_words_matches_bytes_from_rows(self):
         rng = np.random.default_rng(1)
