@@ -16,6 +16,7 @@ harness uses; this module only orchestrates and formats.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 __all__ = ["ReportConfig", "generate_report"]
@@ -201,8 +202,10 @@ def generate_report(
 ) -> str:
     """Render the full reproduction report as Markdown.
 
-    Every Table-2 cell comes from one sweep over all schemes.  ``workers``
-    fans the cells out over a process pool, ``cache`` (e.g.
+    Every Table-2 cell comes from one sweep over all schemes, run on one
+    thread per core unless ``workers`` says otherwise (``1`` is serial,
+    ``N`` a pool of N processes); unless a pool forks, Table 3 is built
+    on a side thread meanwhile.  ``cache`` (e.g.
     :class:`repro.runs.CellCache`) reuses cells already in the persistent
     run store, ``tracer`` (a :class:`repro.obs.Tracer`) collects per-cell
     spans, ``heartbeat`` (a :class:`repro.obs.Heartbeat`) reports the
@@ -214,18 +217,26 @@ def generate_report(
         samples=samples, seed=seed, campaign_events=campaign_events,
         exaflops=exaflops,
     )
-    outcomes = _outcomes(config, workers=workers, cache=cache,
-                         tracer=tracer, heartbeat=heartbeat,
-                         warm_pool=warm_pool)
+    # Table 1's transient can be the run's memory peak, so it is built
+    # before the cells start rather than beside two of them.  Table 3 is built on a side thread while they run,
+    # joined before this returns, even on error; a process pool forks
+    # during the sweep, and no process is forked with a thread alive.
+    table1 = _section_table1(config)
+    forks = workers is not None and workers > 1
+    with ThreadPoolExecutor(1, thread_name_prefix="repro-table3") as side:
+        table3 = None if forks else side.submit(_section_table3)
+        outcomes = _outcomes(config, workers=workers, cache=cache,
+                             tracer=tracer, heartbeat=heartbeat,
+                             warm_pool=warm_pool)
     parts = [
         "# Reproduction report — Characterizing and Mitigating Soft Errors "
         "in GPU DRAM (MICRO 2021)",
         f"Monte Carlo: {config.samples:,} samples per sampled pattern, "
         f"seed {config.seed}.",
-        _section_table1(config),
+        table1,
         _section_table2(outcomes),
         _section_fig8(outcomes),
-        _section_table3(),
+        _section_table3() if table3 is None else table3.result(),
         _section_fig9(outcomes, config),
         _section_automotive(outcomes),
     ]

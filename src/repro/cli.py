@@ -11,10 +11,11 @@ fault-injection layer of :mod:`repro.faults` — see DESIGN.md.
 The evaluation commands (``evaluate``, ``fig8``, ``report``, ``system``,
 ``campaign``) cache their results in the persistent run store by default
 (``--no-cache`` opts out), accept ``--workers N`` to fan work out over a
-process pool (Table-2 cells, or the statistics chunks of ``campaign``),
-and accept ``--resume <run-id>`` to restart an
-interrupted sweep with its original parameters — completed cells come back
-as cache hits, so only the unfinished work is recomputed.
+process pool (Table-2 cells, or the statistics chunks of ``campaign``;
+unset, a large Table-2 sweep runs on one thread per core), and accept
+``--resume <run-id>`` to restart an interrupted sweep with its original
+parameters — completed cells come back as cache hits, so only the
+unfinished work is recomputed.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ def _add_store_flags(parser: argparse.ArgumentParser,
     if workers:
         parser.add_argument(
             "--workers", type=int, default=None, metavar="N",
-            help="fan Table-2 cells out over N worker processes "
-                 "(bit-identical to the serial run)")
+            help="Table-2 cells: unset runs them on one in-process thread "
+                 "per available core, 1 runs them serially, N > 1 over N "
+                 "worker processes (all bit-identical)")
         parser.add_argument(
             "--cell-timeout", type=_timeout_seconds, default=None,
             metavar="SECONDS",

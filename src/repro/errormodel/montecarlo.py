@@ -20,26 +20,39 @@ mirroring the paper's ±0.0003%/±0.00003% statements.
 Error batches travel bit-packed (uint64 words) end-to-end, so schemes with a
 packed syndrome-LUT fast path never touch unpacked bits.  Each Table-2
 pattern is seeded independently from ``np.random.SeedSequence(seed).spawn``,
-which makes :func:`evaluate_scheme` and :func:`sdc_risk_table` with
-``workers=N`` (a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out
-over cells) bit-identical to the serial ``workers=1`` run.  Every scheme
-sees the same stream for a pattern, so a sweep draws each sampled
-pattern's batch once per process and every scheme's cell decodes that one
-read-only array (:func:`_shared_batch`).
+so every execution order gives the same cells.  ``workers`` picks it:
 
-The fan-out degrades gracefully rather than crashing a long sweep: a cell
-that exceeds ``cell_timeout`` or a worker pool that breaks
+* unset — a sweep of two or more cells with at least one chunk of rows
+  between them runs on a :class:`~concurrent.futures.ThreadPoolExecutor`
+  in this process, one thread per available core (numpy releases the GIL
+  in the gathers, XORs and RNG fills a cell is made of); smaller sweeps,
+  and any sweep while a fault plan is active, run serially;
+* ``1`` — serial, in job order;
+* ``N > 1`` — a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out
+  over cells.
+
+Every scheme sees the same stream for a pattern, so a sweep draws each
+sampled pattern's batch once per process and every scheme's cell decodes
+that one read-only array (:func:`_shared_batch`).  Whatever the path,
+results are delivered in job order on the calling thread, which records
+each fresh cell in ``cache`` as it completes, and the threads are joined
+before the sweep returns.
+
+The process fan-out degrades gracefully rather than crashing a long
+sweep: a cell that exceeds ``cell_timeout`` or a worker pool that breaks
 (:class:`~concurrent.futures.BrokenExecutor`) is requeued once onto a
 fresh pool, and anything still unfinished falls back to in-process serial
 evaluation — same seeds, so the result is identical either way.  That
 requeue-then-serial story lives in :func:`repro.core.pool.run_with_requeue`,
-shared with the beam-statistics engine.  Passing ``cache=`` (a
+shared with the beam-statistics engine; its pure-serial tier (one
+in-process retry, then the error propagates) is also how the serial and
+threaded paths treat a cell that raises.  Passing ``cache=`` (a
 :class:`repro.runs.CellCache` or anything with the same
 ``lookup``/``record`` shape) short-circuits already-computed cells through
 the persistent run store and records fresh ones for the next invocation.
 ``tracer=`` (a :class:`repro.obs.Tracer`) records one ``cell`` span per
-freshly computed cell — worker-side when fanned out, merged into the
-parent trace as results arrive.
+freshly computed cell — cell-side, merged into the parent trace as
+results arrive.
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ from repro.core.pool import (
     run_with_requeue,
 )
 from repro.core.scheme import ECCScheme
-from repro.faults import faultpoint
+from repro.faults import active_plan, faultpoint
 from repro.errormodel.patterns import (
     TABLE1_PROBABILITIES,
     ErrorPattern,
@@ -100,6 +113,14 @@ _CHUNK = 65_536
 #: per sampled pattern, ``(key, batch)`` of the last batch this process
 #: drew for a sweep; see :func:`_shared_batch`
 _BATCHES: dict[ErrorPattern, tuple[tuple, np.ndarray]] = {}
+
+#: the packed (cached, read-only) enumeration of each exhaustive pattern
+_ENUMERATIONS = {
+    ErrorPattern.BIT: enumerate_bit_errors_packed,
+    ErrorPattern.PIN: enumerate_pin_errors_packed,
+    ErrorPattern.BYTE: enumerate_byte_errors_packed,
+    ErrorPattern.DOUBLE_BIT: enumerate_double_bit_errors_packed,
+}
 
 
 @dataclass(frozen=True)
@@ -203,9 +224,10 @@ def _shared_batch(pattern: ErrorPattern, samples: int,
     The process keeps the last batch per sampled pattern, so every
     scheme's cell in a sweep decodes one draw.  The key is everything the
     stream depends on, so a batch is only ever reused for its own seed;
-    two sweeps racing in threads may evict each other's batch and draw it
-    again.  Reading and replacing one dict slot is atomic, so no lock is
-    needed.
+    two separate sweeps racing in threads may evict each other's batch
+    and draw it again (a threaded sweep draws its batches before its
+    cells start).  Reading and replacing one dict slot is atomic, so no
+    lock is needed.
     """
     key = (pattern, samples, seed_seq.entropy, seed_seq.spawn_key,
            seed_seq.pool_size)
@@ -238,14 +260,8 @@ def evaluate_pattern(
     started = time.perf_counter()
 
     exhaustive = True
-    if pattern is ErrorPattern.BIT:
-        dce, due, sdc = _decode_chunked(scheme, enumerate_bit_errors_packed())
-    elif pattern is ErrorPattern.PIN:
-        dce, due, sdc = _decode_chunked(scheme, enumerate_pin_errors_packed())
-    elif pattern is ErrorPattern.BYTE:
-        dce, due, sdc = _decode_chunked(scheme, enumerate_byte_errors_packed())
-    elif pattern is ErrorPattern.DOUBLE_BIT:
-        dce, due, sdc = _decode_chunked(scheme, enumerate_double_bit_errors_packed())
+    if pattern in _ENUMERATIONS:
+        dce, due, sdc = _decode_chunked(scheme, _ENUMERATIONS[pattern]())
     elif pattern is ErrorPattern.TRIPLE_BIT and exhaustive_triples:
         dce = due = sdc = 0
         for block in iter_triple_bit_errors_packed():
@@ -362,24 +378,96 @@ class _CellJob(NamedTuple):
     seed_seq: np.random.SeedSequence
     exhaustive_triples: bool
 
+    @property
+    def sampled(self) -> bool:
+        """True when the cell decodes its pattern's shared batch."""
+        if self.pattern is ErrorPattern.TRIPLE_BIT:
+            return not self.exhaustive_triples
+        return self.pattern not in _ENUMERATIONS
+
+    @property
+    def rows(self) -> int:
+        """Error patterns the cell decodes (the exhaustive 3-bit space,
+        millions of rows, counts as one chunk)."""
+        if self.sampled:
+            return self.samples
+        if self.pattern is ErrorPattern.TRIPLE_BIT:
+            return _CHUNK
+        return _ENUMERATIONS[self.pattern]().shape[0]
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _cell_threads(jobs: list[_CellJob], workers: int | None) -> int:
+    """Threads to run ``jobs`` on in this process, or 0 to run them serially.
+
+    Only an unset ``workers`` fans out, and only a sweep worth it: two or
+    more cells with at least one chunk of rows between them, so a served
+    sweep whose exhaustive cells are cached stays serial.  While a fault
+    plan is active the sweep stays serial too, since ``p=``/``after=``/
+    ``times=`` decisions follow the order of hits.
+    """
+    if workers is not None or len(jobs) < 2 or active_plan() is not None:
+        return 0
+    if sum(job.rows for job in jobs) < _CHUNK:
+        return 0
+    return _cores()
+
+
+def _start_threads(pool, jobs: list[_CellJob], run_cell):
+    """Submit every job to ``pool`` and return the runner that collects
+    one job's result.
+
+    Exhaustive cells start first; meanwhile this thread draws each
+    sampled pattern's shared batch once, in pattern order, so no cell
+    draws.  A job's first run returns its future's result (raising what
+    the cell raised); a retry runs the cell on the calling thread.
+    """
+    futures = {job.key: pool.submit(run_cell, job)
+               for job in jobs if not job.sampled}
+    sampled = [job for job in jobs if job.sampled]
+    for job in sampled:
+        _shared_batch(job.pattern, job.samples, job.seed_seq)
+    futures.update((job.key, pool.submit(run_cell, job)) for job in sampled)
+
+    def collect(job: _CellJob):
+        future = futures.pop(job.key, None)
+        return run_cell(job) if future is None else future.result()
+
+    return collect
+
 
 def _run_cells(
     jobs: list[_CellJob],
+    on_cell,
     workers: int | None,
     cell_timeout: float | None = None,
     tracer=None,
     heartbeat=None,
     retry: RetryPolicy | None = None,
     warm_pool=None,
-) -> dict[tuple[str, ErrorPattern], PatternOutcome]:
+) -> None:
     """Evaluate cells, fanned out when asked, robust to worker failure.
 
-    Delegates the requeue-once-then-serial robustness to
-    :func:`repro.core.pool.run_with_requeue`; per-cell seeding makes the
-    outcome identical on every path.  When ``tracer`` is given, each cell
-    carries its worker-side ``cell`` span back with the outcome and the
-    spans merge into the parent trace as results arrive; ``heartbeat``
-    (a :class:`repro.obs.Heartbeat`) is advanced one cell at a time.
+    ``workers=N`` (N > 1) runs the cells on a process pool, delegating
+    the requeue-once-then-serial robustness to
+    :func:`repro.core.pool.run_with_requeue`; an unset ``workers`` runs a
+    large enough sweep on one thread per core (:func:`_cell_threads`),
+    and otherwise the cells run serially in job order.  Threaded cells
+    keep the serial contract: results arrive in job order on the calling
+    thread, and a cell that raises is retried once in-process and then
+    propagates.  Per-cell seeding makes the outcome identical on every
+    path.  ``on_cell(job, outcome)`` receives each cell on the calling
+    thread as it completes.  When ``tracer`` is given, each cell carries its
+    ``cell`` span back with the outcome and the spans merge into the
+    parent trace as results arrive; ``heartbeat`` (a
+    :class:`repro.obs.Heartbeat`) is advanced one cell at a time.
     ``warm_pool`` (a :class:`repro.core.pool.WarmPool`) supplies the
     worker pool, reusing processes across sweeps in one invocation.
     """
@@ -388,40 +476,56 @@ def _run_cells(
         heartbeat.total = len(jobs)
 
     def _on_result(job: _CellJob, result) -> None:
+        outcome = result[0] if with_trace else result
         if with_trace:
             tracer.merge(result[1])
+        on_cell(job, outcome)
         if heartbeat is not None:
-            outcome = result[0] if with_trace else result
             heartbeat.update(advance=1, events=outcome.events)
 
-    results, report = run_with_requeue(
-        jobs,
-        key=lambda job: job.key,
-        describe=lambda job: f"cell {job.key[0]}/{job.pattern.name}",
-        submit=lambda pool, job: pool.submit(
-            _evaluate_cell, _scheme_payload(job.scheme), job.pattern,
-            job.samples, job.seed_seq, job.exhaustive_triples, with_trace,
-        ),
-        run_serial=lambda job: _evaluate_cell(
+    def _run_cell(job: _CellJob):
+        return _evaluate_cell(
             job.scheme, job.pattern, job.samples, job.seed_seq,
             job.exhaustive_triples, with_trace,
-        ),
-        workers=workers,
-        timeout=cell_timeout,
-        executor_factory=(
-            warm_pool.executor_factory if warm_pool is not None
-            else (lambda: ProcessPoolExecutor(
-                max_workers=workers, initializer=pool_worker_init))
-        ),
-        noun="cells",
-        logger=_LOGGER,
-        on_result=_on_result,
-        retry=retry,
-    )
+        )
+
+    threads = _cell_threads(jobs, workers)
+    pool = None
+    if threads:
+        # imported here: commands that never fan cells out (a beam
+        # campaign) need not load the thread executor
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(threads, thread_name_prefix="repro-cell")
+    try:
+        _, report = run_with_requeue(
+            jobs,
+            key=lambda job: job.key,
+            describe=lambda job: f"cell {job.key[0]}/{job.pattern.name}",
+            submit=lambda pool, job: pool.submit(
+                _evaluate_cell, _scheme_payload(job.scheme), job.pattern,
+                job.samples, job.seed_seq, job.exhaustive_triples,
+                with_trace,
+            ),
+            run_serial=(_run_cell if pool is None
+                        else _start_threads(pool, jobs, _run_cell)),
+            workers=workers,
+            timeout=cell_timeout,
+            executor_factory=(
+                warm_pool.executor_factory if warm_pool is not None
+                else (lambda: ProcessPoolExecutor(
+                    max_workers=workers, initializer=pool_worker_init))
+            ),
+            noun="cells",
+            logger=_LOGGER,
+            on_result=_on_result,
+            retry=retry,
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     if with_trace:
         tracer.count(**report.counters())
-        return {key: value[0] for key, value in results.items()}
-    return results
 
 
 def _collect_cells(
@@ -442,7 +546,9 @@ def _collect_cells(
 
     Every scheme's cell of a sampled pattern decodes one shared batch per
     process (:func:`_shared_batch`); this process's batches are freed
-    when the sweep returns.
+    when the sweep returns.  Each fresh cell is recorded in ``cache`` as
+    it completes, in job order, so a sweep cut short keeps what it
+    finished.
     """
     _check_samples(samples)
     cells = list(zip(ErrorPattern, _cell_seeds(seed)))
@@ -467,9 +573,17 @@ def _collect_cells(
                     seed_seq=child,
                     exhaustive_triples=exhaustive_triples,
                 ))
+
+    def _record(job: _CellJob, outcome: PatternOutcome) -> None:
+        table[job.key[0]][job.pattern] = outcome
+        if cache is not None:
+            cache.record(job.key[0], job.pattern, samples, seed,
+                         exhaustive_triples, outcome,
+                         job.scheme.cache_token())
+
     try:
-        fresh = _run_cells(jobs, workers, cell_timeout, tracer, heartbeat,
-                           retry, warm_pool)
+        _run_cells(jobs, _record, workers, cell_timeout, tracer, heartbeat,
+                   retry, warm_pool)
     finally:
         _BATCHES.clear()
     if heartbeat is not None:
@@ -477,13 +591,6 @@ def _collect_cells(
     if tracer is not None:
         tracer.count(cells_computed=len(jobs),
                      cells_cached=len(schemes) * len(cells) - len(jobs))
-    for job in jobs:
-        outcome = fresh[job.key]
-        table[job.key[0]][job.pattern] = outcome
-        if cache is not None:
-            cache.record(job.key[0], job.pattern, samples, seed,
-                         exhaustive_triples, outcome,
-                         job.scheme.cache_token())
     return {
         scheme.name: {
             pattern: table[scheme.name][pattern] for pattern in ErrorPattern
@@ -508,8 +615,10 @@ def evaluate_scheme(
 ) -> dict[ErrorPattern, PatternOutcome]:
     """All seven Table-2 cells for one scheme.
 
-    With ``workers=N`` (N > 1) the cells fan out over a process pool;
-    per-cell seeding makes the result bit-identical to the serial run.
+    An unset ``workers`` runs a large enough sweep on one thread per
+    core, ``workers=1`` runs it serially and ``workers=N`` (N > 1) over a
+    process pool; per-cell seeding makes the result bit-identical on
+    every path.
     ``cache`` (e.g. :class:`repro.runs.CellCache`) reloads previously
     computed cells from the persistent run store and records fresh ones;
     ``cell_timeout`` bounds each cell's wall-clock in the fanned-out path;
@@ -577,11 +686,12 @@ def sdc_risk_table(
 ) -> dict[str, dict[ErrorPattern, PatternOutcome]]:
     """Table 2: per-pattern outcomes for a list of schemes.
 
-    With ``workers=N`` every (scheme, pattern) cell becomes one process-pool
-    job — the widest fan-out this harness offers.  Seeds are spawned per
-    pattern exactly as in :func:`evaluate_scheme`, so the table is
-    bit-identical whatever ``workers`` is; worker failures and cell
-    timeouts degrade to requeue-then-serial instead of killing the sweep.
+    Every (scheme, pattern) cell is one job: on one thread per core when
+    ``workers`` is unset, serial with ``workers=1``, and one process-pool
+    job each with ``workers=N``.  Seeds are spawned per pattern exactly as
+    in :func:`evaluate_scheme`, so the table is bit-identical whatever
+    ``workers`` is; worker failures and cell timeouts degrade to
+    requeue-then-serial instead of killing the sweep.
     ``cache`` short-circuits cells already in the persistent run store, so
     an interrupted sweep re-invoked with the same parameters recomputes
     only its unfinished cells.

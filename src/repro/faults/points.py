@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,6 +92,18 @@ class Incident:
 _PLAN: FaultPlan | None = None
 _ENV_RESOLVED = False
 _INCIDENTS: list[Incident] = []
+#: guards each hit's rule bookkeeping, incident and ledger line
+_LOCK = threading.Lock()
+
+
+def _new_lock() -> None:
+    # a fork child starts with one thread; a lock some other parent
+    # thread held at the fork would otherwise stay held forever
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_lock)
 
 
 def install(plan: FaultPlan, *, export_env: bool = True) -> FaultPlan:
@@ -245,6 +258,33 @@ _ACTIONS = {
 }
 
 
+def _fires(plan: FaultPlan, rule: FaultRule, name: str) -> bool:
+    """Count one hit of ``rule`` and decide whether it fires now.
+
+    Called under :data:`_LOCK`, so concurrent hits on one point see a
+    consistent ``hits``/``fired``/ledger state: a ``times=1`` rule fires
+    exactly once however many threads reach it together.
+    """
+    rule.hits += 1
+    if rule.hits <= rule.after:
+        return False
+    if rule.times is not None:
+        fired = (plan.ledger_count(name) if plan.ledger is not None
+                 else rule.fired)
+        if fired >= rule.times:
+            return False
+    if rule.p < 1.0 and unit_draw(plan.seed, name, rule.hits) >= rule.p:
+        return False
+    if rule.destructive() and not rule.host \
+            and os.getpid() == plan.host_pid:
+        _INCIDENTS.append(Incident(name, rule.mode, "suppressed"))
+        return False
+    rule.fired += 1
+    plan.ledger_record(name)
+    _INCIDENTS.append(Incident(name, rule.mode, "injected"))
+    return True
+
+
 def faultpoint(name: str, **context) -> None:
     """Fire the active plan's rule for ``name``, if any.
 
@@ -252,7 +292,7 @@ def faultpoint(name: str, **context) -> None:
     honor the (ledger-backed) ``times`` budget, make the deterministic
     ``p`` draw, apply the host gate for destructive modes, record the
     incident (ledger first, so even an ``exit`` leaves a trace), then
-    execute the action.
+    execute the action.  Everything up to the action is one atomic step.
     """
     plan = active_plan()
     if plan is None:
@@ -260,21 +300,7 @@ def faultpoint(name: str, **context) -> None:
     rule = plan.rule_for(name)
     if rule is None:
         return
-    rule.hits += 1
-    if rule.hits <= rule.after:
-        return
-    if rule.times is not None:
-        fired = (plan.ledger_count(name) if plan.ledger is not None
-                 else rule.fired)
-        if fired >= rule.times:
+    with _LOCK:
+        if not _fires(plan, rule, name):
             return
-    if rule.p < 1.0 and unit_draw(plan.seed, name, rule.hits) >= rule.p:
-        return
-    if rule.destructive() and not rule.host \
-            and os.getpid() == plan.host_pid:
-        _INCIDENTS.append(Incident(name, rule.mode, "suppressed"))
-        return
-    rule.fired += 1
-    plan.ledger_record(name)
-    _INCIDENTS.append(Incident(name, rule.mode, "injected"))
     _ACTIONS[rule.mode](rule, plan, name, context)

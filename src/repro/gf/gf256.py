@@ -41,17 +41,6 @@ FIELD_SIZE = 256
 ORDER = FIELD_SIZE - 1  # multiplicative order of the group, 255
 
 
-def _carryless_mul(a: int, b: int) -> int:
-    """Polynomial (carry-less) product of two GF(2)[x] polynomials."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
-    return result
-
-
 def _poly_mod(value: int, modulus: int) -> int:
     """Reduce a GF(2)[x] polynomial modulo ``modulus``."""
     mod_degree = modulus.bit_length() - 1

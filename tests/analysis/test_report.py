@@ -69,3 +69,26 @@ def test_heartbeat_counts_the_single_sweep():
     assert lines
     assert all(line.startswith("[repro] report: ") for line in lines)
     assert "63/63 cells" in lines[-1]
+
+
+def test_no_thread_outlives_the_report():
+    import threading
+
+    before = threading.active_count()
+    generate_report(samples=SAMPLES, campaign_events=EVENTS)
+    assert threading.active_count() == before
+
+
+def test_table3_error_propagates_after_the_sweep(monkeypatch):
+    """Table 3 runs on a side thread: its error reaches the caller, and
+    the thread is gone by then."""
+    import threading
+
+    def broken():
+        raise RuntimeError("table 3 failed")
+
+    monkeypatch.setattr(report, "_section_table3", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="table 3 failed"):
+        generate_report(samples=SAMPLES, campaign_events=EVENTS)
+    assert threading.active_count() == before

@@ -331,6 +331,171 @@ class TestSharedBatch:
             assert all(table == expected[seed] for table in results[seed])
 
 
+class TestThreadedSweep:
+    """An unset ``workers`` runs a large sweep on in-process threads."""
+
+    @staticmethod
+    def _cell_threads(monkeypatch):
+        """Names of the threads each evaluated cell ran on."""
+        import threading
+
+        from repro.errormodel import montecarlo
+
+        names = []
+        original = montecarlo._evaluate_cell
+
+        def spy(*args, **kwargs):
+            names.append(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_evaluate_cell", spy)
+        return names
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_threads_equal_serial_cell_for_cell(self, monkeypatch, seed):
+        from repro.core import all_schemes
+
+        schemes = all_schemes()
+        serial = sdc_risk_table(schemes, samples=2000, seed=seed, workers=1)
+        names = self._cell_threads(monkeypatch)
+        threaded = sdc_risk_table(schemes, samples=2000, seed=seed)
+        assert len(names) == 63
+        assert all(name.startswith("repro-cell") for name in names)
+        assert threaded == serial
+        for name in serial:
+            for pattern in ErrorPattern:
+                assert threaded[name][pattern].events \
+                    == serial[name][pattern].events
+
+    def test_workers_one_is_serial(self, monkeypatch):
+        import threading
+
+        names = self._cell_threads(monkeypatch)
+        sdc_risk_table([get_scheme("trio"), get_scheme("duet")],
+                       samples=2000, seed=3, workers=1)
+        assert names == [threading.current_thread().name] * 14
+
+    def test_no_thread_outlives_the_sweep(self):
+        import threading
+
+        before = threading.active_count()
+        sdc_risk_table([get_scheme("trio"), get_scheme("duet")],
+                       samples=2000, seed=4)
+        assert threading.active_count() == before
+
+    def test_results_arrive_in_job_order(self):
+        from repro.core import all_schemes
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        schemes = all_schemes()
+        sdc_risk_table(schemes, samples=500, seed=5, tracer=tracer)
+        order = [(record.attrs["scheme"], record.attrs["pattern"])
+                 for record in tracer.records if record.name == "cell"]
+        assert order == [(scheme.name, pattern.name) for scheme in schemes
+                         for pattern in ErrorPattern]
+
+    def test_cell_error_is_retried_in_process_once(self, monkeypatch,
+                                                    caplog):
+        import logging
+        import threading
+
+        from repro.errormodel import montecarlo
+
+        schemes = [get_scheme("trio"), get_scheme("duet")]
+        serial = sdc_risk_table(schemes, samples=2000, seed=6, workers=1)
+        original = montecarlo.evaluate_pattern
+        failed = []
+
+        def flaky(scheme, pattern, **kwargs):
+            if (scheme.name, pattern) == ("trio", ErrorPattern.BYTE) \
+                    and not failed:
+                failed.append(threading.current_thread().name)
+                raise RuntimeError("flaky cell")
+            return original(scheme, pattern, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "evaluate_pattern", flaky)
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.errormodel.montecarlo"):
+            threaded = sdc_risk_table(schemes, samples=2000, seed=6)
+        assert failed[0].startswith("repro-cell")
+        assert threaded == serial
+        assert any("failed in-process" in rec.message
+                   for rec in caplog.records)
+
+    def test_cell_that_keeps_failing_propagates(self, monkeypatch):
+        import threading
+
+        from repro.core.pool import PoisonedJobs
+        from repro.errormodel import montecarlo
+
+        original = montecarlo.evaluate_pattern
+
+        def broken(scheme, pattern, **kwargs):
+            if (scheme.name, pattern) == ("trio", ErrorPattern.BYTE):
+                raise RuntimeError("broken cell")
+            return original(scheme, pattern, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "evaluate_pattern", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="broken cell") as excinfo:
+            sdc_risk_table([get_scheme("trio"), get_scheme("duet")],
+                           samples=2000, seed=7)
+        assert not isinstance(excinfo.value, PoisonedJobs)
+        assert threading.active_count() == before
+        assert montecarlo._BATCHES == {}
+
+    @pytest.mark.parametrize("times", ["1", "inf"])
+    def test_injected_cell_crash_behaves_as_serial(self, monkeypatch, times):
+        """Under a fault plan the sweep runs serially, in job order, so
+        ``pool.worker.crash:mode=raise`` fires exactly as with
+        ``workers=1``."""
+        from repro import faults
+        from repro.faults import FaultPlan, InjectedFault
+
+        schemes = [get_scheme("trio"), get_scheme("duet")]
+        serial = sdc_risk_table(schemes, samples=2000, seed=8, workers=1)
+        spec = f"pool.worker.crash:mode=raise,times={times}"
+        outcomes = {}
+        for workers in (1, None):
+            faults.install(FaultPlan.parse(spec), export_env=False)
+            names = self._cell_threads(monkeypatch)
+            try:
+                outcomes[workers] = sdc_risk_table(
+                    schemes, samples=2000, seed=8, workers=workers)
+            except InjectedFault as exc:
+                outcomes[workers] = type(exc)
+            finally:
+                faults.uninstall(scrub_env=False)
+                faults.reset()
+            assert all(not name.startswith("repro-cell") for name in names)
+        assert outcomes[None] == outcomes[1]
+        if times == "1":
+            assert outcomes[None] == serial
+        else:
+            assert outcomes[None] is InjectedFault
+
+    def test_served_size_sweep_stays_serial(self, monkeypatch, tmp_path):
+        import threading
+
+        from repro.runs import CellCache, RunStore
+
+        store = RunStore(tmp_path / "store")
+        scheme = get_scheme("trio")
+        evaluate_scheme(scheme, samples=200, seed=1, cache=CellCache(store))
+        names = self._cell_threads(monkeypatch)
+        cache = CellCache(store)
+        evaluate_scheme(scheme, samples=200, seed=2, cache=cache)
+        assert (cache.hits, cache.misses) == (4, 3)
+        assert names == [threading.current_thread().name] * 3
+        # the same cells at a sweep-sized sample count fan out
+        names.clear()
+        evaluate_scheme(scheme, samples=30_000, seed=2,
+                        cache=CellCache(store))
+        assert len(names) == 3
+        assert all(name.startswith("repro-cell") for name in names)
+
+
 class TestSampleCount:
     @pytest.mark.parametrize("samples", [0, -3])
     def test_non_positive_samples_rejected_up_front(self, samples):

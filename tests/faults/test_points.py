@@ -129,6 +129,42 @@ class TestGating:
         assert 0 < fired < 50
 
 
+class TestThreads:
+    @pytest.mark.parametrize("with_ledger", [False, True])
+    def test_times_budget_holds_across_threads(self, tmp_path, with_ledger):
+        import sys
+        import threading
+
+        # switch threads as often as the interpreter allows (and, with a
+        # ledger, read the budget from a file), so hits interleave inside
+        # the bookkeeping unless it is one atomic step
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        _install("p.q:mode=raise,times=1",
+                 ledger=tmp_path / "ledger.jsonl" if with_ledger else None)
+        raised = []
+        barrier = threading.Barrier(8)
+
+        def hit():
+            barrier.wait()
+            for _ in range(50):
+                try:
+                    faultpoint("p.q")
+                except InjectedFault:
+                    raised.append(True)
+
+        threads = [threading.Thread(target=hit) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert raised == [True]
+        assert faults.incidents() == [Incident("p.q", "raise", "injected")]
+
+
 class TestHostGate:
     def test_destructive_fault_suppressed_in_the_host(self):
         # host_pid defaults to os.getpid(): we ARE the host.

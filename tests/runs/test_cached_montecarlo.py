@@ -91,6 +91,52 @@ class TestResumeAfterInterrupt:
         assert resumed == baseline
 
 
+class TestRecordAsCompleted:
+    """Each fresh cell reaches the store as it completes, in job order,
+    so a sweep that dies late keeps every cell it finished."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_cells_before_a_late_failure_are_hits(self, store, monkeypatch,
+                                                  workers):
+        from repro.core.pool import PoisonedJobs, RetryPolicy
+
+        schemes = [get_scheme("trio"), get_scheme("duet")]
+        baseline = sdc_risk_table(schemes, samples=SAMPLES, seed=SEED,
+                                  workers=1)
+        original = montecarlo.evaluate_pattern
+
+        def broken(scheme, pattern, **kwargs):
+            if (scheme.name, pattern) == ("duet", ErrorPattern.ENTRY):
+                raise RuntimeError("late cell failed")
+            return original(scheme, pattern, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "evaluate_pattern", broken)
+        first = CellCache(store)
+        with pytest.raises((RuntimeError, PoisonedJobs)) as excinfo:
+            sdc_risk_table(schemes, samples=SAMPLES, seed=SEED, cache=first,
+                           workers=workers,
+                           retry=RetryPolicy(backoff_base_s=0.0))
+        # a pool that gave up quarantines the cell; in-process paths
+        # hand the cell's own error to the caller
+        assert isinstance(excinfo.value, PoisonedJobs) == (workers == 2)
+        monkeypatch.setattr(montecarlo, "evaluate_pattern", original)
+
+        again = CellCache(store)
+        resumed = sdc_risk_table(schemes, samples=SAMPLES, seed=SEED,
+                                 cache=again)
+        assert (again.hits, again.misses) == (13, 1)
+        assert resumed == baseline
+
+    def test_threaded_sweep_rows_clear_the_threshold(self):
+        # the sweep above must take the threaded path when workers is
+        # unset, or its None case would only repeat the serial one
+        jobs = [montecarlo._CellJob(
+            key=(name, pattern), scheme=get_scheme(name), pattern=pattern,
+            samples=SAMPLES, seed_seq=None, exhaustive_triples=False)
+            for name in ("trio", "duet") for pattern in ErrorPattern]
+        assert montecarlo._cell_threads(jobs, None) >= 1
+
+
 class _FakeFuture:
     def __init__(self, exc):
         self._exc = exc
