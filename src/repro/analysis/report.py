@@ -217,10 +217,12 @@ def generate_report(
         samples=samples, seed=seed, campaign_events=campaign_events,
         exaflops=exaflops,
     )
-    # Table 1's transient can be the run's memory peak, so it is built
-    # before the cells start rather than beside two of them.  Table 3 is built on a side thread while they run,
-    # joined before this returns, even on error; a process pool forks
-    # during the sweep, and no process is forked with a thread alive.
+    # Table 1 is built before the cells start rather than beside two of
+    # them: on a seed whose events hold several 6,000-entry MBME events
+    # its transient is still the run's memory peak.  Table 3 is built on
+    # a side thread while the cells run, joined before this returns, even
+    # on error; a process pool forks during the sweep, and no process is
+    # forked with a thread alive.
     table1 = _section_table1(config)
     forks = workers is not None and workers > 1
     with ThreadPoolExecutor(1, thread_name_prefix="repro-table3") as side:

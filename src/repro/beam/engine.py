@@ -59,14 +59,11 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.beam.events import (
-    BITS_PER_WORD,
-    WORDS_PER_ENTRY,
     BatchEventSynthesis,
     EventParameters,
-    _floor_scaled,
-    _inverse_permutations,
-    _power_law_breadths,
-    _truncated_binomial_cdf,
+    _flip_parts,
+    _merge_flips,
+    _site_layout,
 )
 from repro.beam.fliptable import FlipTable
 from repro.beam.microbenchmark import (
@@ -288,87 +285,6 @@ def _event_times(start: int, size: int,
         * parameters.mean_time_to_event_s
 
 
-def _smallest_mask(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mask of each row's ``counts`` smallest values, without argsorts.
-
-    Bit-identical to ``_inverse_permutations(u) < counts[:, None]``: when
-    the value at the selection boundary is strictly below its successor,
-    rank membership depends only on the value multiset, so one values-only
-    sort plus a threshold compare replaces the stable argsort, its rank
-    scatter, and the rank matrix.  Rows with an exact float tie *at the
-    boundary* (detected, not assumed away) fall back to the stable-rank
-    path, so the measure-zero tie behaviour still matches the oracle.
-    """
-    if not u.size:
-        return np.zeros(u.shape, dtype=bool)
-    width = u.shape[-1]
-    rows = np.arange(u.shape[0])
-    ordered = np.sort(u, axis=-1)
-    mask = u <= ordered[rows, counts - 1][:, None]
-    boundary = np.nonzero(counts < width)[0]
-    tied = boundary[
-        ordered[boundary, counts[boundary] - 1]
-        == ordered[boundary, counts[boundary]]
-    ]
-    if tied.size:
-        mask[tied] = _inverse_permutations(u[tied]) \
-            < counts[tied, None]
-    return mask
-
-
-def _chunk_site_layout(
-    geometry: HBM2Geometry,
-    params: EventParameters,
-    class_cdf: np.ndarray,
-    rngs: dict,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class codes, per-site event index and entry placement for one chunk.
-
-    The shared head of the fused pass: everything decided by the
-    ``klass``/``breadth``/``place`` phase streams, before any mode or
-    severity draw touches the other streams.  The scout sweep replays
-    exactly this — entry placement depends on nothing downstream — so its
-    entry multiset matches the synthesized records site-for-site.
-    """
-    per_bank = geometry.entries_per_bank
-    codes = np.minimum(
-        np.searchsorted(class_cdf, rngs["klass"].random(n), side="right"),
-        3,
-    ).astype(np.int64)
-    is_sbme = codes == 1
-    is_mbme = codes == 3
-
-    u_breadth = rngs["breadth"].random(n)
-    breadth = np.ones(n, dtype=np.int64)
-    breadth[is_sbme] = _power_law_breadths(
-        u_breadth[is_sbme], params.sbme_breadth_alpha,
-        params.sbme_breadth_max,
-    )
-    breadth[is_mbme] = _power_law_breadths(
-        u_breadth[is_mbme], params.mbme_breadth_alpha,
-        params.mbme_breadth_max,
-    )
-    breadth = np.minimum(breadth, per_bank)
-
-    u_place = rngs["place"].random(2 * n).reshape(n, 2)
-    first_entry = _floor_scaled(u_place[:, 0], geometry.total_entries)
-    bank_start = (first_entry // per_bank) * per_bank
-    offset = np.floor(
-        u_place[:, 1] * (per_bank - breadth + 1)
-    ).astype(np.int64)
-    base_entry = np.where(breadth > 1, bank_start + offset, first_entry)
-
-    site_event = np.repeat(np.arange(n, dtype=np.int64), breadth)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(breadth, out=starts[1:])
-    within = np.arange(site_event.size, dtype=np.int64) - np.repeat(
-        starts[:-1], breadth
-    )
-    site_entry = base_entry[site_event] + within
-    return codes, site_event, site_entry
-
-
 def _fused_range_columns(
     geometry: HBM2Geometry,
     parameters: EventParameters,
@@ -383,29 +299,25 @@ def _fused_range_columns(
       before each one, and ECC bits are masked — so the record columns are
       the synthesis columns relabeled (``write_cycle`` gathered per
       site).  No :class:`~repro.dram.device.SimulatedHBM2` needed.
-    * Per chunk, only the *sized draws* must replay that chunk's phase
-      streams, and every transform past the draws (the argsort-of-uniforms
-      word and offset picks, the flip scatter, the final ``(site, bit)``
-      lexsort) is row-local — rows never mix between chunks and
-      ``(site, bit)`` pairs are unique.  The transforms therefore stream
-      per chunk and only the slim output columns accumulate; one counting
-      scatter merges the whole range at the end.  Keeping the resident
-      set near the output size (rather than stacking every intermediate)
-      is what holds million-event ranges inside the allocator's
-      reused-page regime — see ``repro.core.mem``.
+    * Each chunk replays its own phase streams through the synthesis
+      kernel that :meth:`BatchEventSynthesis.table_at` runs
+      (:func:`~repro.beam.events._site_layout` then
+      :func:`~repro.beam.events._flip_parts`), whose transforms are
+      row-local — rows never mix between chunks and ``(site, bit)``
+      pairs are unique.  The kernel therefore streams per chunk and only
+      the slim output columns accumulate; the same counting scatter
+      (:func:`~repro.beam.events._merge_flips`) merges the whole range
+      at the end.  Keeping the resident set near the output size (rather
+      than stacking every intermediate) is what holds million-event
+      ranges inside the allocator's reused-page regime — see
+      ``repro.core.mem``.
 
     Bit-for-bit equality of the derived statistics with the reference
     engine's device pass is pinned by the equivalence suite.
     """
-    params = parameters
     class_cdf = np.cumsum(np.asarray(
-        params.class_probabilities, dtype=np.float64
+        parameters.class_probabilities, dtype=np.float64
     ))
-    cum_ba = np.cumsum(np.asarray(params.byte_aligned_words_dist))
-    cum_na = np.cumsum(np.asarray(params.non_aligned_words_dist))
-
-    cdf8 = _truncated_binomial_cdf(8)
-    cdf64 = _truncated_binomial_cdf(BITS_PER_WORD)
 
     # Per-chunk accumulators; event/site indices are rebased to the range.
     # Flip parts keep (global site run, int16 bits) pairs for the final
@@ -413,151 +325,34 @@ def _fused_range_columns(
     site_event_p: list[np.ndarray] = []
     site_entry_p: list[np.ndarray] = []
     counts_p: list[np.ndarray] = []
-    flip_site_parts: list[np.ndarray] = []
-    flip_bit_parts: list[np.ndarray] = []
+    flip_parts: list[tuple[np.ndarray, np.ndarray]] = []
     event_off = 0
     site_off = 0
 
     for chunk in job.chunks:
-        n = chunk.size
         rngs = BatchEventSynthesis(
-            geometry, params, seed=_fresh_seed(chunk.seed_seq)
+            geometry, parameters, seed=_fresh_seed(chunk.seed_seq)
         )._phase_rngs()
-
-        codes, site_event, site_entry = _chunk_site_layout(
-            geometry, params, class_cdf, rngs, n
+        codes, site_event, site_entry = _site_layout(
+            geometry, parameters, class_cdf, rngs, chunk.size
         )
-        is_mbse = codes == 2
-        is_mbme = codes == 3
-        is_mb = is_mbse | is_mbme
-
-        u_mode = rngs["mode"].random(4 * n).reshape(n, 4)
-        sb_bit = _floor_scaled(u_mode[:, 0], _DATA_BITS)
-        pin_bit = _floor_scaled(u_mode[:, 0], BITS_PER_WORD)
-        is_pin = is_mbse & (u_mode[:, 1] < params.pin_fault_fraction)
-        aligned = is_mb & ~is_pin & (
-            u_mode[:, 2] < params.byte_aligned_fraction
-        )
-        byte_col = np.where(
-            aligned, _floor_scaled(u_mode[:, 3], BITS_PER_WORD // 8), -1
-        )
-
-        site_is_mb = is_mb[site_event]
-        mb_sites = np.nonzero(site_is_mb)[0]
-        mb_event = site_event[mb_sites]
-        u_words = rngs["words"].random(mb_sites.size)
-        nw = np.where(
-            is_pin[mb_event],
-            2 + _floor_scaled(u_words, WORDS_PER_ENTRY - 1),
-            1 + np.minimum(
-                np.where(
-                    aligned[mb_event],
-                    np.searchsorted(cum_ba, u_words, side="right"),
-                    np.searchsorted(cum_na, u_words, side="right"),
-                ),
-                WORDS_PER_ENTRY - 1,
-            ),
-        ).astype(np.int64)
-        u_pick = rngs["pick"].random(4 * mb_sites.size).reshape(-1, 4)
-
-        # Sized draws for the deferred transforms: each plain (non-pin)
-        # multi-bit site selects exactly ``nw`` words (`rank < nw` over a
-        # permutation of 0..3) of its class's width, so the sev/off stream
-        # totals are known without running the argsorts here.
-        pin_site = is_pin[mb_event]
-        plain_nw = nw[~pin_site]
-        plain_width = np.where(aligned[mb_event[~pin_site]], 8, BITS_PER_WORD)
-        u_sev = rngs["sev"].random(3 * int(plain_nw.sum())).reshape(-1, 3)
-        u_off = rngs["off"].random(int((plain_nw * plain_width).sum()))
-
-        # Chunk-local transforms — mirrors the tail of
-        # :meth:`BatchEventSynthesis._table` on this chunk's rows.
-        word_sel = _smallest_mask(u_pick, nw)
-        plain_word_sel = word_sel & ~pin_site[:, None]
-        w_site, w_word = np.nonzero(plain_word_sel)
-        w_event = mb_event[w_site]
-        w_aligned = aligned[w_event]
-        w_width = np.where(w_aligned, 8, BITS_PER_WORD)
-        w_base = w_word * BITS_PER_WORD + np.where(
-            w_aligned, byte_col[w_event] * 8, 0
-        )
-
-        sparse = ~w_aligned & (u_sev[:, 1] < params.sparse_severity_fraction)
-        binom = np.minimum(
-            2 + np.where(
-                w_aligned,
-                np.searchsorted(cdf8, u_sev[:, 2], side="right"),
-                np.searchsorted(cdf64, u_sev[:, 2], side="right"),
-            ),
-            w_width,
-        )
-        count = np.where(
-            u_sev[:, 0] < params.inversion_fraction,
-            w_width,
-            np.where(sparse, 2 + _floor_scaled(u_sev[:, 2], 3), binom),
-        ).astype(np.int64)
-
-        off_starts = np.zeros(w_site.size + 1, dtype=np.int64)
-        np.cumsum(w_width, out=off_starts[1:])
-
-        chunk_sites: list[np.ndarray] = []
-        chunk_bits: list[np.ndarray] = []
-
-        sb_sites = np.nonzero(~site_is_mb)[0]
-        chunk_sites.append(sb_sites)
-        chunk_bits.append(sb_bit[site_event[sb_sites]])
-
-        p_site, p_word = np.nonzero(word_sel & pin_site[:, None])
-        chunk_sites.append(mb_sites[p_site])
-        chunk_bits.append(
-            p_word * BITS_PER_WORD + pin_bit[mb_event[p_site]]
-        )
-
-        for width, cond in ((8, w_aligned), (BITS_PER_WORD, ~w_aligned)):
-            group = np.nonzero(cond)[0]
-            if not group.size:
-                continue
-            index = off_starts[group][:, None] + np.arange(width)
-            sel = _smallest_mask(u_off[index], count[group])
-            g_row, g_off = np.nonzero(sel)
-            chunk_sites.append(mb_sites[w_site[group[g_row]]])
-            chunk_bits.append(w_base[group[g_row]] + g_off)
-
-        counts_p.append(np.bincount(
-            np.concatenate(chunk_sites), minlength=site_event.size
-        ).astype(np.int16))
-        for sites, bits in zip(chunk_sites, chunk_bits):
-            if sites.size:
-                flip_site_parts.append(sites + site_off)
-                flip_bit_parts.append(bits.astype(np.int16))
+        parts, counts = _flip_parts(parameters, rngs, codes, site_event)
+        counts_p.append(counts.astype(np.int16))
+        flip_parts.extend((sites + site_off, bits.astype(np.int16))
+                          for sites, bits in parts if sites.size)
 
         site_event_p.append(site_event + event_off)
         site_entry_p.append(site_entry)
-        event_off += n
+        event_off += chunk.size
         site_off += site_event.size
 
     # consume=True releases the per-chunk blocks as we go
     site_event = concat_or_empty(site_event_p, np.int64, consume=True)
     site_entry = concat_or_empty(site_entry_p, np.int64, consume=True)
     flips_per_site = concat_or_empty(counts_p, np.int16, consume=True)
-    n_sites = site_event.size
-
-    # Merge without the global (site, bit) lexsort: each part above emits
-    # flips already ascending by (site, bit) — nonzero is row-major and
-    # word/offset bases ascend — and the parts cover *disjoint* site sets
-    # (sites are chunk-partitioned, and within a chunk a site is
-    # single-bit xor pin xor aligned-plain xor non-aligned-plain).  A
-    # counting scatter therefore reproduces the sorted layout.
-    flip_offset = np.zeros(n_sites + 1, dtype=np.int64)
-    np.cumsum(flips_per_site, dtype=np.int64, out=flip_offset[1:])
-    flip_bit = np.empty(int(flip_offset[-1]) if n_sites else 0,
-                        dtype=np.int16)
-    for sites, bits in zip(flip_site_parts, flip_bit_parts):
-        run_first = np.flatnonzero(np.r_[True, sites[1:] != sites[:-1]])
-        within = np.arange(sites.size, dtype=np.int64) - np.repeat(
-            run_first, np.diff(np.r_[run_first, sites.size])
-        )
-        flip_bit[flip_offset[sites] + within] = bits
+    # Sites are chunk-partitioned, so the range's parts stay disjoint and
+    # one counting scatter merges them without a global sort.
+    flip_bit = _merge_flips(flip_parts, flips_per_site, np.int16)
 
     return {
         "write_cycle": job.start + site_event,
@@ -731,7 +526,7 @@ def _scout_job(
                 rngs = BatchEventSynthesis(
                     geometry, parameters, seed=_fresh_seed(chunk_job.seed_seq)
                 )._phase_rngs()
-                _, _, site_entry = _chunk_site_layout(
+                _, _, site_entry = _site_layout(
                     geometry, parameters, class_cdf, rngs, chunk_job.size
                 )
                 parts.append(site_entry)

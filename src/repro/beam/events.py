@@ -35,6 +35,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.dram.geometry import HBM2Geometry
 
@@ -188,6 +189,243 @@ def _inverse_permutations(uniforms: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _smallest_mask(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mask of each row's ``counts`` smallest values, without argsorts.
+
+    Bit-identical to ``_inverse_permutations(u) < counts[:, None]``: when
+    the value at the selection boundary is strictly below its successor,
+    rank membership depends only on the value multiset, so one values-only
+    sort plus a threshold compare replaces the stable argsort, its rank
+    scatter, and the rank matrix.  Rows with an exact float tie *at the
+    boundary* (detected, not assumed away) fall back to the stable-rank
+    path, so the measure-zero tie behaviour still matches the oracle.
+    """
+    if not u.size:
+        return np.zeros(u.shape, dtype=bool)
+    width = u.shape[-1]
+    rows = np.arange(u.shape[0])
+    ordered = np.sort(u, axis=-1)
+    mask = u <= ordered[rows, counts - 1][:, None]
+    boundary = np.nonzero(counts < width)[0]
+    tied = boundary[
+        ordered[boundary, counts[boundary] - 1]
+        == ordered[boundary, counts[boundary]]
+    ]
+    if tied.size:
+        mask[tied] = _inverse_permutations(u[tied]) \
+            < counts[tied, None]
+    return mask
+
+
+def _breadth_tails(params: EventParameters) -> dict[int, tuple[float, int]]:
+    """Power-law ``(alpha, cap)`` per multi-entry class code."""
+    return {1: (params.sbme_breadth_alpha, params.sbme_breadth_max),
+            3: (params.mbme_breadth_alpha, params.mbme_breadth_max)}
+
+
+def _site_layout(
+    geometry: HBM2Geometry,
+    params: EventParameters,
+    class_cdf: np.ndarray,
+    rngs: dict,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class codes, per-site event index and entry of ``n`` events.
+
+    The head of the vectorized synthesis: everything decided by the
+    ``klass``/``breadth``/``place`` phase streams, before any mode or
+    severity draw touches the other streams.  The shm engine's scout
+    sweep replays exactly this — entry placement depends on nothing
+    downstream — so its entry multiset matches the synthesized flips
+    site-for-site.
+    """
+    per_bank = geometry.entries_per_bank
+    codes = np.minimum(
+        np.searchsorted(class_cdf, rngs["klass"].random(n), side="right"),
+        3,
+    ).astype(np.int64)
+
+    # breadth: one uniform per event (unused for single-entry classes)
+    u_breadth = rngs["breadth"].random(n)
+    breadth = np.ones(n, dtype=np.int64)
+    for code, (alpha, cap) in _breadth_tails(params).items():
+        tail = codes == code
+        breadth[tail] = _power_law_breadths(u_breadth[tail], alpha, cap)
+    breadth = np.minimum(breadth, per_bank)
+
+    # place: (u_site, u_off) per event; a multi-entry run stays in the
+    # bank of its random start (Section 5's logic faults are bank-local)
+    u_place = rngs["place"].random(2 * n).reshape(n, 2)
+    first_entry = _floor_scaled(u_place[:, 0], geometry.total_entries)
+    bank_start = (first_entry // per_bank) * per_bank
+    offset = np.floor(
+        u_place[:, 1] * (per_bank - breadth + 1)
+    ).astype(np.int64)
+    base_entry = np.where(breadth > 1, bank_start + offset, first_entry)
+
+    # sites: one row per (event, entry)
+    site_event = np.repeat(np.arange(n, dtype=np.int64), breadth)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(breadth, out=starts[1:])
+    within = np.arange(site_event.size, dtype=np.int64) - np.repeat(
+        starts[:-1], breadth
+    )
+    site_entry = base_entry[site_event] + within
+    return codes, site_event, site_entry
+
+
+#: plain multi-bit words per slice of the offset pick: bounds its
+#: ``(rows, width)`` gather, sort and mask (and the slice's ``off`` draw)
+#: to a few MiB however broad an event is
+_SLICE_ROWS = 8192
+
+
+def _flip_parts(
+    params: EventParameters,
+    rngs: dict,
+    codes: np.ndarray,
+    site_event: np.ndarray,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The flips of laid-out sites: ``(site, bit)`` parts, flips per site.
+
+    The tail of the vectorized synthesis: the ``mode``/``words``/``pick``/
+    ``sev``/``off`` draws and the picks they make.  Each part ascends by
+    ``(site, bit)`` — ``nonzero`` is row-major and word and offset bases
+    ascend — and the parts cover disjoint site sets: a site is single-bit
+    xor pin xor plain multi-bit, and the plain words are cut into slices
+    between sites, never inside one, then split by their event's width.
+    :func:`_merge_flips` relies on exactly this.
+    """
+    n = codes.size
+    is_mbse = codes == 2
+    is_mb = is_mbse | (codes == 3)
+
+    # mode: (u_bit, u_pin, u_align, u_col) per event
+    u_mode = rngs["mode"].random(4 * n).reshape(n, 4)
+    sb_bit = _floor_scaled(u_mode[:, 0], _DATA_BITS)
+    pin_bit = _floor_scaled(u_mode[:, 0], BITS_PER_WORD)
+    is_pin = is_mbse & (u_mode[:, 1] < params.pin_fault_fraction)
+    aligned = is_mb & ~is_pin & (
+        u_mode[:, 2] < params.byte_aligned_fraction
+    )
+    byte_col = np.where(
+        aligned, _floor_scaled(u_mode[:, 3], BITS_PER_WORD // 8), -1
+    )
+
+    # words: one uniform per multi-bit site (pin events have one site)
+    site_is_mb = is_mb[site_event]
+    mb_sites = np.nonzero(site_is_mb)[0]
+    mb_event = site_event[mb_sites]
+    u_words = rngs["words"].random(mb_sites.size)
+    cum_ba = np.cumsum(np.asarray(params.byte_aligned_words_dist))
+    cum_na = np.cumsum(np.asarray(params.non_aligned_words_dist))
+    nw = np.where(
+        is_pin[mb_event],
+        2 + _floor_scaled(u_words, WORDS_PER_ENTRY - 1),
+        1 + np.minimum(
+            np.where(
+                aligned[mb_event],
+                np.searchsorted(cum_ba, u_words, side="right"),
+                np.searchsorted(cum_na, u_words, side="right"),
+            ),
+            WORDS_PER_ENTRY - 1,
+        ),
+    ).astype(np.int64)
+
+    # pick: four uniforms per multi-bit site select its affected words
+    u_pick = rngs["pick"].random(4 * mb_sites.size).reshape(-1, 4)
+    word_sel = _smallest_mask(u_pick, nw)
+    pin_site = is_pin[mb_event]
+
+    # single-bit sites: one flip each (SBME repeats the cell column)
+    sb_sites = np.nonzero(~site_is_mb)[0]
+    parts = [(sb_sites, sb_bit[site_event[sb_sites]])]
+
+    # pin sites: the same within-word bit across the selected words
+    p_site, p_word = np.nonzero(word_sel & pin_site[:, None])
+    parts.append((mb_sites[p_site],
+                  p_word * BITS_PER_WORD + pin_bit[mb_event[p_site]]))
+
+    # plain words, (event, site, word) ascending
+    w_row, w_word = np.nonzero(word_sel & ~pin_site[:, None])
+    w_site = mb_sites[w_row]
+    w_event = mb_event[w_row]
+    w_aligned = aligned[w_event]
+    w_width = np.where(w_aligned, 8, BITS_PER_WORD)
+    w_base = w_word * BITS_PER_WORD + np.where(
+        w_aligned, byte_col[w_event] * 8, 0
+    )
+
+    # sev: (u_inv, u_sparse, u_count) per plain multi-bit word
+    u_sev = rngs["sev"].random(3 * w_site.size).reshape(-1, 3)
+    sparse = ~w_aligned & (u_sev[:, 1] < params.sparse_severity_fraction)
+    binom = np.minimum(
+        2 + np.where(
+            w_aligned,
+            np.searchsorted(_truncated_binomial_cdf(8), u_sev[:, 2],
+                            side="right"),
+            np.searchsorted(_truncated_binomial_cdf(BITS_PER_WORD),
+                            u_sev[:, 2], side="right"),
+        ),
+        w_width,
+    )
+    count = np.where(
+        u_sev[:, 0] < params.inversion_fraction,
+        w_width,
+        np.where(sparse, 2 + _floor_scaled(u_sev[:, 2], 3), binom),
+    ).astype(np.int64)
+
+    # off: ``width`` uniforms per plain word pick its flipped offsets.
+    # Slices start at the first word of a site, so each holds at most
+    # _SLICE_ROWS words; the draws are consecutive, so drawing per slice
+    # replays the one sized draw.
+    step = _SLICE_ROWS - (WORDS_PER_ENTRY - 1)
+    cuts = np.r_[np.searchsorted(w_site, w_site[::step]), w_site.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        off_starts = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(w_width[lo:hi], out=off_starts[1:])
+        u_off = rngs["off"].random(int(off_starts[-1]))
+        for width, cond in ((8, w_aligned), (BITS_PER_WORD, ~w_aligned)):
+            group = np.nonzero(cond[lo:hi])[0]
+            if not group.size:
+                continue
+            # a word's uniforms are one window of the slice's draw
+            block = sliding_window_view(u_off, width)[off_starts[group]]
+            sel = _smallest_mask(block, count[lo + group])
+            # one flat nonzero is cheaper than the 2-D (row, col) form
+            g_row, g_off = np.divmod(np.flatnonzero(sel), width)
+            rows = lo + group
+            parts.append((w_site[rows][g_row], w_base[rows][g_row] + g_off))
+
+    # a plain word flips exactly ``count`` offsets, a pin site one bit in
+    # each of its ``nw`` words
+    flips_per_site = np.bincount(
+        w_site, weights=count, minlength=site_event.size
+    ).astype(np.int64)
+    flips_per_site[sb_sites] = 1
+    flips_per_site[mb_sites[pin_site]] = nw[pin_site]
+    return parts, flips_per_site
+
+
+def _merge_flips(parts, flips_per_site: np.ndarray, dtype) -> np.ndarray:
+    """The bits of :func:`_flip_parts`-shaped parts in ``(site, bit)`` order.
+
+    Each part ascends by ``(site, bit)`` and the parts cover disjoint site
+    sets, so a counting scatter places every site's run at its offset:
+    no sort, and nothing held beyond the parts and the output.
+    """
+    flip_offset = np.zeros(flips_per_site.size + 1, dtype=np.int64)
+    np.cumsum(flips_per_site, dtype=np.int64, out=flip_offset[1:])
+    flip_bit = np.empty(int(flip_offset[-1]), dtype=dtype)
+    for sites, bits in parts:
+        run_first = np.flatnonzero(np.r_[True, sites[1:] != sites[:-1]])
+        within = np.arange(sites.size, dtype=np.int64) - np.repeat(
+            run_first, np.diff(np.r_[run_first, sites.size])
+        )
+        flip_bit[flip_offset[sites] + within] = bits
+    return flip_bit
+
+
 def interval_class_mixture(
     parameters: EventParameters, utilization: float
 ) -> tuple[float, tuple[float, float, float, float]]:
@@ -251,12 +489,6 @@ class BatchEventSynthesis:
             name: np.random.default_rng(child)
             for name, child in zip(_PHASES, children)
         }
-
-    def _breadth_tails(self) -> dict[int, tuple[float, int]]:
-        """Power-law ``(alpha, cap)`` per multi-entry class code."""
-        params = self.parameters
-        return {1: (params.sbme_breadth_alpha, params.sbme_breadth_max),
-                3: (params.mbme_breadth_alpha, params.mbme_breadth_max)}
 
     def _class_cdf(self, probabilities) -> np.ndarray:
         return np.cumsum(np.asarray(
@@ -348,155 +580,17 @@ class BatchEventSynthesis:
     def _table(self, rngs, times: np.ndarray, class_probabilities):
         from repro.beam.fliptable import FlipTable
 
-        params = self.parameters
-        geometry = self.geometry
-        per_bank = geometry.entries_per_bank
-        n = times.size
-        # klass: one uniform per event through the class CDF
-        class_cdf = self._class_cdf(class_probabilities)
-        codes = np.minimum(
-            np.searchsorted(class_cdf, rngs["klass"].random(n), side="right"),
-            3,
-        ).astype(np.int64)
-        is_mbse = codes == 2
-        is_mb = is_mbse | (codes == 3)
-
-        # breadth: one uniform per event (unused for single-entry classes)
-        u_breadth = rngs["breadth"].random(n)
-        breadth = np.ones(n, dtype=np.int64)
-        for code, (alpha, cap) in self._breadth_tails().items():
-            tail = codes == code
-            breadth[tail] = _power_law_breadths(u_breadth[tail], alpha, cap)
-        breadth = np.minimum(breadth, per_bank)
-
-        # place: (u_site, u_off) per event; a multi-entry run stays in the
-        # bank of its random start (Section 5's logic faults are bank-local)
-        u_place = rngs["place"].random(2 * n).reshape(n, 2)
-        first_entry = _floor_scaled(u_place[:, 0], geometry.total_entries)
-        bank_start = (first_entry // per_bank) * per_bank
-        offset = np.floor(
-            u_place[:, 1] * (per_bank - breadth + 1)
-        ).astype(np.int64)
-        base_entry = np.where(breadth > 1, bank_start + offset, first_entry)
-
-        # mode: (u_bit, u_pin, u_align, u_col) per event
-        u_mode = rngs["mode"].random(4 * n).reshape(n, 4)
-        sb_bit = _floor_scaled(u_mode[:, 0], _DATA_BITS)
-        pin_bit = _floor_scaled(u_mode[:, 0], BITS_PER_WORD)
-        is_pin = is_mbse & (u_mode[:, 1] < params.pin_fault_fraction)
-        aligned = is_mb & ~is_pin & (
-            u_mode[:, 2] < params.byte_aligned_fraction
+        codes, site_event, site_entry = _site_layout(
+            self.geometry, self.parameters,
+            self._class_cdf(class_probabilities), rngs, times.size,
         )
-        byte_col = np.where(
-            aligned, _floor_scaled(u_mode[:, 3], BITS_PER_WORD // 8), -1
+        parts, flips_per_site = _flip_parts(
+            self.parameters, rngs, codes, site_event
         )
-
-        # sites: one row per (event, entry)
-        site_event = np.repeat(np.arange(n, dtype=np.int64), breadth)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(breadth, out=starts[1:])
-        within = np.arange(site_event.size, dtype=np.int64) - np.repeat(
-            starts[:-1], breadth
-        )
-        site_entry = base_entry[site_event] + within
-        n_sites = site_event.size
-
-        # words: one uniform per multi-bit site (pin events have one site)
-        site_is_mb = is_mb[site_event]
-        mb_sites = np.nonzero(site_is_mb)[0]
-        mb_event = site_event[mb_sites]
-        u_words = rngs["words"].random(mb_sites.size)
-        cum_ba = np.cumsum(np.asarray(params.byte_aligned_words_dist))
-        cum_na = np.cumsum(np.asarray(params.non_aligned_words_dist))
-        nw = np.where(
-            is_pin[mb_event],
-            2 + _floor_scaled(u_words, WORDS_PER_ENTRY - 1),
-            1 + np.minimum(
-                np.where(
-                    aligned[mb_event],
-                    np.searchsorted(cum_ba, u_words, side="right"),
-                    np.searchsorted(cum_na, u_words, side="right"),
-                ),
-                WORDS_PER_ENTRY - 1,
-            ),
-        ).astype(np.int64)
-
-        # pick: four uniforms per multi-bit site select its affected words
-        u_pick = rngs["pick"].random(4 * mb_sites.size).reshape(-1, 4)
-        word_rank = _inverse_permutations(u_pick)
-        word_sel = word_rank < nw[:, None]
-
-        pin_site = is_pin[mb_event]
-        plain_word_sel = word_sel & ~pin_site[:, None]
-        w_site, w_word = np.nonzero(plain_word_sel)  # (event, site, word asc)
-        w_event = mb_event[w_site]
-        w_aligned = aligned[w_event]
-        w_width = np.where(w_aligned, 8, BITS_PER_WORD)
-        w_base = w_word * BITS_PER_WORD + np.where(
-            w_aligned, byte_col[w_event] * 8, 0
-        )
-
-        # sev: (u_inv, u_sparse, u_count) per plain multi-bit word
-        u_sev = rngs["sev"].random(3 * w_site.size).reshape(-1, 3)
-        sparse = ~w_aligned & (u_sev[:, 1] < params.sparse_severity_fraction)
-        cdf8 = _truncated_binomial_cdf(8)
-        cdf64 = _truncated_binomial_cdf(BITS_PER_WORD)
-        binom = np.minimum(
-            2 + np.where(
-                w_aligned,
-                np.searchsorted(cdf8, u_sev[:, 2], side="right"),
-                np.searchsorted(cdf64, u_sev[:, 2], side="right"),
-            ),
-            w_width,
-        )
-        count = np.where(
-            u_sev[:, 0] < params.inversion_fraction,
-            w_width,
-            np.where(sparse, 2 + _floor_scaled(u_sev[:, 2], 3), binom),
-        ).astype(np.int64)
-
-        # off: ``width`` uniforms per plain word pick its flipped offsets
-        off_starts = np.zeros(w_site.size + 1, dtype=np.int64)
-        np.cumsum(w_width, out=off_starts[1:])
-        u_off = rngs["off"].random(int(off_starts[-1]))
-
-        flip_site_parts: list[np.ndarray] = []
-        flip_bit_parts: list[np.ndarray] = []
-
-        # single-bit sites: one flip each (SBME repeats the cell column)
-        sb_sites = np.nonzero(~site_is_mb)[0]
-        flip_site_parts.append(sb_sites)
-        flip_bit_parts.append(sb_bit[site_event[sb_sites]])
-
-        # pin sites: the same within-word bit across the selected words
-        p_site, p_word = np.nonzero(word_sel & pin_site[:, None])
-        flip_site_parts.append(mb_sites[p_site])
-        flip_bit_parts.append(
-            p_word * BITS_PER_WORD + pin_bit[mb_event[p_site]]
-        )
-
-        # plain words, grouped by width so each group argsorts one matrix
-        for width, cond in ((8, w_aligned), (BITS_PER_WORD, ~w_aligned)):
-            group = np.nonzero(cond)[0]
-            if not group.size:
-                continue
-            index = off_starts[group][:, None] + np.arange(width)
-            rank = _inverse_permutations(u_off[index])
-            sel = rank < count[group][:, None]
-            g_row, g_off = np.nonzero(sel)
-            flip_site_parts.append(mb_sites[w_site[group[g_row]]])
-            flip_bit_parts.append(w_base[group[g_row]] + g_off)
-
-        flip_site = np.concatenate(flip_site_parts)
-        flip_bit = np.concatenate(flip_bit_parts).astype(np.int64)
-        order = np.lexsort((flip_bit, flip_site))
-        flip_site = flip_site[order]
-        flip_bit = flip_bit[order]
-        flips_per_site = np.bincount(flip_site, minlength=n_sites)
-
         return FlipTable.from_flips(
-            site_event, site_entry, flips_per_site, flip_bit,
-            n_events=n,
+            site_event, site_entry, flips_per_site,
+            _merge_flips(parts, flips_per_site, np.int64),
+            n_events=times.size,
             event_columns={"time_s": times.copy(), "class_code": codes},
         )
 
@@ -508,7 +602,7 @@ class BatchEventSynthesis:
         per_bank = geometry.entries_per_bank
         class_cdf = self._class_cdf(class_probabilities)
         classes = list(EventClass)
-        tails = self._breadth_tails()
+        tails = _breadth_tails(params)
         cum_ba = np.cumsum(np.asarray(params.byte_aligned_words_dist))
         cum_na = np.cumsum(np.asarray(params.non_aligned_words_dist))
         cdf_by_width = {

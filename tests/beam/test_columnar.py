@@ -3,6 +3,8 @@ reference paths: packed transport, event synthesis, packed device scans,
 the accumulator's statistics and the statistics-campaign engine (serial
 and fanned out)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,19 +76,74 @@ class TestPacking:
 # Vectorized synthesis vs the scalar oracle
 # ---------------------------------------------------------------------------
 
+def _assert_matches_oracle(table, events):
+    reference = FlipTable.from_events(events)
+    assert table.n_events == reference.n_events == len(events)
+    assert np.array_equal(table.site_event, reference.site_event)
+    assert np.array_equal(table.site_entry, reference.site_entry)
+    assert np.array_equal(table.flip_bit, reference.flip_bit)
+    assert np.array_equal(
+        table.flips_per_site(), reference.flips_per_site()
+    )
+
+
+class _Quantized:
+    """A phase stream whose uniforms are rounded down to multiples of 1/8,
+    so without-replacement picks tie at their selection boundary."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self, size=None):
+        return np.floor(self._rng.random(size) * 8) / 8
+
+
 class TestBatchSynthesis:
     def test_table_matches_events_same_streams(self):
         times = np.arange(400, dtype=np.float64) * 17.0
-        table = BatchEventSynthesis(seed=101).table_at(times)
-        events = BatchEventSynthesis(seed=101).events_at(times)
-        reference = FlipTable.from_events(events)
-        assert table.n_events == reference.n_events == 400
-        assert np.array_equal(table.site_event, reference.site_event)
-        assert np.array_equal(table.site_entry, reference.site_entry)
-        assert np.array_equal(table.flip_bit, reference.flip_bit)
-        assert np.array_equal(
-            table.flips_per_site(), reference.flips_per_site()
+        _assert_matches_oracle(
+            BatchEventSynthesis(seed=101).table_at(times),
+            BatchEventSynthesis(seed=101).events_at(times),
         )
+
+    # 20211018's and 1701494130's first 1,000 events each hold an MBME
+    # event over 5,000 entries wide, which spans several offset slices
+    @pytest.mark.parametrize("seed", [3, 7, 20211018, 1701494130])
+    def test_table_matches_events_across_seeds(self, seed):
+        times = 20.0 * np.arange(1000)
+        table = BatchEventSynthesis(seed=seed).table_at(times)
+        events = BatchEventSynthesis(seed=seed).events_at(times)
+        _assert_matches_oracle(table, events)
+        if seed in (20211018, 1701494130):
+            assert max(event.breadth for event in events) >= 5000
+
+    def test_boundary_ties_match_the_oracle(self, monkeypatch):
+        phase_rngs = BatchEventSynthesis._phase_rngs
+
+        def quantized(self):
+            rngs = phase_rngs(self)
+            for name in ("pick", "off"):
+                rngs[name] = _Quantized(rngs[name])
+            return rngs
+
+        monkeypatch.setattr(BatchEventSynthesis, "_phase_rngs", quantized)
+        times = 20.0 * np.arange(400)
+        _assert_matches_oracle(
+            BatchEventSynthesis(seed=101).table_at(times),
+            BatchEventSynthesis(seed=101).events_at(times),
+        )
+
+    def test_table_peak_memory_is_bounded(self):
+        # This seed draws three 6,000-entry MBME events (the breadth
+        # cap), so it sizes the kernel's largest transient.
+        times = 20.0 * np.arange(4000)
+        tracemalloc.start()
+        try:
+            BatchEventSynthesis(seed=1701494130).table_at(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20
 
     def test_interval_table_matches_interval_events(self):
         a = BatchEventSynthesis(seed=77)

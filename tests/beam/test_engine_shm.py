@@ -19,7 +19,12 @@ import pytest
 from repro import faults
 from repro.beam import engine
 from repro.beam.engine import run_statistics_campaign
-from repro.beam.events import _inverse_permutations
+from repro.beam.events import (
+    BatchEventSynthesis,
+    EventParameters,
+    _inverse_permutations,
+    _smallest_mask,
+)
 from repro.core.shm import (
     PREFIX,
     ShmArena,
@@ -28,6 +33,7 @@ from repro.core.shm import (
     read_columns,
     write_columns,
 )
+from repro.dram.geometry import HBM2Geometry
 from repro.faults import FaultPlan
 
 SEED = 41
@@ -104,6 +110,35 @@ class TestEquivalenceMatrix:
                 EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE,
                 range_chunks=range_chunks)
             _assert_stats_identical(repartitioned, matrix["shm"])
+
+
+def test_fused_range_columns_equal_table_at():
+    # Both chunks' plain words fill more than one offset slice (seed 18
+    # has a multi-word site across a multiple of the slice size, seed
+    # 20211018 a 5,595-entry MBME event), and the counting scatter must
+    # still see every site whole in one part.
+    params = EventParameters()
+    chunks = tuple(
+        engine._ChunkJob(index=i, start=1000 * i, size=1000,
+                         seed_seq=np.random.SeedSequence(seed))
+        for i, seed in enumerate((18, 20211018)))
+    job = engine._RangeJob(index=0, start=0, size=2000, chunks=chunks)
+    columns = engine._fused_range_columns(
+        HBM2Geometry.for_gpu(32), params, job)
+    tables = [
+        BatchEventSynthesis(seed=engine._fresh_seed(chunk.seed_seq))
+        .table_at(engine._event_times(chunk.start, chunk.size, params))
+        for chunk in chunks
+    ]
+    expected = {
+        "write_cycle": [chunk.start + table.site_event
+                        for chunk, table in zip(chunks, tables)],
+        "entry_index": [table.site_entry for table in tables],
+        "flips_per_record": [table.flips_per_site() for table in tables],
+        "flip_bit": [table.flip_bit for table in tables],
+    }
+    for key, parts in expected.items():
+        assert np.array_equal(columns[key], np.concatenate(parts))
 
 
 @pytest.mark.slow
@@ -337,7 +372,7 @@ class TestSmallestMask:
         u = rng.random((200, 8))
         counts = rng.integers(1, 9, size=200)
         np.testing.assert_array_equal(
-            engine._smallest_mask(u, counts), self._oracle(u, counts))
+            _smallest_mask(u, counts), self._oracle(u, counts))
 
     def test_forced_boundary_ties_fall_back_to_stable_ranks(self):
         # Row 0 ties exactly at the selection boundary (counts=2 over
@@ -350,17 +385,17 @@ class TestSmallestMask:
         ])
         counts = np.array([2, 3, 1])
         np.testing.assert_array_equal(
-            engine._smallest_mask(u, counts), self._oracle(u, counts))
+            _smallest_mask(u, counts), self._oracle(u, counts))
 
     def test_full_width_rows_have_no_boundary(self):
         u = np.array([[0.3, 0.3, 0.3]])
         counts = np.array([3])
         np.testing.assert_array_equal(
-            engine._smallest_mask(u, counts),
+            _smallest_mask(u, counts),
             np.ones((1, 3), dtype=bool))
 
     def test_empty_input(self):
         empty = np.empty((0, 4))
-        got = engine._smallest_mask(empty, np.empty(0, dtype=np.int64))
+        got = _smallest_mask(empty, np.empty(0, dtype=np.int64))
         assert got.shape == (0, 4)
         assert got.dtype == bool
