@@ -86,7 +86,7 @@ KILL_SERVE_SPEC = "engine.chunk.hang:mode=hang,s=8.0,times=1"
 
 #: wall-clock bound per campaign invocation or served job (a hung
 #: subprocess must not hang the harness)
-_SUBPROCESS_TIMEOUT_S = 600.0
+_SUBPROCESS_TIMEOUT_S = 120.0
 #: daemon must write its ready file and answer /v1/readyz within this
 _SERVE_START_TIMEOUT_S = 60.0
 #: a killed daemon's pool workers must exit on their own within this

@@ -4,7 +4,8 @@
 ``repro runs show <id>``       one run's manifest, stages and checkpoint
 ``repro runs trace <id>``      one run's span tree and slowest-span table
 ``repro runs diff <a> <b>``    compare two runs' config/provenance/counters
-``repro runs gc``              drop artifacts and runs older than ``--days``
+``repro runs gc``              drop artifacts and runs older than ``--days``,
+                               then rebuild the resumable-run index
 
 All timestamps render in UTC (suffixed ``Z``): manifests store UTC epoch
 seconds, and mixing naive local time into the display made runs appear to
@@ -48,7 +49,9 @@ def add_runs_arguments(runs) -> None:
     diff.add_argument("run_a")
     diff.add_argument("run_b")
 
-    gc = runs_sub.add_parser("gc", help="remove old artifacts and runs")
+    gc = runs_sub.add_parser(
+        "gc", help="remove old artifacts and runs, and rebuild the index "
+                   "of resumable runs from their manifests")
     gc.add_argument("--days", type=float, default=30.0,
                     help="age threshold in days (default 30)")
     gc.add_argument("--all", action="store_true",
@@ -212,6 +215,9 @@ def _cmd_gc(store: RunStore, days: float, dry_run: bool) -> None:
     if stats.protected:
         print(f"kept {stats.protected} expired paths still referenced by "
               "in-progress or resumable runs")
+    if stats.index_added or stats.index_dropped:
+        print(f"resumable index rebuilt: {stats.index_added} markers added, "
+              f"{stats.index_dropped} stale dropped")
 
 
 def cmd_runs(args) -> int:

@@ -2,7 +2,8 @@
 
 A :class:`RunSession` wraps one cached CLI invocation — it allocates a run
 id, writes the ``running`` manifest up front (so interrupted sweeps leave
-a resumable record), exposes a :class:`CellCache` for the Monte Carlo
+a resumable record, indexed under the store's ``resumable/`` until the run
+completes), exposes a :class:`CellCache` for the Monte Carlo
 harness, times named stages, and finalizes the manifest with cache
 hit/miss counters.  ``--resume <id>`` re-opens a prior run's config so an
 interrupted sweep restarts with identical parameters; the
@@ -195,6 +196,9 @@ class RunSession:
             git_commit=git_commit(),
             resumed_from=resume,
         )
+        # marker first: a crash between the two leaves an orphan marker
+        # (pruned), never a running manifest the index does not know
+        store.mark_resumable(command, config, manifest.run_id)
         manifest.save(store.manifest_path(manifest.run_id))
         cache = CellCache(
             store, fingerprint,
@@ -261,6 +265,11 @@ class RunSession:
                 self.store.quarantined
             )
         self.manifest.save(self.store.manifest_path(self.run_id))
+        if status == "completed":  # a failed run stays resumable
+            marker = self.store.resumable_marker(
+                self.manifest.command, self.config, self.run_id)
+            faults.faultpoint("runs.index.update", path=str(marker))
+            marker.unlink(missing_ok=True)
 
     def _export_trace(self) -> None:
         """Persist the session trace next to the manifest (best effort)."""

@@ -7,6 +7,7 @@ var > ``~/.cache/repro-runs``)::
     campaigns/<kk>/<key>.jsonl   one beam campaign (meta + mismatch log)
     runs/<run_id>/manifest.json  one manifest per CLI invocation
     runs/<run_id>/checkpoint.jsonl  append-only completed-cell/run log
+    resumable/<rk>.<run_id>      empty marker: that run is not completed
 
 ``<key>`` is the SHA-256 of the canonical JSON of the cell's identity —
 scheme, pattern, samples, seed, exhaustive flag, and the code fingerprint
@@ -15,6 +16,16 @@ two hex chars (a fan-out directory so huge stores stay ``ls``-able).
 Exhaustive cells normalize ``samples``/``seed`` to ``None``: their outcome
 cannot depend on either, so ``repro evaluate --samples 500`` and ``repro
 fig8 --samples 2000`` share the same artifact.
+
+``<rk>`` is the first 16 hex digits of ``cache_key({"command", "config"})``
+of the run.  The markers index the runs ``--resume`` can pick up, so the
+serve daemon finds an interrupted run by listing one directory and reading
+only the manifests whose marker carries its key, however many completed
+runs the store holds.  A marker is a hint, never trusted on its own: every
+lookup re-checks the manifest and prunes markers of completed or vanished
+runs, and :meth:`RunStore.reindex_resumable` rebuilds the whole index from
+one manifest scan (the daemon at start-up, ``repro runs gc``).  Markers are
+not fsync'd — a marker lost to a power cut comes back at the next rebuild.
 
 Corrupt artifacts (failed checksum, bad structure) are *quarantined* on
 load — moved to ``quarantine/`` for post-mortem, never silently reused —
@@ -57,6 +68,14 @@ DEFAULT_ROOT = "~/.cache/repro-runs"
 #: Artifact schema version, bumped on incompatible layout changes.
 _SCHEMA = 1
 
+#: Hex digits of the (command, config) key a resumable marker carries.
+_RESUME_KEY_HEX = 16
+
+#: A marker whose manifest is missing is left alone this long: a session
+#: creates its marker just before its first manifest save, so a young
+#: orphan may be a run that is still starting.
+_ORPHAN_GRACE_S = 60.0
+
 #: Patterns whose Table-2 cell is always enumerated exhaustively, making
 #: the outcome independent of ``samples`` and ``seed``.
 _ALWAYS_EXHAUSTIVE = frozenset({
@@ -80,6 +99,9 @@ class GCStats:
     bytes: int
     #: expired paths kept anyway because a live run still needs them
     protected: int = 0
+    #: resumable-index markers the rebuild added / dropped as stale
+    index_added: int = 0
+    index_dropped: int = 0
 
 
 def resolve_root(root: str | os.PathLike | None = None) -> Path:
@@ -122,11 +144,26 @@ class RunStore:
     def trace_path(self, run_id: str) -> Path:
         return self.run_dir(run_id) / "trace.jsonl"
 
+    def resumable_dir(self) -> Path:
+        return self.root / "resumable"
+
+    def resumable_marker(self, command: str, config: dict,
+                         run_id: str) -> Path:
+        return self.resumable_dir() / (
+            f"{self.resume_key(command, config)}.{run_id}")
+
     # -- keys -----------------------------------------------------------------
     @staticmethod
     def cache_key(material: dict) -> str:
         """SHA-256 of the canonical JSON of an identity dict."""
         return sha256(canonical_json(material).encode()).hexdigest()
+
+    @classmethod
+    def resume_key(cls, command: str, config: dict) -> str:
+        """Index key of a run: canonical JSON, so a config holding tuples
+        and the same config loaded back from a manifest agree."""
+        return cls.cache_key(
+            {"command": command, "config": config})[:_RESUME_KEY_HEX]
 
     @classmethod
     def cell_key(
@@ -263,8 +300,109 @@ class RunStore:
                 f"(try `repro runs list`)"
             ) from None
 
+    def _incomplete_runs(self) -> list[tuple[Path, RunManifest]]:
+        """(run dir, manifest) of every run not ``completed``: in progress
+        or resumable.  Unreadable manifests are not resumable."""
+        runs_dir = self.root / "runs"
+        if not runs_dir.is_dir():
+            return []
+        incomplete = []
+        for run_dir in runs_dir.iterdir():
+            try:
+                manifest = RunManifest.load(run_dir / "manifest.json")
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+            if manifest.status != "completed":
+                incomplete.append((run_dir, manifest))
+        return incomplete
+
+    # -- resumable-run index --------------------------------------------------
+    def mark_resumable(self, command: str, config: dict,
+                       run_id: str) -> None:
+        """Index a run that has not completed (no fsync: a hint only)."""
+        self._touch(self.resumable_marker(command, config, run_id))
+
+    @staticmethod
+    def _touch(marker: Path) -> None:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_WRONLY, 0o644))
+        except FileNotFoundError:  # the store's first run makes the index
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            os.close(os.open(marker, os.O_CREAT | os.O_WRONLY, 0o644))
+
+    def load_resumable(self, command: str,
+                       config: dict) -> list[RunManifest]:
+        """Manifests of the indexed unfinished runs under this command +
+        config's key — the only manifests a resume lookup reads.
+
+        Markers whose run has completed, or whose manifest is gone past
+        the start-up grace, are pruned on the way.
+        """
+        index = self.resumable_dir()
+        prefix = f"{self.resume_key(command, config)}."
+        try:
+            names = os.listdir(index)
+        except FileNotFoundError:
+            return []
+        candidates = []
+        for name in names:
+            if not name.startswith(prefix):
+                continue
+            marker = index / name
+            try:
+                manifest = RunManifest.load(
+                    self.manifest_path(name[len(prefix):]))
+            except (OSError, ValueError, KeyError, TypeError):
+                if not self._in_grace(marker):
+                    marker.unlink(missing_ok=True)
+                continue
+            if manifest.status == "completed":
+                marker.unlink(missing_ok=True)
+                continue
+            candidates.append(manifest)
+        return candidates
+
+    def reindex_resumable(
+        self, incomplete: list[tuple[Path, RunManifest]] | None = None,
+    ) -> tuple[int, int]:
+        """Rebuild the resumable index from one manifest scan.
+
+        Adds the marker of every unfinished run that lacks one (older
+        stores, a create lost to a power cut) and drops every other marker
+        past the start-up grace.  Returns ``(added, dropped)``.
+        """
+        if incomplete is None:
+            incomplete = self._incomplete_runs()
+        wanted = {
+            self.resumable_marker(manifest.command, manifest.config,
+                                  run_dir.name)
+            for run_dir, manifest in incomplete
+        }
+        index = self.resumable_dir()
+        present = set(index.iterdir()) if index.is_dir() else set()
+        for marker in wanted - present:
+            self._touch(marker)
+        dropped = 0
+        for marker in present - wanted:
+            if not self._in_grace(marker):
+                marker.unlink(missing_ok=True)
+                dropped += 1
+        return len(wanted - present), dropped
+
+    @staticmethod
+    def _in_grace(marker: Path) -> bool:
+        """True while a marker is inside the start-up grace (or gone)."""
+        try:
+            age = time.time() - marker.stat().st_mtime
+        except FileNotFoundError:
+            return True
+        return age < _ORPHAN_GRACE_S
+
     # -- garbage collection ---------------------------------------------------
-    def _gc_protected(self) -> tuple[set[str], set[str]]:
+    @staticmethod
+    def _gc_protected(
+        incomplete: list[tuple[Path, RunManifest]],
+    ) -> tuple[set[str], set[str]]:
         """(run ids, artifact keys) that gc must keep regardless of age.
 
         Any run whose manifest status is not ``completed`` is either in
@@ -274,18 +412,7 @@ class RunStore:
         """
         protected_runs: set[str] = set()
         protected_keys: set[str] = set()
-        runs_dir = self.root / "runs"
-        if not runs_dir.is_dir():
-            return protected_runs, protected_keys
-        for run_dir in runs_dir.iterdir():
-            if not run_dir.is_dir():
-                continue
-            try:
-                manifest = RunManifest.load(run_dir / "manifest.json")
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # unreadable manifests are not resumable
-            if manifest.status == "completed":
-                continue
+        for run_dir, _ in incomplete:
             protected_runs.add(run_dir.name)
             checkpoint = run_dir / "checkpoint.jsonl"
             if not checkpoint.is_file():
@@ -312,9 +439,11 @@ class RunStore:
         resumable (manifest status other than ``completed``) are never
         removed, nor are the artifacts their checkpoints reference —
         collecting those would silently restart a resumed sweep from zero.
+        A real pass also rebuilds the resumable index from the same scan.
         """
         cutoff = time.time() - days * 86400.0
-        protected_runs, protected_keys = self._gc_protected()
+        incomplete = self._incomplete_runs()
+        protected_runs, protected_keys = self._gc_protected(incomplete)
         artifacts = runs = freed = protected = 0
         for bucket in ("cells", "campaigns", "quarantine"):
             base = self.root / bucket
@@ -354,5 +483,9 @@ class RunStore:
                     )
                     if not dry_run:
                         shutil.rmtree(run_dir, ignore_errors=True)
+        added = dropped = 0
+        if not dry_run:
+            added, dropped = self.reindex_resumable(incomplete)
         return GCStats(artifacts=artifacts, runs=runs, bytes=freed,
-                       protected=protected)
+                       protected=protected, index_added=added,
+                       index_dropped=dropped)

@@ -19,7 +19,11 @@ automatically: before starting, :func:`find_resumable` looks for an
 interrupted run of the same command + config in the store, and the job
 resumes it — completed cells and checkpoints become cache hits, so a
 daemon killed mid-job (chaos's torn-write faults) finishes the remainder
-on resubmission instead of recomputing from zero.
+on resubmission instead of recomputing from zero.  The lookup reads the
+store's ``resumable/`` index, so it loads only the manifests of unfinished
+runs under the job's (command, config) key and costs the same on an empty
+store as on one holding thousands of completed runs; the daemon rebuilds
+that index from the manifests once at start-up.
 """
 
 from __future__ import annotations
@@ -191,13 +195,18 @@ def find_resumable(store: RunStore, command: str,
     This is the daemon's ``--resume``: a job whose predecessor died
     mid-run (chaos kills, daemon restarts) picks its manifest back up, so
     completed cells return as cache hits instead of being recomputed.
+    Only the indexed candidates are read; each is still checked in full,
+    since the index key is a truncated digest and a marker only a hint.
     """
-    for manifest in store.list_runs():  # newest first
+    newest = None
+    for manifest in store.load_resumable(command, config):
         if (manifest.command == command
                 and manifest.status != "completed"
-                and manifest.config == config):
-            return manifest.run_id
-    return None
+                and manifest.config == config
+                and (newest is None
+                     or manifest.started_at > newest.started_at)):
+            newest = manifest
+    return None if newest is None else newest.run_id
 
 
 def execute_job(

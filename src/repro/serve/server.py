@@ -60,7 +60,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
-from repro.runs.store import resolve_root
+from repro.runs.store import RunStore, resolve_root
 from repro.serve.jobs import (
     CANCELLED,
     COMPLETED,
@@ -256,7 +256,16 @@ class ServeApp:
         return self.replay_counters
 
     async def startup(self) -> None:
-        """Replay the journal, then start dispatch + deadline reaping."""
+        """Rebuild the run store's resumable index, replay the journal,
+        then start dispatch + deadline reaping."""
+        try:
+            added, dropped = RunStore(self.runs_dir).reindex_resumable()
+        except OSError as exc:  # a hint only: lookups still prune and check
+            _LOGGER.warning("could not rebuild the resumable index: %s", exc)
+        else:
+            if added or dropped:
+                _LOGGER.info("resumable index rebuilt: %d markers added, "
+                             "%d stale dropped", added, dropped)
         self.replay_journal()
         self._service_tasks = [
             asyncio.create_task(self.dispatch_loop()),

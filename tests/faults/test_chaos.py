@@ -409,7 +409,7 @@ def test_shm_arena_leak_is_reclaimed_on_resume(monkeypatch):
     # Only the materialized shm path ships results through an arena.
     # A clean run takes about 2 s, and the --resume campaign has been
     # seen to spin without end once, so each campaign invocation gets
-    # 60 s instead of the harness's 600 s: a hang fails in a minute.
+    # 60 s instead of the harness's 120 s: a hang fails in a minute.
     monkeypatch.setattr(chaos, "_SUBPROCESS_TIMEOUT_S", 60.0)
     spec = ("pool.worker.crash:mode=exit,times=1;"
             "shm.arena.create:mode=exit,host=1,times=1")

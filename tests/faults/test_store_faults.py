@@ -122,3 +122,23 @@ class TestDurablePrimitives:
             durable_append_line(target, '{"n": 1}',
                                 fault_point="checkpoint.torn_write")
         assert not target.exists()  # fault fired before any bytes landed
+
+
+class TestResumableIndexFaults:
+    def test_crash_before_the_index_update_leaves_a_pruned_marker(
+            self, tmp_path):
+        from repro.serve.runner import find_resumable
+
+        config = {"scheme": "duet", "samples": 200}
+        session = RunSession.begin("evaluate", config, root=tmp_path)
+        marker = session.store.resumable_marker("evaluate", config,
+                                                session.run_id)
+        _install("runs.index.update:mode=raise")
+        with pytest.raises(InjectedFault):
+            session.finish("completed")
+        faults.uninstall(scrub_env=False)
+        store = RunStore(tmp_path)
+        assert store.load_manifest(session.run_id).status == "completed"
+        assert marker.exists()  # the stale hint survived the crash
+        assert find_resumable(store, "evaluate", config) is None
+        assert not marker.exists()  # ... and the lookup pruned it

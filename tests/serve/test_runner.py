@@ -1,10 +1,15 @@
 """The serve runner: content keys, resume discovery, CLI-identical reports."""
 
+import asyncio
 import contextlib
 import io
+import json
+import os
+import time
 
 import pytest
 
+from repro.runs.manifest import RunManifest
 from repro.runs.session import RunSession
 from repro.runs.store import RunStore
 from repro.serve.jobs import JobError, normalize_params
@@ -15,6 +20,7 @@ from repro.serve.runner import (
     find_resumable,
     job_keys,
 )
+from repro.serve.server import ServeApp
 
 EVAL = normalize_params("evaluate", {"scheme": "duet", "samples": 200,
                                      "seed": 11})
@@ -168,3 +174,121 @@ class TestFindResumable:
         crashed = RunSession.begin("evaluate", config, root=tmp_path)
         result = execute_job("evaluate", EVAL, runs_dir=tmp_path)
         assert result["resumed_from"] == crashed.run_id
+
+
+CONFIG = {"scheme": "duet", "samples": 200, "seed": 11, "workers": None,
+          "cell_timeout": None}
+
+
+def fill_completed(root, count):
+    """``count`` completed evaluate manifests, written plainly (no fsync)."""
+    for i in range(count):
+        run_dir = root / "runs" / f"20200101T000000-{i:06x}"
+        run_dir.mkdir(parents=True)
+        (run_dir / "manifest.json").write_text(json.dumps({
+            "run_id": run_dir.name, "command": "evaluate",
+            "config": dict(CONFIG, seed=i % 7), "status": "completed",
+            "started_at": float(i),
+        }))
+
+
+class TestResumableIndex:
+    """find_resumable reads the resumable/ index, not every manifest."""
+
+    def test_lookup_cost_is_flat_in_store_history(self, tmp_path,
+                                                  monkeypatch):
+        loads = []
+        real_load = RunManifest.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return real_load(cls, path)
+
+        monkeypatch.setattr(RunManifest, "load", classmethod(counting_load))
+        counts = {}
+        for size in (0, 100, 5000):
+            root = tmp_path / f"store-{size}"
+            fill_completed(root, size)
+            crashed = RunSession.begin("evaluate", CONFIG, root=root)
+            loads.clear()
+            assert find_resumable(RunStore(root), "evaluate",
+                                  CONFIG) == crashed.run_id
+            counts[size] = len(loads)
+        assert counts[0] == counts[100] == counts[5000] == 1
+
+    def test_a_finished_run_leaves_no_marker(self, tmp_path):
+        session = RunSession.begin("evaluate", CONFIG, root=tmp_path)
+        store = RunStore(tmp_path)
+        assert len(list(store.resumable_dir().iterdir())) == 1
+        session.finish("completed")
+        assert list(store.resumable_dir().iterdir()) == []
+
+    def test_newest_of_several_interrupted_runs_wins(self, tmp_path):
+        older = RunSession.begin("evaluate", CONFIG, root=tmp_path)
+        newer = RunSession.begin("evaluate", CONFIG, root=tmp_path)
+        assert newer.manifest.started_at > older.manifest.started_at
+        assert find_resumable(RunStore(tmp_path), "evaluate",
+                              CONFIG) == newer.run_id
+
+    def test_tuple_config_keys_like_its_json_copy(self, tmp_path):
+        store = RunStore(tmp_path)
+        assert store.resume_key("fig8", {"schemes": ("a", "b")}) \
+            == store.resume_key("fig8", {"schemes": ["a", "b"]})
+
+    def test_marker_without_manifest_is_pruned(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.mark_resumable("evaluate", CONFIG, "20200101T000000-dead00")
+        marker = store.resumable_marker("evaluate", CONFIG,
+                                        "20200101T000000-dead00")
+        # a fresh orphan may be a session between its marker and its
+        # first manifest save: it survives the lookup
+        assert find_resumable(store, "evaluate", CONFIG) is None
+        assert marker.exists()
+        old = time.time() - 3600.0
+        os.utime(marker, (old, old))
+        assert find_resumable(store, "evaluate", CONFIG) is None
+        assert not marker.exists()
+
+    @staticmethod
+    def _unindexed_running_run(root):
+        """A running manifest as a store from before the index holds it."""
+        manifest = RunManifest(run_id="20200101T000000-0bd000",
+                               command="evaluate", config=dict(CONFIG),
+                               status="running", started_at=1.0)
+        manifest.save(RunStore(root).manifest_path(manifest.run_id))
+        fill_completed(root, 3)
+        return manifest.run_id
+
+    def test_daemon_startup_indexes_an_older_store(self, tmp_path):
+        run_id = self._unindexed_running_run(tmp_path)
+        store = RunStore(tmp_path)
+        assert find_resumable(store, "evaluate", CONFIG) is None
+
+        async def start_and_stop():
+            app = ServeApp(runs_dir=tmp_path)
+            await app.startup()
+            await app.shutdown(grace_s=1)
+
+        asyncio.run(start_and_stop())
+        assert find_resumable(store, "evaluate", CONFIG) == run_id
+
+    def test_runs_gc_indexes_an_older_store(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run_id = self._unindexed_running_run(tmp_path)
+        store = RunStore(tmp_path)
+        # an orphan under another config, which no lookup below reads
+        other = dict(CONFIG, seed=99)
+        store.mark_resumable("evaluate", other, "20200101T000000-f00000")
+        stale = store.resumable_marker("evaluate", other,
+                                       "20200101T000000-f00000")
+        old = time.time() - 3600.0
+        os.utime(stale, (old, old))
+        assert main(["runs", "--runs-dir", str(tmp_path), "gc",
+                     "--dry-run"]) == 0
+        assert find_resumable(store, "evaluate", CONFIG) is None
+        assert stale.exists()  # a dry run only reports
+        assert main(["runs", "--runs-dir", str(tmp_path), "gc"]) == 0
+        assert "1 markers added, 1 stale dropped" in capsys.readouterr().out
+        assert not stale.exists()
+        assert find_resumable(store, "evaluate", CONFIG) == run_id
