@@ -3,9 +3,9 @@
 Tracks the injection->decode->label pipeline that produces Table 2 and
 Figure 8: per-cell events/second for representative schemes (surfacing the
 ``PatternOutcome.elapsed_s`` counters), the packed samplers against their
-byte-row oracles, and the ``workers=`` fan-out of
-:func:`repro.errormodel.montecarlo.evaluate_scheme`, which must stay
-bit-identical to the serial run whatever the worker count.
+byte-row oracles, an absolute bound on a warm serial Table 2 sweep, and the
+``workers=`` fan-out of :func:`repro.errormodel.montecarlo.evaluate_scheme`,
+which must stay bit-identical to the serial run whatever the worker count.
 """
 
 import time
@@ -13,9 +13,9 @@ import time
 import numpy as np
 
 from benchmarks._output import emit
-from repro.core import get_scheme
+from repro.core import all_schemes, get_scheme
 from repro.errormodel import sampling
-from repro.errormodel.montecarlo import evaluate_scheme
+from repro.errormodel.montecarlo import evaluate_scheme, sdc_risk_table
 from repro.errormodel.patterns import ErrorPattern
 from repro.gf.gf2 import pack_rows
 from tests.errormodel import sampling_oracle
@@ -84,6 +84,29 @@ def test_packed_sampler_throughput():
     emit("Throughput — packed samplers vs byte-row oracle", "\n".join(rows))
     for name, floor in SAMPLER_FLOORS.items():
         assert speedups[name] >= floor, (name, speedups[name])
+
+
+#: seconds a warm serial sweep of every Table-2 cell may take at SAMPLES
+#: rows per sampled cell, best of 5 (0.16–0.23 s on 2 vCPU with each
+#: batch's byte index shared across schemes; 0.33–0.49 s without it)
+SWEEP_BOUND_S = 0.28
+
+
+def test_table2_sweep_time():
+    """The Table-2 sweep behind ``repro report``: 63 cells, 988,740 rows."""
+    schemes = all_schemes()
+    sdc_risk_table(schemes, samples=SAMPLES, workers=1)  # warm every cache
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        sdc_risk_table(schemes, samples=SAMPLES, workers=1)
+        times.append(time.perf_counter() - start)
+    best = min(times)
+    emit("Throughput — Table 2 sweep (warm, serial)",
+         f"sdc_risk_table  best {best * 1e3:.1f} ms, median "
+         f"{sorted(times)[2] * 1e3:.1f} ms of 5 sweeps ({len(schemes)} "
+         f"schemes, {SAMPLES} samples; bound {SWEEP_BOUND_S * 1e3:.0f} ms)")
+    assert best <= SWEEP_BOUND_S, times
 
 
 def test_montecarlo_workers_bit_identical():

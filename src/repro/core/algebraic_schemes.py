@@ -36,6 +36,7 @@ from repro.codes.reed_solomon import ReedSolomonCode, RSDecodeStatus
 from repro.core.layout import BITS_PER_BYTE, NUM_BYTES
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
 from repro.core.ssc_dsd import SSCDSDPlusScheme
+from repro.gf.gf2 import bytes_from_words
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER, gf_mul
 
 __all__ = ["DSCScheme", "SSCTSDScheme", "DECODER_CYCLES"]
@@ -113,10 +114,11 @@ class DSCScheme(ECCScheme):
             )
         return syndromes
 
-    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
-        errors = self._check_errors(errors)
-        batch = errors.shape[0]
-        symbols = self._to_symbols(errors)
+    def decode_batch_packed(self, words: np.ndarray, *,
+                            index: np.ndarray | None = None) -> BatchDecode:
+        """PGZ over the entry's bytes, its symbols (``index`` is unused)."""
+        symbols = bytes_from_words(self._check_packed(words), NUM_BYTES)
+        batch = symbols.shape[0]
         s0, s1, s2, s3 = self._syndromes(symbols)
 
         any_error = (s0 != 0) | (s1 != 0) | (s2 != 0) | (s3 != 0)

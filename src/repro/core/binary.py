@@ -43,12 +43,12 @@ from repro.core.sanity_check import csc_violation, csc_violation_batch
 from repro.core.sanity_check import csc_violation_masks
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
 from repro.gf.gf2 import (
-    bytes_from_words,
+    byte_index,
     pack_bits,
-    pack_rows,
     syndrome_byte_table,
     syndromes_batch,
-    syndromes_from_bytes,
+    syndromes_from_index,
+    unpack_rows,
 )
 
 __all__ = ["BinaryEntryScheme"]
@@ -144,9 +144,9 @@ class BinaryEntryScheme(ECCScheme):
         """Precompute the syndrome LUTs behind the packed fast path.
 
         An entry-wide ``(4R, 288)`` parity check stacks each codeword's H on
-        its transmitted bit positions, so one byte-table gather yields all
-        four packed syndromes in disjoint R-bit lanes of a single int64.
-        Each lane then indexes per-syndrome tables: DUE and correction
+        its transmitted bit positions, so the byte-table rows of a batch's
+        nonzero bytes XOR to all four packed syndromes in disjoint R-bit
+        lanes of a single int64.  Each lane then indexes per-syndrome tables: DUE and correction
         flags, and the :class:`~repro.core.rs_packed.PackedTables` of the
         packed-word correction (its XOR with the received entry gives the
         residual) and of the location mask of the corrected bits (for the
@@ -158,7 +158,7 @@ class BinaryEntryScheme(ECCScheme):
         h_entry = np.zeros((ncw * r, ENTRY_BITS), dtype=np.uint8)
         for cw in range(ncw):
             h_entry[cw * r : (cw + 1) * r, self.trans_index[cw]] = self.code.h
-        self._syndrome_shifts = (r * np.arange(ncw)).astype(np.int64)
+        self._syndrome_shifts = [np.int64(r * cw) for cw in range(ncw)]
         self._syndrome_mask = np.int64(space - 1)
 
         # Derive the per-syndrome actions from the same logic the reference
@@ -168,7 +168,7 @@ class BinaryEntryScheme(ECCScheme):
         lut_offsets = offsets[:, 0, :]  # (space, 2), codeword-agnostic
         #: per syndrome, DUE << 8 | corrects: summed over the codewords it
         #: counts the DUE codewords above bit 8 and the correcting ones below
-        self._lut_state = (cw_due[:, 0].astype(np.int16) << 8) | cw_corrects[:, 0]
+        self._lut_state = (cw_due[:, 0].astype(np.int32) << 8) | cw_corrects[:, 0]
 
         # corrected transmitted positions per (codeword, syndrome, slot)
         positions = np.where(
@@ -248,22 +248,22 @@ class BinaryEntryScheme(ECCScheme):
         return DecodeResult(status, data, tuple(corrected_bits))
 
     # -- batch decode (packed syndrome-LUT fast path) ---------------------------
-    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
-        errors = self._check_errors(errors)
-        if not self._packed_ok:
-            return self.decode_batch_errors_reference(errors)
-        return self.decode_batch_packed(pack_rows(errors))
-
-    def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
+    def decode_batch_packed(self, words: np.ndarray, *,
+                            index: np.ndarray | None = None) -> BatchDecode:
         words = self._check_packed(words)
         if not self._packed_ok:
-            return super().decode_batch_packed(words)
+            return self.decode_batch_errors_reference(
+                unpack_rows(words, ENTRY_BITS))
+        if index is None:
+            index = byte_index(words, ENTRY_BYTES)
         tables = self._tables
-        combined = syndromes_from_bytes(tables.syndromes,
-                                        bytes_from_words(words, ENTRY_BYTES))
-        syn = (combined[:, None] >> self._syndrome_shifts) & self._syndrome_mask
+        combined = syndromes_from_index(tables.syndromes, index)
+        syn = [(combined >> shift) & self._syndrome_mask
+               for shift in self._syndrome_shifts]
 
-        state = self._lut_state[syn].sum(axis=1)
+        state = self._lut_state.take(syn[0])
+        for cw_syn in syn[1:]:
+            state += self._lut_state.take(cw_syn)
         due = state > 0xFF
         codewords_correcting = state & 0xFF
         if self.csc:

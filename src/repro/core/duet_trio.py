@@ -90,5 +90,6 @@ class ReconfigurableDuetTrio(ECCScheme):
     def decode(self, entry_bits: np.ndarray) -> DecodeResult:
         return self._active.decode(entry_bits)
 
-    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
-        return self._active.decode_batch_errors(errors)
+    def decode_batch_packed(self, words: np.ndarray, *,
+                            index: np.ndarray | None = None) -> BatchDecode:
+        return self._active.decode_batch_packed(words, index=index)

@@ -22,7 +22,9 @@ from hashlib import sha256
 import numpy as np
 
 from repro.codes.polar import PolarCode
+from repro.core.layout import ENTRY_BITS
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
+from repro.gf.gf2 import unpack_rows
 
 __all__ = ["PolarEntryScheme"]
 
@@ -64,14 +66,16 @@ class PolarEntryScheme(ECCScheme):
         return DecodeResult(status, data, corrected_bits)
 
     # -- batch path (vectorized syndrome SC) ----------------------------------
-    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
-        errors = self._check_errors(errors)
-        batch = errors.shape[0]
+    def decode_batch_packed(self, words: np.ndarray, *,
+                            index: np.ndarray | None = None) -> BatchDecode:
+        """SC decode, unpacking a chunk at a time (``index`` is unused)."""
+        words = self._check_packed(words)
+        batch = words.shape[0]
         due = np.zeros(batch, dtype=bool)
         residual_data = np.zeros(batch, dtype=bool)
         corrected = np.zeros(batch, dtype=bool)
         for start in range(0, batch, _SC_CHUNK):
-            rows = errors[start : start + _SC_CHUNK]
+            rows = unpack_rows(words[start : start + _SC_CHUNK], ENTRY_BITS)
             e_hat, data, crc_fail = self.code.decode_batch(rows)
             stop = start + rows.shape[0]
             due[start:stop] = crc_fail

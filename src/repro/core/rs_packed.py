@@ -6,8 +6,8 @@ each symbol contributes.  Packing those contributions into one integer per
 transmitted bit — codeword ``cw``'s ``S_m`` in byte lane ``cw·r + m`` —
 gives a GF(2) parity check, so the byte-table syndrome machinery of the
 binary schemes (:func:`repro.gf.gf2.syndrome_byte_table`) yields every
-syndrome of a packed batch with one gather over its bytes and an XOR
-reduction: no unpacking and no GF(256) arithmetic per row.
+syndrome of a packed batch by XOR-ing the table rows of its nonzero bytes
+(:func:`repro.gf.gf2.byte_index`): no unpacking and no GF(256) arithmetic.
 
 A one-shot RS decoder then decides at most one ``(location, value)``
 correction per codeword.  :func:`build_rs_tables` tabulates, per codeword,
@@ -71,19 +71,19 @@ class PackedTables:
                    locations=location_masks(positions), data_mask=pack_rows(data))
 
     def residual_data(self, words: np.ndarray,
-                      slots: np.ndarray) -> np.ndarray:
+                      slots: list[np.ndarray]) -> np.ndarray:
         """Whether any data bit of packed ``words`` is still wrong after
-        applying ``slots``, one correction slot per codeword ``(B, ncw)``."""
-        residual = words ^ self.corrections[0][slots[:, 0]]
-        for cw in range(1, slots.shape[1]):
-            residual ^= self.corrections[cw][slots[:, cw]]
+        applying ``slots``, one ``(B,)`` correction-slot array per codeword."""
+        residual = words ^ self.corrections[0].take(slots[0], axis=0)
+        for cw in range(1, len(slots)):
+            residual ^= self.corrections[cw].take(slots[cw], axis=0)
         return (residual & self.data_mask).any(axis=1)
 
-    def location(self, slots: np.ndarray) -> np.ndarray:
-        """``(B, ncw)`` slots -> ``(B,)`` location mask of every flipped bit."""
-        location = self.locations[0][slots[:, 0]]
-        for cw in range(1, slots.shape[1]):
-            location |= self.locations[cw][slots[:, cw]]
+    def location(self, slots: list[np.ndarray]) -> np.ndarray:
+        """Per-codeword ``(B,)`` slots -> ``(B,)`` mask of every flipped bit."""
+        location = self.locations[0].take(slots[0])
+        for cw in range(1, len(slots)):
+            location |= self.locations[cw].take(slots[cw])
         return location
 
 

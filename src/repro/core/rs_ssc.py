@@ -33,7 +33,7 @@ from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, ENTRY_BYTES, NUM_PINS
 from repro.core.rs_packed import PackedTables, build_rs_tables
 from repro.core.sanity_check import csc_violation, csc_violation_batch, csc_violation_masks
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
-from repro.gf.gf2 import bytes_from_words, pack_rows, syndromes_from_bytes
+from repro.gf.gf2 import byte_index, syndromes_from_index
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER, gf_mul
 
 __all__ = ["InterleavedSSCScheme"]
@@ -49,7 +49,7 @@ _BIT_WEIGHTS = (1 << np.arange(BITS_PER_BYTE)).astype(np.int64)
 
 #: codeword ``cw``'s S0 | S1 << 8 sits in bits 16·cw .. 16·cw + 15 of the
 #: packed syndrome (see :mod:`repro.core.rs_packed`)
-_LANE_SHIFTS = np.array([0, 16], dtype=np.uint32)
+_LANE_SHIFTS = (np.uint32(0), np.uint32(16))
 _LANE_MASK = np.uint32(0xFFFF)
 
 
@@ -157,21 +157,20 @@ class InterleavedSSCScheme(ECCScheme):
         return DecodeResult(status, data, tuple(corrected_bits))
 
     # -- batch decode (packed syndrome-LUT fast path) ---------------------------
-    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
-        errors = self._check_errors(errors)
-        return self.decode_batch_packed(pack_rows(errors))
-
-    def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
+    def decode_batch_packed(self, words: np.ndarray, *,
+                            index: np.ndarray | None = None) -> BatchDecode:
         """Decode packed error words through the per-codeword slot LUT."""
         words = self._check_packed(words)
+        if index is None:
+            index = byte_index(words, ENTRY_BYTES)
         tables, lut = _packed_tables()
-        combined = syndromes_from_bytes(tables.syndromes,
-                                        bytes_from_words(words, ENTRY_BYTES))
-        slots = lut[(combined[:, None] >> _LANE_SHIFTS) & _LANE_MASK]
+        combined = syndromes_from_index(tables.syndromes, index)
+        slots = [lut.take((combined >> shift) & _LANE_MASK)
+                 for shift in _LANE_SHIFTS]
 
-        due = (slots < 0).any(axis=1)
-        codewords_correcting = (slots > 0).sum(axis=1)
-        slots = np.maximum(slots, 0)
+        due = (slots[0] < 0) | (slots[1] < 0)
+        codewords_correcting = np.add(slots[0] > 0, slots[1] > 0, dtype=np.int8)
+        slots = [np.maximum(cw_slots, 0) for cw_slots in slots]
         if self.csc:
             due |= csc_violation_masks(tables.location(slots),
                                        codewords_correcting)

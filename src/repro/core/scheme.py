@@ -6,11 +6,11 @@ entry (see :mod:`repro.core.layout`) and is exposed through two paths:
 * a scalar path — :meth:`ECCScheme.encode` / :meth:`ECCScheme.decode` — the
   readable reference implementation used by applications and as the oracle
   in tests, and
-* a vectorized path — :meth:`ECCScheme.decode_batch_errors` — which decodes
-  a *batch of error patterns* laid over the all-zero codeword.  Every scheme
-  here is linear, so the decoder's behaviour depends only on the error
-  pattern; this is what makes the Table 2 / Figure 8 Monte Carlo runs
-  tractable in pure Python.
+* a vectorized path — :meth:`ECCScheme.decode_batch_packed` — which decodes
+  a bit-packed *batch of error patterns* laid over the all-zero codeword.
+  Every scheme here is linear, so the decoder's behaviour depends only on
+  the error pattern; this is what makes the Table 2 / Figure 8 Monte Carlo
+  runs tractable in pure Python.
 
 The decoder cannot see silent data corruption by definition; the evaluation
 harness (:mod:`repro.errormodel.montecarlo`) derives DCE/DUE/SDC labels by
@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from repro.core.layout import DATA_BITS, ENTRY_BITS, ENTRY_WORDS
-from repro.gf.gf2 import unpack_rows
+from repro.gf.gf2 import pack_rows
 
 __all__ = ["DecodeStatus", "DecodeResult", "BatchDecode", "ECCScheme"]
 
@@ -114,19 +114,21 @@ class ECCScheme(ABC):
         """Decode one received 288-bit entry."""
 
     @abstractmethod
-    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
-        """Decode a ``(B, 288)`` batch of error patterns (zero codeword)."""
-
-    def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
+    def decode_batch_packed(self, words: np.ndarray, *,
+                            index: np.ndarray | None = None) -> BatchDecode:
         """Decode a ``(B, 5)`` uint64 bit-packed error batch (zero codeword).
 
         The packed transport format of :func:`repro.gf.gf2.pack_rows`: bit
         ``i`` of the entry sits in word ``i // 64`` at weight ``2**(i % 64)``.
-        Schemes with a native packed fast path override this; the default
-        unpacks and delegates to :meth:`decode_batch_errors`.
+        ``index`` is the batch's :func:`repro.gf.gf2.byte_index` over its
+        36 bytes, shared by every scheme that decodes the batch; syndrome
+        decoders build it when it is ``None``, whole-row decoders ignore it.
         """
-        words = self._check_packed(words)
-        return self.decode_batch_errors(unpack_rows(words, ENTRY_BITS))
+
+    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
+        """Decode a ``(B, 288)`` batch of error patterns (zero codeword)
+        through :meth:`decode_batch_packed`."""
+        return self.decode_batch_packed(pack_rows(self._check_errors(errors)))
 
     # -- shared input validation -------------------------------------------
     @staticmethod

@@ -28,7 +28,7 @@ from repro.codes.reed_solomon import ReedSolomonCode, RSDecodeStatus
 from repro.core.layout import BITS_PER_BYTE, ENTRY_BITS, NUM_BYTES
 from repro.core.rs_packed import PackedTables, build_rs_tables
 from repro.core.scheme import BatchDecode, DecodeResult, DecodeStatus, ECCScheme
-from repro.gf.gf2 import bytes_from_words, pack_rows, syndromes_from_bytes
+from repro.gf.gf2 import byte_index, syndromes_from_index
 from repro.gf.gf256 import EXP_TABLE, LOG_TABLE, ORDER, gf_mul
 
 __all__ = ["SSCDSDPlusScheme"]
@@ -105,21 +105,19 @@ class SSCDSDPlusScheme(ECCScheme):
         return DecodeResult(status, data, tuple(corrected_bits))
 
     # -- batch decode (packed syndrome fast path) -------------------------------
-    def decode_batch_errors(self, errors: np.ndarray) -> BatchDecode:
-        errors = self._check_errors(errors)
-        return self.decode_batch_packed(pack_rows(errors))
-
-    def decode_batch_packed(self, words: np.ndarray) -> BatchDecode:
-        """Decode packed error words: S0..S3 from one byte-table gather,
-        then the three-locator agreement over the four byte lanes."""
+    def decode_batch_packed(self, words: np.ndarray, *,
+                            index: np.ndarray | None = None) -> BatchDecode:
+        """Decode packed error words: S0..S3 from the byte index, then the
+        three-locator agreement over the four byte lanes."""
         words = self._check_packed(words)
+        if index is None:
+            index = byte_index(words, NUM_BYTES)
         tables = _packed_tables()
-        combined = syndromes_from_bytes(tables.syndromes,
-                                        bytes_from_words(words, NUM_BYTES))
+        combined = syndromes_from_index(tables.syndromes, index)
         syndromes = (combined[:, None] >> _LANE_SHIFTS) & np.uint32(0xFF)
         location, corrects, due = _agreement_rule(syndromes)
         slots = np.where(corrects, location * 256 + syndromes[:, 0], 0)
-        residual_data = tables.residual_data(words, slots[:, None])
+        residual_data = tables.residual_data(words, [slots])
         return BatchDecode(due=due, residual_data=residual_data, corrected=corrects)
 
     # -- batch decode (unpacked reference — the oracle for the fast path) -------

@@ -33,7 +33,10 @@ so every execution order gives the same cells.  ``workers`` picks it:
 
 Every scheme sees the same stream for a pattern, so a sweep draws each
 sampled pattern's batch once per process and every scheme's cell decodes
-that one read-only array (:func:`_shared_batch`).  Whatever the path,
+that one read-only array (:func:`_shared_batch`).  Each batch, and each
+cached enumeration, travels with its :func:`~repro.gf.gf2.byte_index`
+(its nonzero bytes), built once and passed to every scheme's decode,
+whose syndromes XOR only those bytes' table rows.  Whatever the path,
 results are delivered in job order on the calling thread, which records
 each fresh cell in ``cache`` as it completes, and the threads are joined
 before the sweep returns.
@@ -68,6 +71,7 @@ from concurrent.futures import BrokenExecutor  # noqa: F401
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout  # noqa: F401
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +81,7 @@ from repro.core.pool import (
     pool_worker_init,
     run_with_requeue,
 )
+from repro.core.layout import ENTRY_BYTES
 from repro.core.scheme import ECCScheme
 from repro.faults import active_plan, faultpoint
 from repro.errormodel.patterns import (
@@ -93,6 +98,7 @@ from repro.errormodel.sampling import (
     sample_entry_errors_packed,
     sample_triple_bit_errors_packed,
 )
+from repro.gf.gf2 import byte_index
 
 __all__ = [
     "PatternOutcome",
@@ -110,9 +116,9 @@ _Z99 = 2.576  # two-sided 99% normal quantile
 _DEFAULT_SAMPLES = 200_000
 _CHUNK = 65_536
 
-#: per sampled pattern, ``(key, batch)`` of the last batch this process
-#: drew for a sweep; see :func:`_shared_batch`
-_BATCHES: dict[ErrorPattern, tuple[tuple, np.ndarray]] = {}
+#: per sampled pattern, ``(key, batch, index)`` of the last batch this
+#: process drew for a sweep; see :func:`_shared_batch`
+_BATCHES: dict[ErrorPattern, tuple[tuple, np.ndarray, np.ndarray]] = {}
 
 #: the packed (cached, read-only) enumeration of each exhaustive pattern
 _ENUMERATIONS = {
@@ -121,6 +127,14 @@ _ENUMERATIONS = {
     ErrorPattern.BYTE: enumerate_byte_errors_packed,
     ErrorPattern.DOUBLE_BIT: enumerate_double_bit_errors_packed,
 }
+
+
+@cache
+def _enumeration(pattern: ErrorPattern) -> tuple[np.ndarray, np.ndarray]:
+    """An exhaustive pattern's enumeration and its byte index, both
+    read-only and built once per process."""
+    words = _ENUMERATIONS[pattern]()
+    return words, byte_index(words, ENTRY_BYTES)
 
 
 @dataclass(frozen=True)
@@ -183,13 +197,16 @@ class SchemeOutcome:
 
 
 def _decode_chunked(scheme: ECCScheme, words: np.ndarray,
-                    chunk: int = _CHUNK) -> tuple[int, int, int]:
+                    chunk: int = _CHUNK, *,
+                    index: np.ndarray | None = None) -> tuple[int, int, int]:
     """(dce, due, sdc) counts over a packed error batch, decoded chunk-wise
-    through :meth:`ECCScheme.decode_batch_packed`."""
+    through :meth:`ECCScheme.decode_batch_packed` with each chunk's
+    columns of the batch's byte ``index``, if given."""
     dce = due = sdc = 0
     for start in range(0, words.shape[0], chunk):
         part = words[start : start + chunk]
-        outcome = scheme.decode_batch_packed(part)
+        columns = None if index is None else index[:, start : start + chunk]
+        outcome = scheme.decode_batch_packed(part, index=columns)
         due_part = int(outcome.due.sum())
         sdc_part = int(outcome.sdc().sum())
         due += due_part
@@ -218,26 +235,27 @@ def _draw(pattern: ErrorPattern, samples: int,
 
 
 def _shared_batch(pattern: ErrorPattern, samples: int,
-                  seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """The read-only packed batch that ``seed_seq`` draws for ``pattern``.
+                  seed_seq: np.random.SeedSequence
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only packed batch ``seed_seq`` draws for ``pattern``, and
+    its byte index.
 
     The process keeps the last batch per sampled pattern, so every
     scheme's cell in a sweep decodes one draw.  The key is everything the
     stream depends on, so a batch is only ever reused for its own seed;
     two separate sweeps racing in threads may evict each other's batch
     and draw it again (a threaded sweep draws its batches before its
-    cells start).  Reading and replacing one dict slot is atomic, so no
-    lock is needed.
+    cells start).  Reading and replacing one dict slot, which holds the
+    batch with its index, is atomic, so no lock is needed.
     """
     key = (pattern, samples, seed_seq.entropy, seed_seq.spawn_key,
            seed_seq.pool_size)
     held = _BATCHES.get(pattern)
-    if held is not None and held[0] == key:
-        return held[1]
-    batch = _draw(pattern, samples, np.random.default_rng(seed_seq))
-    batch.flags.writeable = False
-    _BATCHES[pattern] = (key, batch)
-    return batch
+    if held is None or held[0] != key:
+        batch = _draw(pattern, samples, np.random.default_rng(seed_seq))
+        batch.flags.writeable = False
+        held = _BATCHES[pattern] = (key, batch, byte_index(batch, ENTRY_BYTES))
+    return held[1:]
 
 
 def evaluate_pattern(
@@ -261,7 +279,8 @@ def evaluate_pattern(
 
     exhaustive = True
     if pattern in _ENUMERATIONS:
-        dce, due, sdc = _decode_chunked(scheme, _ENUMERATIONS[pattern]())
+        words, index = _enumeration(pattern)
+        dce, due, sdc = _decode_chunked(scheme, words, index=index)
     elif pattern is ErrorPattern.TRIPLE_BIT and exhaustive_triples:
         dce = due = sdc = 0
         for block in iter_triple_bit_errors_packed():
@@ -273,12 +292,13 @@ def evaluate_pattern(
                      ErrorPattern.ENTRY):
         exhaustive = False
         if seed_seq is not None:
-            errors = _shared_batch(pattern, samples, seed_seq)
+            errors, index = _shared_batch(pattern, samples, seed_seq)
         else:
             errors = _draw(pattern, samples,
                            rng if rng is not None
                            else np.random.default_rng(1234))
-        dce, due, sdc = _decode_chunked(scheme, errors)
+            index = None
+        dce, due, sdc = _decode_chunked(scheme, errors, index=index)
     else:
         raise ValueError(f"unknown pattern {pattern}")
 
@@ -393,7 +413,7 @@ class _CellJob(NamedTuple):
             return self.samples
         if self.pattern is ErrorPattern.TRIPLE_BIT:
             return _CHUNK
-        return _ENUMERATIONS[self.pattern]().shape[0]
+        return _enumeration(self.pattern)[0].shape[0]
 
 
 def _cores() -> int:

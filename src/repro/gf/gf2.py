@@ -8,7 +8,8 @@ syndrome of an error vector ``e`` is ``H @ e (mod 2)``.
 All routines are pure functions; none mutate their arguments.  Batch variants
 accept a 2-D array whose *rows* are vectors and are fully vectorized, which is
 what makes the Monte Carlo evaluation in :mod:`repro.errormodel` practical in
-pure Python.
+pure Python; packed batches get their syndromes from the table rows of
+their nonzero bytes (:func:`byte_index`, :func:`syndromes_from_index`).
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ __all__ = [
     "bytes_from_words",
     "words_from_bytes",
     "syndrome_byte_table",
-    "syndromes_from_bytes",
+    "byte_index",
+    "syndromes_from_index",
     "gf2_matmul",
     "gf2_mat_vec",
-    "syndromes_of",
     "syndromes_batch",
-    "pack_syndromes",
-    "column_weights",
     "row_weights",
     "gf2_rank",
     "gf2_row_reduce",
@@ -137,8 +136,7 @@ def bytes_from_words(words: np.ndarray, num_bytes: int) -> np.ndarray:
     costs no copy when ``words`` already is little-endian and contiguous.
     """
     words = np.ascontiguousarray(words, dtype="<u8")
-    byte_rows = words.view(np.uint8).reshape(words.shape[:-1] + (-1,))
-    byte_rows = byte_rows[..., :num_bytes]
+    byte_rows = words.view(np.uint8)[..., :num_bytes]
     byte_rows.flags.writeable = False
     return byte_rows
 
@@ -158,8 +156,9 @@ def syndrome_byte_table(h_matrix: np.ndarray) -> np.ndarray:
 
         pack_bits(H @ e mod 2)  ==  XOR_j table[j, b[j]]
 
-    which turns batch syndrome computation into one fancy gather plus an
-    XOR reduction (:func:`syndromes_from_bytes`) — no GF(2) matmul.
+    which turns batch syndrome computation into a few gathers plus an XOR
+    reduction (:func:`syndromes_from_index`) — no GF(2) matmul.  Row 0 of
+    every position is 0: a zero byte contributes nothing.
     """
     h_matrix = np.asarray(h_matrix, dtype=np.uint8)
     rows, cols = h_matrix.shape
@@ -178,16 +177,46 @@ def syndrome_byte_table(h_matrix: np.ndarray) -> np.ndarray:
     return table
 
 
-def syndromes_from_bytes(table: np.ndarray, byte_rows: np.ndarray) -> np.ndarray:
-    """Packed syndromes of byte-packed rows via a :func:`syndrome_byte_table`.
+def byte_index(words: np.ndarray, num_bytes: int) -> np.ndarray:
+    """The nonzero bytes of packed ``(B, W)`` rows as flat table indices.
 
-    ``byte_rows`` has shape ``(B, num_bytes)``; the result is ``(B,)``.  One
-    gather per byte position keeps the intermediate at ``(B,)``.
+    A read-only ``(k, B)`` ``uint16`` array: column ``b`` lists
+    ``256 · position + value`` for each nonzero byte among the first
+    ``num_bytes`` of row ``b``, padded with 0 (a zero byte, which every
+    :func:`syndrome_byte_table` maps to 0); ``k`` is the largest count of
+    any row, at least 1.  A syndrome is linear in the error, so only these
+    bytes contribute, and one index serves every table over the rows.
+    Dense rows (``3k > num_bytes``) list every position instead.
     """
-    byte_rows = np.asarray(byte_rows, dtype=np.uint8)
-    combined = table[0][byte_rows[..., 0]]
-    for position in range(1, table.shape[0]):
-        combined ^= table[position][byte_rows[..., position]]
+    byte_rows = bytes_from_words(words, num_bytes)
+    batch = byte_rows.shape[0]
+    counts = np.count_nonzero(byte_rows, axis=1)
+    width = max(int(counts.max(initial=0)), 1)
+    if 3 * width > num_bytes:
+        index = np.empty((num_bytes, batch), dtype=np.uint16)
+        offsets = np.arange(num_bytes, dtype=np.uint16) << 8
+        np.bitwise_or(byte_rows.T, offsets[:, None], out=index)
+    else:  # 4,096 rows at a time bound the per-byte temporaries
+        index = np.zeros((width, batch), dtype=np.uint16)
+        for start in range(0, batch, 4096):
+            block = byte_rows[start : start + 4096]
+            held = counts[start : start + 4096]
+            rows, positions = np.divmod(np.flatnonzero(block), num_bytes)
+            slots = np.arange(rows.size) - (np.cumsum(held) - held)[rows]
+            index[slots, start + rows] = (block[rows, positions]
+                                          | (positions << 8).astype(np.uint16))
+    index.flags.writeable = False
+    return index
+
+
+def syndromes_from_index(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Packed syndromes of the rows a :func:`byte_index` describes, via a
+    :func:`syndrome_byte_table`: the XOR of one flat gather per index row.
+    ``index`` has shape ``(k, B)``; the result is ``(B,)``."""
+    flat = table.reshape(-1)
+    combined = flat.take(index[0])
+    for row in index[1:]:
+        combined ^= flat.take(row)
     return combined
 
 
@@ -202,11 +231,6 @@ def gf2_mat_vec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return gf2_matmul(matrix, np.asarray(vector).reshape(-1))
 
 
-def syndromes_of(h_matrix: np.ndarray, error: np.ndarray) -> np.ndarray:
-    """Syndrome ``H @ e`` of a single error vector, as a length-R bit vector."""
-    return gf2_mat_vec(h_matrix, error)
-
-
 def syndromes_batch(h_matrix: np.ndarray, errors: np.ndarray) -> np.ndarray:
     """Syndromes of a batch of error vectors.
 
@@ -217,16 +241,6 @@ def syndromes_batch(h_matrix: np.ndarray, errors: np.ndarray) -> np.ndarray:
     errors = np.asarray(errors, dtype=np.int16)
     prod = errors @ np.asarray(h_matrix, dtype=np.int16).T
     return (prod & 1).astype(np.uint8)
-
-
-def pack_syndromes(h_matrix: np.ndarray, errors: np.ndarray) -> np.ndarray:
-    """Batch syndromes packed into integers (see :func:`pack_bits`)."""
-    return pack_bits(syndromes_batch(h_matrix, errors))
-
-
-def column_weights(matrix: np.ndarray) -> np.ndarray:
-    """Hamming weight of each column."""
-    return np.asarray(matrix, dtype=np.int64).sum(axis=0)
 
 
 def row_weights(matrix: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.runs.artifacts import canonical_json
 from repro.runs.durable import durable_append_line
 from repro.runs.fingerprint import code_fingerprint
 from repro.runs.manifest import RunManifest, git_commit, new_run_id
-from repro.runs.store import RunStore
+from repro.runs.store import RunStore, UnknownRunError
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -270,6 +270,23 @@ class RunSession:
                 self.manifest.command, self.config, self.run_id)
             faults.faultpoint("runs.index.update", path=str(marker))
             marker.unlink(missing_ok=True)
+            self._retire_predecessors()
+
+    def _retire_predecessors(self) -> None:
+        """Drop the markers of the runs this one resumed, back along the
+        ``resumed_from`` chain: its completion carries their work, so no
+        later job should resume them (see ``RunStore._incomplete_runs``)."""
+        seen = {self.run_id}
+        predecessor = self.manifest.resumed_from
+        while predecessor is not None and predecessor not in seen:
+            seen.add(predecessor)
+            self.store.resumable_marker(
+                self.manifest.command, self.config, predecessor,
+            ).unlink(missing_ok=True)
+            try:
+                predecessor = self.store.load_manifest(predecessor).resumed_from
+            except UnknownRunError:
+                break
 
     def _export_trace(self) -> None:
         """Persist the session trace next to the manifest (best effort)."""

@@ -302,11 +302,14 @@ class RunStore:
 
     def _incomplete_runs(self) -> list[tuple[Path, RunManifest]]:
         """(run dir, manifest) of every run not ``completed``: in progress
-        or resumable.  Unreadable manifests are not resumable."""
+        or resumable.  Unreadable manifests are not resumable, nor is a
+        run that a completed run resumed, directly or through a chain of
+        interrupted resumes: the completed run carries its work."""
         runs_dir = self.root / "runs"
         if not runs_dir.is_dir():
             return []
         incomplete = []
+        superseded: list[str | None] = []
         for run_dir in runs_dir.iterdir():
             try:
                 manifest = RunManifest.load(run_dir / "manifest.json")
@@ -314,7 +317,18 @@ class RunStore:
                 continue
             if manifest.status != "completed":
                 incomplete.append((run_dir, manifest))
-        return incomplete
+            else:
+                superseded.append(manifest.resumed_from)
+        resumed_from = {run_dir.name: manifest.resumed_from
+                        for run_dir, manifest in incomplete}
+        retired: set[str] = set()
+        while superseded:
+            run_id = superseded.pop()
+            if run_id in resumed_from and run_id not in retired:
+                retired.add(run_id)
+                superseded.append(resumed_from[run_id])
+        return [(run_dir, manifest) for run_dir, manifest in incomplete
+                if run_dir.name not in retired]
 
     # -- resumable-run index --------------------------------------------------
     def mark_resumable(self, command: str, config: dict,
@@ -405,10 +419,11 @@ class RunStore:
     ) -> tuple[set[str], set[str]]:
         """(run ids, artifact keys) that gc must keep regardless of age.
 
-        Any run whose manifest status is not ``completed`` is either in
-        progress or resumable (``--resume`` restarts it and turns its
-        finished cells into cache hits), so its run record — and every
-        artifact its checkpoint log references — must survive collection.
+        Any run whose manifest status is not ``completed`` (and that no
+        completed run resumed) is either in progress or resumable
+        (``--resume`` restarts it and turns its finished cells into cache
+        hits), so its run record — and every artifact its checkpoint log
+        references — must survive collection.
         """
         protected_runs: set[str] = set()
         protected_keys: set[str] = set()
@@ -436,8 +451,9 @@ class RunStore:
 
         ``days=0`` empties the store.  ``dry_run=True`` only reports what
         a real pass would reclaim.  Runs that are still in progress or
-        resumable (manifest status other than ``completed``) are never
-        removed, nor are the artifacts their checkpoints reference —
+        resumable (manifest status other than ``completed``, and not
+        resumed by a completed run) are never removed, nor are the
+        artifacts their checkpoints reference —
         collecting those would silently restart a resumed sweep from zero.
         A real pass also rebuilds the resumable index from the same scan.
         """

@@ -90,6 +90,33 @@ class TestAgainstRegistrySchemes:
         assert np.array_equal(ours.due, theirs.due)
         assert np.array_equal(ours.residual_data, theirs.residual_data)
 
+    def test_packed_decode_forwards_words_and_index(self, decoder,
+                                                    monkeypatch):
+        """The active mode's scheme decodes the caller's words and index
+        as given, with no unpack-and-repack in between."""
+        from repro.gf.gf2 import byte_index, pack_rows
+
+        rng = np.random.default_rng(2)
+        words = pack_rows((rng.random((100, 288)) < 0.02).astype(np.uint8))
+        index = byte_index(words, 36)
+        seen = []
+        for mode in ("duet", "trio"):
+            decoder.mode = mode
+            active = decoder._active
+            original = active.decode_batch_packed
+
+            def spy(got, *, index=None, original=original):
+                seen.append((got, index))
+                return original(got, index=index)
+
+            monkeypatch.setattr(active, "decode_batch_packed", spy)
+            ours = decoder.decode_batch_packed(words, index=index)
+            theirs = original(words)
+            assert np.array_equal(ours.due, theirs.due)
+            assert np.array_equal(ours.residual_data, theirs.residual_data)
+        assert all(got is words and passed is index for got, passed in seen)
+        assert len(seen) == 2
+
     def test_duet_mode_detects_everything_registry_duet_detects_on_bytes(
         self, decoder, data
     ):

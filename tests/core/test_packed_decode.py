@@ -14,17 +14,24 @@ import numpy as np
 import pytest
 
 from repro.core import get_scheme
-from repro.core.layout import ENTRY_BITS, ENTRY_WORDS
-from repro.core.registry import SCHEME_NAMES, binary_scheme_names
-from repro.core.scheme import ECCScheme
+from repro.core.layout import ENTRY_BITS, ENTRY_BYTES, ENTRY_WORDS
+from repro.core.registry import (
+    SCHEME_NAMES,
+    binary_scheme_names,
+    known_scheme_names,
+)
+from repro.core.scheme import BatchDecode, DecodeStatus, ECCScheme
 from repro.errormodel.montecarlo import sdc_risk_table
 from repro.errormodel.sampling import (
     enumerate_bit_errors,
     enumerate_byte_errors,
     enumerate_double_bit_errors,
     enumerate_pin_errors,
+    sample_beat_errors,
+    sample_entry_errors,
+    sample_triple_bit_errors,
 )
-from repro.gf.gf2 import pack_rows, unpack_rows
+from repro.gf.gf2 import byte_index, pack_rows, unpack_rows
 
 BINARY = binary_scheme_names()
 REED_SOLOMON = ("i-ssc", "i-ssc-csc", "ssc-dsd+")
@@ -90,8 +97,8 @@ class TestPackedAgainstReference:
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 class TestPackedEntryPoint:
     """decode_batch_packed agrees with decode_batch_errors on every Table-2
-    scheme, each through its own packed path (the base class's
-    unpack-and-delegate default serves only schemes outside Table 2)."""
+    scheme; the base class declares it abstract, so each scheme brings
+    its own packed path."""
 
     def test_packed_equals_unpacked(self, name):
         scheme = get_scheme(name)
@@ -104,8 +111,10 @@ class TestPackedEntryPoint:
         )
 
     def test_overrides_the_unpacking_default(self, name):
-        assert (type(get_scheme(name)).decode_batch_packed
-                is not ECCScheme.decode_batch_packed)
+        assert "decode_batch_packed" in ECCScheme.__abstractmethods__
+        method = type(get_scheme(name)).decode_batch_packed
+        assert method is not ECCScheme.decode_batch_packed
+        assert not getattr(method, "__isabstractmethod__", False)
 
     def test_rejects_wrong_shape(self, name):
         scheme = get_scheme(name)
@@ -123,7 +132,7 @@ def test_rs_sweep_equals_the_reference_oracle_sweep(monkeypatch):
 
     calls = []
 
-    def _reference_packed(self, words):
+    def _reference_packed(self, words, *, index=None):
         calls.append(self.name)
         return self.decode_batch_errors_reference(unpack_rows(words, ENTRY_BITS))
 
@@ -132,3 +141,50 @@ def test_rs_sweep_equals_the_reference_oracle_sweep(monkeypatch):
                             _reference_packed)
     assert sdc_risk_table(schemes, samples=2000) == fast
     assert set(calls) == set(REED_SOLOMON)
+
+
+def _mixed_batch():
+    """Rows on both sides of the byte index's dense switch, zero rows
+    included."""
+    rng = np.random.default_rng(30)
+    pins = enumerate_pin_errors()[rng.integers(0, 792, size=40)]
+    sparse = (rng.random((80, ENTRY_BITS)) < 0.01).astype(np.uint8)
+    return np.concatenate([
+        np.zeros((3, ENTRY_BITS), dtype=np.uint8), pins, sparse,
+        sample_triple_bit_errors(60, rng), sample_beat_errors(60, rng),
+        sample_entry_errors(20, rng),
+    ])
+
+
+def _oracle(scheme, errors):
+    """The scheme's unpacked reference decoder, else (DSC) its scalar
+    decode row by row."""
+    if hasattr(scheme, "decode_batch_errors_reference"):
+        return scheme.decode_batch_errors_reference(errors)
+    results = [scheme.decode(row) for row in errors]
+    due = np.array([r.status is DecodeStatus.DETECTED for r in results])
+    return BatchDecode(
+        due=due,
+        residual_data=np.array([r.data is not None and bool(r.data.any())
+                                for r in results]),
+        corrected=np.array([r.status is DecodeStatus.CORRECTED
+                            for r in results]))
+
+
+@pytest.mark.parametrize("name", known_scheme_names())
+def test_passed_index_equals_built_index_and_oracle(name):
+    """Every registry scheme decodes a packed batch the same with the
+    batch's byte index passed in, built by itself, or not read at all."""
+    scheme = get_scheme(name)
+    errors = _mixed_batch()
+    words = pack_rows(errors)
+    built = scheme.decode_batch_packed(words)
+    passed = scheme.decode_batch_packed(words,
+                                        index=byte_index(words, ENTRY_BYTES))
+    _assert_same(built, passed, name)
+    oracle = _oracle(scheme, errors)
+    assert np.array_equal(built.due, oracle.due), name
+    assert np.array_equal(built.sdc(), oracle.sdc()), name
+    assert np.array_equal(built.corrected, oracle.corrected), name
+    if hasattr(scheme, "decode_batch_errors_reference"):
+        _assert_same(oracle, built, name)

@@ -262,12 +262,13 @@ class TestSharedBatch:
         original_decode = montecarlo._decode_chunked
         original_draw = montecarlo._draw
 
-        def spy_decode(scheme, errors, *args):
+        def spy_decode(scheme, errors, *args, **kwargs):
             for pattern in self.SAMPLED:
                 held = montecarlo._BATCHES.get(pattern)
                 if held is not None and held[1] is errors:
+                    assert kwargs["index"] is held[2]
                     decoded[pattern].append(errors)
-            return original_decode(scheme, errors, *args)
+            return original_decode(scheme, errors, *args, **kwargs)
 
         def spy_draw(pattern, samples, rng):
             draws.append(pattern)
@@ -292,16 +293,58 @@ class TestSharedBatch:
 
         first, second = np.random.SeedSequence(1).spawn(2)
         try:
-            batch = montecarlo._shared_batch(ErrorPattern.BEAT, 50, first)
-            assert montecarlo._shared_batch(
-                ErrorPattern.BEAT, 50, first) is batch
-            other = montecarlo._shared_batch(ErrorPattern.BEAT, 50, second)
+            batch, index = montecarlo._shared_batch(ErrorPattern.BEAT, 50,
+                                                    first)
+            held = montecarlo._shared_batch(ErrorPattern.BEAT, 50, first)
+            assert held[0] is batch and held[1] is index
+            other, _ = montecarlo._shared_batch(ErrorPattern.BEAT, 50, second)
             assert other is not batch
             assert len(montecarlo._BATCHES) == 1
-            again = montecarlo._shared_batch(ErrorPattern.BEAT, 50, first)
+            again, again_index = montecarlo._shared_batch(
+                ErrorPattern.BEAT, 50, first)
             np.testing.assert_array_equal(again, batch)
+            np.testing.assert_array_equal(again_index, index)
         finally:
             montecarlo._BATCHES.clear()
+
+    def test_one_byte_index_per_batch(self, monkeypatch):
+        """A sweep indexes each batch once and hands that index to every
+        scheme: 4 enumerations and 3 draws on a cold process, the 3 draws
+        again on the next sweep, and no decoder builds its own."""
+        from repro.core import all_schemes, binary, rs_ssc, ssc_dsd
+        from repro.errormodel import montecarlo
+
+        builds = []
+        original = montecarlo.byte_index
+
+        def spy_index(words, num_bytes):
+            index = original(words, num_bytes)
+            builds.append(words.shape[0])
+            return index
+
+        def refuse(words, num_bytes):
+            raise AssertionError("a decoder built its own byte index")
+
+        monkeypatch.setattr(montecarlo, "byte_index", spy_index)
+        for module in (binary, rs_ssc, ssc_dsd):
+            monkeypatch.setattr(module, "byte_index", refuse)
+        montecarlo._enumeration.cache_clear()
+        schemes = all_schemes()
+        for workers in (None, 1):
+            builds.clear()
+            first = sdc_risk_table(schemes, samples=700, seed=12,
+                                   workers=workers)
+            assert len(builds) == 7
+            assert builds.count(700) == 3
+            builds.clear()
+            assert sdc_risk_table(schemes, samples=700, seed=12,
+                                  workers=workers) == first
+            assert builds == [700, 700, 700]
+            montecarlo._enumeration.cache_clear()
+        for pattern in montecarlo._ENUMERATIONS:
+            words, index = montecarlo._enumeration(pattern)
+            assert not index.flags.writeable
+            assert index.shape[1] == words.shape[0]
 
     def test_concurrent_sweeps_keep_their_own_seeds(self):
         import threading

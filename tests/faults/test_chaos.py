@@ -390,7 +390,7 @@ def test_duplicate_computation_verdict(monkeypatch, tamper, fail):
 @pytest.mark.slow
 def test_default_schedule_recovers_bit_identically():
     code, report = _chaos()
-    assert code == 0
+    assert code == 0, report
     assert "PASS" in report
     assert "restart" in report
     assert "injected incidents (ledger):" in report
@@ -414,7 +414,7 @@ def test_shm_arena_leak_is_reclaimed_on_resume(monkeypatch):
     spec = ("pool.worker.crash:mode=exit,times=1;"
             "shm.arena.create:mode=exit,host=1,times=1")
     code, report = _chaos(stats="materialize", inject_faults=spec)
-    assert code == 0
+    assert code == 0, report
     assert "PASS" in report
     assert "shm.arena.create: 1" in report
     assert "campaign killed" in report
@@ -428,7 +428,7 @@ def test_reference_engine_runs_materialized():
     code, report = _chaos(
         engine="reference", events=600,
         inject_faults="pool.worker.crash:mode=exit,times=1")
-    assert code == 0
+    assert code == 0, report
     assert "PASS" in report
     assert "statistics bit-identical to the clean run" in report
 
@@ -439,7 +439,7 @@ def test_raise_only_schedule_needs_no_restarts():
     # invocation via the pool's requeue path: 0 restarts, same verdict.
     code, report = _chaos(inject_faults="pool.worker.crash:mode=raise,"
                                         "times=2")
-    assert code == 0
+    assert code == 0, report
     assert "PASS" in report
     assert "0 restart(s)" in report
     assert "fault(s) across 1 point(s)" in report
@@ -452,7 +452,7 @@ def test_served_campaign_recovers_through_daemon_restarts():
     # restart + resubmission, with served statistics bit-identical to a
     # direct CLI run and a clean SIGTERM drain.
     code, report = _chaos(serve=True)
-    assert code == 0
+    assert code == 0, report
     assert "(daemon-hosted)" in report
     assert "daemon killed" in report
     assert "artifact(s) quarantined" in report
@@ -466,7 +466,7 @@ def test_daemon_sigkill_recovers_through_the_journal():
     # journal: both jobs requeued, dedupe preserved across the crash,
     # byte-identical statistics, and no duplicate computation.
     code, report = _chaos(kill_daemon=True)
-    assert code == 0
+    assert code == 0, report
     assert "PASS" in report
     assert "sending SIGKILL" in report
     assert "pool workers exited with the killed daemon" in report

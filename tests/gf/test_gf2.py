@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.gf.gf2 import (
     bits_from_int,
+    byte_index,
     bytes_from_rows,
     bytes_from_words,
     gf2_inverse,
@@ -20,7 +21,7 @@ from repro.gf.gf2 import (
     pack_rows,
     syndrome_byte_table,
     syndromes_batch,
-    syndromes_from_bytes,
+    syndromes_from_index,
     unpack_bits,
     unpack_rows,
     words_from_bytes,
@@ -200,19 +201,95 @@ class TestSyndromeByteTable:
         h = rng.integers(0, 2, shape, dtype=np.uint8)
         errors = rng.integers(0, 2, (40, shape[1]), dtype=np.uint8)
         table = syndrome_byte_table(h)
-        assert table.shape == (-(-shape[1] // 8), 256)
-        got = syndromes_from_bytes(table, bytes_from_rows(errors))
+        num_bytes = -(-shape[1] // 8)
+        assert table.shape == (num_bytes, 256)
+        assert not table[:, 0].any()  # a zero byte contributes nothing
+        index = byte_index(pack_rows(errors), num_bytes)
+        got = syndromes_from_index(table, index)
         assert np.array_equal(got, pack_bits(syndromes_batch(h, errors)))
 
     def test_zero_error_zero_syndrome(self):
         h = np.random.default_rng(0).integers(0, 2, (8, 72), dtype=np.uint8)
         table = syndrome_byte_table(h)
         zero = np.zeros((1, 72), dtype=np.uint8)
-        assert syndromes_from_bytes(table, bytes_from_rows(zero))[0] == 0
+        index = byte_index(pack_rows(zero), 9)
+        assert syndromes_from_index(table, index)[0] == 0
 
     def test_too_many_rows_rejected(self):
         with pytest.raises(ValueError):
             syndrome_byte_table(np.zeros((63, 100), dtype=np.uint8))
+
+
+def _per_position(table, words):
+    """Syndromes by one gather per byte position, zero bytes included."""
+    byte_rows = bytes_from_words(words, table.shape[0])
+    combined = np.zeros(byte_rows.shape[0], dtype=table.dtype)
+    for position in range(table.shape[0]):
+        combined ^= table[position][byte_rows[:, position]]
+    return combined
+
+
+class TestByteIndex:
+    """byte_index + syndromes_from_index equal the per-position gather."""
+
+    @staticmethod
+    def _table():
+        h = np.random.default_rng(36).integers(0, 2, (32, 288), dtype=np.uint8)
+        return syndrome_byte_table(h)
+
+    def _check(self, words):
+        table = self._table()
+        index = byte_index(words, 36)
+        assert index.dtype == np.uint16
+        assert index.shape[1] == words.shape[0]
+        assert np.array_equal(syndromes_from_index(table, index),
+                              _per_position(table, words))
+        return index
+
+    @pytest.mark.parametrize("name", ["bit", "pin", "byte", "double_bit"])
+    def test_every_enumeration(self, name):
+        from repro.errormodel import sampling
+
+        words = getattr(sampling, f"enumerate_{name}_errors_packed")()
+        index = self._check(words)
+        widths = {"bit": 1, "pin": 4, "byte": 1, "double_bit": 2}
+        assert index.shape[0] == widths[name]
+
+    @pytest.mark.parametrize("name", ["triple_bit", "beat", "entry"])
+    def test_sampled_batches(self, name):
+        from repro.errormodel import sampling
+
+        sample = getattr(sampling, f"sample_{name}_errors_packed")
+        for seed in (1, 2, 3):
+            self._check(sample(3000, np.random.default_rng(seed)))
+
+    def test_zero_rows_and_empty_batch(self):
+        zero = self._check(np.zeros((3, 5), dtype=np.uint64))
+        assert zero.shape == (1, 3) and not zero.any()
+        assert self._check(np.zeros((0, 5), dtype=np.uint64)).shape == (1, 0)
+
+    def test_sparse_rows_list_their_nonzero_bytes(self):
+        byte_rows = np.zeros((3, 40), dtype=np.uint8)
+        byte_rows[0, [2, 35]] = [0x81, 0x07]
+        byte_rows[2, 9] = 0xFF
+        index = byte_index(words_from_bytes(byte_rows), 36)
+        assert index.tolist() == [[2 << 8 | 0x81, 0, 9 << 8 | 0xFF],
+                                  [35 << 8 | 0x07, 0, 0]]
+
+    @pytest.mark.parametrize("width", [11, 12, 13, 36])
+    def test_either_side_of_the_dense_switch(self, width):
+        """Up to 12 of 36 nonzero bytes a row lists only those; beyond,
+        every position, as one contiguous transposed array."""
+        rng = np.random.default_rng(width)
+        byte_rows = np.zeros((50, 36), dtype=np.uint8)
+        for row in byte_rows:
+            row[rng.choice(36, size=rng.integers(0, width + 1),
+                           replace=False)] = rng.integers(1, 256)
+        byte_rows[7] = 0
+        byte_rows[7, :width] = 0x5A  # one row at the full width
+        index = self._check(words_from_bytes(byte_rows))
+        assert index.shape[0] == (width if 3 * width <= 36 else 36)
+        assert index.flags.c_contiguous
 
 
 @settings(max_examples=30)

@@ -223,6 +223,53 @@ class TestResumableIndex:
         session.finish("completed")
         assert list(store.resumable_dir().iterdir()) == []
 
+    @pytest.mark.parametrize("cancels", [1, 2])
+    def test_a_completed_resume_retires_its_predecessor(self, tmp_path,
+                                                        cancels):
+        """After ``cancels`` cancelled jobs (the second resumes the
+        first), only the next identical job resumes; it retires the
+        whole chain."""
+        for _ in range(cancels):
+            with pytest.raises(JobCancelled):
+                execute_job("evaluate", EVAL, runs_dir=tmp_path,
+                            progress=lambda line: None,
+                            progress_interval_s=0.0001,
+                            should_abort=lambda: True)
+        store = RunStore(tmp_path)
+        newest = max(store.list_runs(), key=lambda m: m.started_at)
+        resumed = [execute_job("evaluate", EVAL,
+                               runs_dir=tmp_path)["resumed_from"]
+                   for _ in range(3)]
+        assert resumed == [newest.run_id, None, None]
+        assert list(store.resumable_dir().iterdir()) == []
+        # a rebuild from the manifests agrees: the failed run is retired
+        assert store.reindex_resumable() == (0, 0)
+        assert list(store.resumable_dir().iterdir()) == []
+
+    def test_a_rebuild_skips_a_chain_of_resumed_runs(self, tmp_path):
+        """A completed run retires every interrupted run it resumed
+        through, even when their markers were never dropped."""
+        store = RunStore(tmp_path)
+        chain = []
+        for status in ("failed", "failed", "completed"):
+            manifest = RunManifest(
+                run_id=f"20200101T00000{len(chain)}-c0ffee",
+                command="evaluate", config=dict(CONFIG), status=status,
+                started_at=float(len(chain)),
+                resumed_from=chain[-1] if chain else None)
+            manifest.save(store.manifest_path(manifest.run_id))
+            chain.append(manifest.run_id)
+        lone = RunManifest(run_id="20200101T000009-0bd000",
+                           command="evaluate", config=dict(CONFIG, seed=5),
+                           status="failed", started_at=9.0)
+        lone.save(store.manifest_path(lone.run_id))
+        assert [run_dir.name for run_dir, _ in store._incomplete_runs()] \
+            == [lone.run_id]
+        store.reindex_resumable()
+        assert find_resumable(store, "evaluate", CONFIG) is None
+        assert find_resumable(store, "evaluate",
+                              dict(CONFIG, seed=5)) == lone.run_id
+
     def test_newest_of_several_interrupted_runs_wins(self, tmp_path):
         older = RunSession.begin("evaluate", CONFIG, root=tmp_path)
         newer = RunSession.begin("evaluate", CONFIG, root=tmp_path)
