@@ -110,7 +110,8 @@ def test_table2_sweep_time():
 
 
 def test_montecarlo_workers_bit_identical():
-    """The process-pool fan-out returns the exact serial outcomes."""
+    """``workers=2`` (two in-process threads) returns the exact serial
+    outcomes."""
     scheme = get_scheme("trio")
 
     start = time.perf_counter()
@@ -125,6 +126,6 @@ def test_montecarlo_workers_bit_identical():
     emit(
         "Throughput — Monte Carlo workers fan-out (trio)",
         f"workers=1 {serial_s:6.2f} s\n"
-        f"workers=2 {fanned_s:6.2f} s (bit-identical outcomes; speedup "
-        f"requires multi-core hardware)",
+        f"workers=2 {fanned_s:6.2f} s (2 threads; bit-identical outcomes; "
+        f"speedup requires multi-core hardware)",
     )

@@ -79,7 +79,7 @@ def test_served_job_latency_ignores_store_history(tmp_path):
         (run_dir / "manifest.json").write_text(json.dumps({
             "run_id": run_dir.name, "command": "evaluate",
             "config": {"scheme": "trio", "samples": 200, "seed": SEED,
-                       "workers": None, "cell_timeout": None},
+                       "workers": None},
             "status": "completed", "started_at": float(i),
         }))
     times = {empty: [], full: []}

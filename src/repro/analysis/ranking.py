@@ -68,10 +68,8 @@ def ranking_rows(
     seed: int = 1234,
     workers: int | None = None,
     cache=None,
-    cell_timeout: float | None = None,
     tracer=None,
     heartbeat=None,
-    warm_pool=None,
 ) -> list[RankedScheme]:
     """Evaluate and synthesize every registry scheme; returns ranked rows.
 
@@ -88,8 +86,7 @@ def ranking_rows(
     schemes = [get_scheme(name) for name in known_scheme_names()]
     table = sdc_risk_table(
         schemes, samples=samples, seed=seed, workers=workers, cache=cache,
-        cell_timeout=cell_timeout, tracer=tracer, heartbeat=heartbeat,
-        warm_pool=warm_pool,
+        tracer=tracer, heartbeat=heartbeat,
     )
     rows = []
     for scheme in schemes:

@@ -72,14 +72,14 @@ def _section_table1(config: ReportConfig) -> str:
 
 
 def _outcomes(config: ReportConfig, workers=None, cache=None, tracer=None,
-              heartbeat=None, warm_pool=None):
+              heartbeat=None):
     from repro.core import all_schemes
     from repro.errormodel.montecarlo import sdc_risk_table, weighted_outcomes
 
     schemes = all_schemes()
     table = sdc_risk_table(
         schemes, samples=config.samples, seed=config.seed, workers=workers,
-        cache=cache, tracer=tracer, heartbeat=heartbeat, warm_pool=warm_pool,
+        cache=cache, tracer=tracer, heartbeat=heartbeat,
     )
     return {
         scheme.name: weighted_outcomes(scheme, per_pattern=table[scheme.name])
@@ -198,19 +198,16 @@ def generate_report(
     cache=None,
     tracer=None,
     heartbeat=None,
-    warm_pool=None,
 ) -> str:
     """Render the full reproduction report as Markdown.
 
     Every Table-2 cell comes from one sweep over all schemes, run on one
     thread per core unless ``workers`` says otherwise (``1`` is serial,
-    ``N`` a pool of N processes); unless a pool forks, Table 3 is built
-    on a side thread meanwhile.  ``cache`` (e.g.
-    :class:`repro.runs.CellCache`) reuses cells already in the persistent
-    run store, ``tracer`` (a :class:`repro.obs.Tracer`) collects per-cell
-    spans, ``heartbeat`` (a :class:`repro.obs.Heartbeat`) reports the
-    sweep's progress, and ``warm_pool`` (a
-    :class:`repro.core.pool.WarmPool`) supplies the worker processes — all
+    ``N`` at most N threads); Table 3 is built on a side thread
+    meanwhile.  ``cache`` (e.g. :class:`repro.runs.CellCache`) reuses
+    cells already in the persistent run store, ``tracer`` (a
+    :class:`repro.obs.Tracer`) collects per-cell spans, and ``heartbeat``
+    (a :class:`repro.obs.Heartbeat`) reports the sweep's progress — all
     leave the rendered report byte-identical.
     """
     config = ReportConfig(
@@ -221,15 +218,12 @@ def generate_report(
     # them: on a seed whose events hold several 6,000-entry MBME events
     # its transient is still the run's memory peak.  Table 3 is built on
     # a side thread while the cells run, joined before this returns, even
-    # on error; a process pool forks during the sweep, and no process is
-    # forked with a thread alive.
+    # on error.
     table1 = _section_table1(config)
-    forks = workers is not None and workers > 1
     with ThreadPoolExecutor(1, thread_name_prefix="repro-table3") as side:
-        table3 = None if forks else side.submit(_section_table3)
+        table3 = side.submit(_section_table3)
         outcomes = _outcomes(config, workers=workers, cache=cache,
-                             tracer=tracer, heartbeat=heartbeat,
-                             warm_pool=warm_pool)
+                             tracer=tracer, heartbeat=heartbeat)
     parts = [
         "# Reproduction report — Characterizing and Mitigating Soft Errors "
         "in GPU DRAM (MICRO 2021)",
@@ -238,7 +232,7 @@ def generate_report(
         table1,
         _section_table2(outcomes),
         _section_fig8(outcomes),
-        _section_table3() if table3 is None else table3.result(),
+        table3.result(),
         _section_fig9(outcomes, config),
         _section_automotive(outcomes),
     ]

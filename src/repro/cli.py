@@ -10,12 +10,12 @@ fault-injection layer of :mod:`repro.faults` — see DESIGN.md.
 
 The evaluation commands (``evaluate``, ``fig8``, ``report``, ``system``,
 ``campaign``) cache their results in the persistent run store by default
-(``--no-cache`` opts out), accept ``--workers N`` to fan work out over a
-process pool (Table-2 cells, or the statistics chunks of ``campaign``;
-unset, a large Table-2 sweep runs on one thread per core), and accept
-``--resume <run-id>`` to restart an interrupted sweep with its original
-parameters — completed cells come back as cache hits, so only the
-unfinished work is recomputed.
+(``--no-cache`` opts out), accept ``--workers N`` to fan work out (a
+Table-2 sweep over at most N in-process threads, one per core when
+unset; the statistics chunks of ``campaign`` over N worker processes),
+and accept ``--resume <run-id>`` to restart an interrupted sweep with its
+original parameters — completed cells come back as cache hits, so only
+the unfinished work is recomputed.
 """
 
 from __future__ import annotations
@@ -98,12 +98,14 @@ def _count_at_least(low: int, noun: str):
 _sample_count = _count_at_least(1, "sample count")
 #: ``campaign --runs``/``--events``: a count of at least 0
 _campaign_count = _count_at_least(0, "count")
+#: ``--workers``: a thread or process count of at least 1
+_worker_count = _count_at_least(1, "worker count")
 
 
 def _timeout_seconds(text: str) -> float:
-    """An argparse ``type`` for ``--chunk-timeout``/``--cell-timeout``: a
-    bound of 0 or less would time out every job and quietly fall back to
-    serial evaluation, so only durations above 0 are accepted."""
+    """An argparse ``type`` for ``--chunk-timeout``: a bound of 0 or less
+    would time out every chunk and quietly fall back to serial
+    evaluation, so only durations above 0 are accepted."""
     try:
         value = float(text)
     except ValueError:
@@ -120,15 +122,10 @@ def _add_store_flags(parser: argparse.ArgumentParser,
     """The run-store flags shared by every evaluation subcommand."""
     if workers:
         parser.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="Table-2 cells: unset runs them on one in-process thread "
-                 "per available core, 1 runs them serially, N > 1 over N "
-                 "worker processes (all bit-identical)")
-        parser.add_argument(
-            "--cell-timeout", type=_timeout_seconds, default=None,
-            metavar="SECONDS",
-            help="per-cell wall-clock bound in the fanned-out path "
-                 "(timed-out cells are requeued, then run serially)")
+            "--workers", type=_worker_count, default=None, metavar="N",
+            help="threads for the Table-2 cells: unset runs one per "
+                 "available core, N at most N, 1 runs them serially (all "
+                 "bit-identical)")
     parser.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=True,
         help="reuse / record results in the persistent run store "
@@ -231,7 +228,8 @@ def _campaign_arguments(parser) -> None:
         help="statistics path: stream mergeable accumulators in bounded "
              "memory (default), or materialize per-event columns (identical "
              "numbers; the default and only choice on --engine reference)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
+    parser.add_argument("--workers", type=_worker_count, default=None,
+                        metavar="N",
                         help="fan statistics chunks out over N worker "
                              "processes (bit-identical to the serial run)")
     parser.add_argument(
@@ -378,16 +376,14 @@ def _make_heartbeat(args, label: str, unit: str):
 def evaluate_session_config(args) -> dict:
     return {
         "scheme": args.scheme, "samples": args.samples, "seed": args.seed,
-        "workers": args.workers, "cell_timeout": args.cell_timeout,
+        "workers": args.workers,
     }
 
 
 def fig8_session_config(args) -> dict:
     """The config of a sweep over every scheme (fig8, rank, report)."""
-    return {
-        "samples": args.samples, "seed": args.seed,
-        "workers": args.workers, "cell_timeout": args.cell_timeout,
-    }
+    return {"samples": args.samples, "seed": args.seed,
+            "workers": args.workers}
 
 
 def campaign_session_config(args) -> dict:
@@ -417,7 +413,8 @@ def beam_campaign_config(cfg: dict):
 
 
 def _warm_pool(workers):
-    """The invocation-wide warm pool, or None when not fanning out."""
+    """The invocation-wide warm pool of a campaign's statistics chunks, or
+    None when not fanning out."""
     if not workers or workers <= 1:
         return None
     from repro.core.pool import shared_warm_pool
@@ -463,11 +460,9 @@ def _cmd_evaluate(args, out=print):
             per_pattern = evaluate_scheme(
                 scheme, samples=cfg["samples"], seed=cfg["seed"],
                 workers=cfg.get("workers"), cache=session.cell_cache,
-                cell_timeout=cfg.get("cell_timeout"),
                 tracer=session.tracer,
                 heartbeat=_make_heartbeat(
                     args, f"evaluate {cfg['scheme']}", "cells"),
-                warm_pool=_warm_pool(cfg.get("workers")),
             )
     rows = [
         [pattern.value, outcome.events,
@@ -501,10 +496,8 @@ def _cmd_fig8(args, out=print):
             table = sdc_risk_table(
                 schemes, samples=cfg["samples"], seed=cfg["seed"],
                 workers=cfg.get("workers"), cache=session.cell_cache,
-                cell_timeout=cfg.get("cell_timeout"),
                 tracer=session.tracer,
                 heartbeat=_make_heartbeat(args, "fig8", "cells"),
-                warm_pool=_warm_pool(cfg.get("workers")),
             )
     rows = []
     for scheme in schemes:
@@ -567,9 +560,8 @@ def _cmd_rank(args, out=print):
             rows = ranking_rows(
                 samples=cfg["samples"], seed=cfg["seed"],
                 workers=cfg.get("workers"), cache=session.cell_cache,
-                cell_timeout=cfg.get("cell_timeout"), tracer=session.tracer,
+                tracer=session.tracer,
                 heartbeat=_make_heartbeat(args, "rank", "cells"),
-                warm_pool=_warm_pool(cfg.get("workers")),
             )
     out(format_ranking(rows))
     _print_summary(session, out)
@@ -689,7 +681,6 @@ def _cmd_system(args) -> None:
     session = _session_or_null(args, "system", {
         "scheme": args.scheme, "samples": args.samples,
         "exaflops": list(args.exaflops), "workers": args.workers,
-        "cell_timeout": args.cell_timeout,
     })
     cfg = session.config
     with session.active():
@@ -698,11 +689,9 @@ def _cmd_system(args) -> None:
             per_pattern = evaluate_scheme(
                 scheme, samples=cfg["samples"],
                 workers=cfg.get("workers"), cache=session.cell_cache,
-                cell_timeout=cfg.get("cell_timeout"),
                 tracer=session.tracer,
                 heartbeat=_make_heartbeat(
                     args, f"system {cfg['scheme']}", "cells"),
-                warm_pool=_warm_pool(cfg.get("workers")),
             )
         outcome = weighted_outcomes(scheme, per_pattern=per_pattern)
     system = ExascaleSystem()
@@ -738,7 +727,6 @@ def _cmd_report(args) -> None:
                 workers=cfg.get("workers"), cache=session.cell_cache,
                 tracer=session.tracer,
                 heartbeat=_make_heartbeat(args, "report", "cells"),
-                warm_pool=_warm_pool(cfg.get("workers")),
             )
     if args.output:
         with open(args.output, "w") as handle:

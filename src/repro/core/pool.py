@@ -1,15 +1,15 @@
-"""Requeue-then-serial process-pool degradation, shared by every fan-out.
+"""Requeue-then-serial process-pool degradation.
 
-The Monte Carlo harness (:mod:`repro.errormodel.montecarlo`) and the
-beam statistics engine (:mod:`repro.beam.engine`) fan independent,
-deterministically seeded jobs out over a :class:`ProcessPoolExecutor`.
-Both need the same robustness story: a job that misses its timeout, hits
-a worker-side exception, or rides a pool that breaks mid-sweep is
-requeued onto a fresh pool (with exponential backoff between attempts),
-and whatever is still unfinished after the pool budget runs serially
-in-process — per-job seeding makes every path bit-identical.  This
-module is the single implementation of that story; it used to be copied
-(with subtly different accounting) into both call sites.
+The beam statistics engine (:mod:`repro.beam.engine`) fans independent,
+deterministically seeded jobs out over a :class:`ProcessPoolExecutor`:
+a job that misses its timeout, hits a worker-side exception, or rides a
+pool that breaks mid-sweep is requeued onto a fresh pool (with
+exponential backoff between attempts), and whatever is still unfinished
+after the pool budget runs serially in-process — per-job seeding makes
+every path bit-identical.  The Monte Carlo harness
+(:mod:`repro.errormodel.montecarlo`) runs its cells on threads and uses
+only the pure-serial tier: one in-process retry, then the error
+propagates.
 
 Accounting is reconciled here: a job that fails any number of pool
 attempts before completing counts as *requeued exactly once* (it is a
@@ -32,8 +32,8 @@ Callers pass ``executor_factory`` as a closure over their own module's
 seam (tests substitute fake pools per call site), and pass their own
 ``logger`` so warnings keep their historical logger names.
 
-:class:`WarmPool` layers pool *reuse* on top: one CLI invocation that
-runs many campaigns or cell sweeps pays the interpreter-spawn cost once
+:class:`WarmPool` layers pool *reuse* on top: one CLI invocation or
+serve daemon that runs many campaigns pays the interpreter-spawn cost once
 — its :meth:`WarmPool.executor_factory` plugs into the same seam but
 returns a handle whose ``shutdown()`` keeps the underlying executor
 alive when the attempt ended cleanly, and retires it (broken pool, or
@@ -173,9 +173,9 @@ def run_with_requeue(
     *,
     key,
     describe,
-    submit,
     run_serial,
-    workers: int | None,
+    submit=None,
+    workers: int | None = None,
     timeout: float | None = None,
     executor_factory=None,
     noun: str = "jobs",
@@ -189,11 +189,12 @@ def run_with_requeue(
     """Evaluate ``jobs``, fanned out when asked, robust to worker failure.
 
     ``key(job)`` names a job's result slot, ``describe(job)`` renders it
-    for log lines, ``submit(pool, job)`` schedules it on an executor, and
-    ``run_serial(job)`` evaluates it in-process.  ``on_result(job,
-    result)`` fires for every completed job on whichever path completed
-    it — the hook the observability layer uses for heartbeats and
-    worker-span merging.
+    for log lines, ``run_serial(job)`` evaluates it in-process, and
+    ``submit(pool, job)`` schedules it on an executor; without
+    ``workers > 1`` and an ``executor_factory`` no pool is used.
+    ``on_result(job, result)`` fires for every completed job on whichever
+    path completed it — the hook the observability layer uses for
+    heartbeats and worker-span merging.
 
     ``retry`` shapes the budgets and backoff (default
     :class:`RetryPolicy`); ``sleep``/``jitter_draw`` are injection seams
@@ -470,7 +471,7 @@ _SHARED_WARM_POOLS: dict = {}
 def shared_warm_pool(workers: int | None) -> WarmPool:
     """The invocation-wide warm pool for a worker count (lazily created).
 
-    The CLI threads this through beam campaigns and Monte Carlo sweeps so
+    The CLI and the serve daemon thread this through beam campaigns so
     one ``repro`` invocation spawns each pool size at most once; call
     :func:`close_warm_pools` on the way out.
     """

@@ -77,7 +77,13 @@ class PackedTables:
         residual = words ^ self.corrections[0].take(slots[0], axis=0)
         for cw in range(1, len(slots)):
             residual ^= self.corrections[cw].take(slots[cw], axis=0)
-        return (residual & self.data_mask).any(axis=1)
+        residual &= self.data_mask
+        # OR the word columns: a reduction over the 5-wide axis is twice
+        # as slow
+        wrong = residual[:, 0] | residual[:, 1]
+        for column in range(2, residual.shape[1]):
+            wrong |= residual[:, column]
+        return wrong != 0
 
     def location(self, slots: list[np.ndarray]) -> np.ndarray:
         """Per-codeword ``(B,)`` slots -> ``(B,)`` mask of every flipped bit."""

@@ -20,36 +20,26 @@ mirroring the paper's ±0.0003%/±0.00003% statements.
 Error batches travel bit-packed (uint64 words) end-to-end, so schemes with a
 packed syndrome-LUT fast path never touch unpacked bits.  Each Table-2
 pattern is seeded independently from ``np.random.SeedSequence(seed).spawn``,
-so every execution order gives the same cells.  ``workers`` picks it:
-
-* unset — a sweep of two or more cells with at least one chunk of rows
-  between them runs on a :class:`~concurrent.futures.ThreadPoolExecutor`
-  in this process, one thread per available core (numpy releases the GIL
-  in the gathers, XORs and RNG fills a cell is made of); smaller sweeps,
-  and any sweep while a fault plan is active, run serially;
-* ``1`` — serial, in job order;
-* ``N > 1`` — a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out
-  over cells.
+so every execution order gives the same cells.  ``workers`` is a thread
+count: a sweep of two or more cells with at least one chunk of rows
+between them runs on a :class:`~concurrent.futures.ThreadPoolExecutor`
+in this process (numpy releases the GIL in the gathers, XORs and RNG
+fills a cell is made of), one thread per available core when
+``workers`` is unset and at most ``workers`` otherwise, never more
+threads than cells.  ``workers=1``, smaller sweeps, and any sweep while
+a fault plan is active run serially, in job order.
 
 Every scheme sees the same stream for a pattern, so a sweep draws each
-sampled pattern's batch once per process and every scheme's cell decodes
-that one read-only array (:func:`_shared_batch`).  Each batch, and each
-cached enumeration, travels with its :func:`~repro.gf.gf2.byte_index`
-(its nonzero bytes), built once and passed to every scheme's decode,
-whose syndromes XOR only those bytes' table rows.  Whatever the path,
-results are delivered in job order on the calling thread, which records
-each fresh cell in ``cache`` as it completes, and the threads are joined
-before the sweep returns.
-
-The process fan-out degrades gracefully rather than crashing a long
-sweep: a cell that exceeds ``cell_timeout`` or a worker pool that breaks
-(:class:`~concurrent.futures.BrokenExecutor`) is requeued once onto a
-fresh pool, and anything still unfinished falls back to in-process serial
-evaluation — same seeds, so the result is identical either way.  That
-requeue-then-serial story lives in :func:`repro.core.pool.run_with_requeue`,
-shared with the beam-statistics engine; its pure-serial tier (one
-in-process retry, then the error propagates) is also how the serial and
-threaded paths treat a cell that raises.  Passing ``cache=`` (a
+sampled pattern's batch once and every scheme's cell decodes that one
+read-only array (:func:`_shared_batch`).  Each batch, and each cached
+enumeration, travels with its :func:`~repro.gf.gf2.byte_index` (its
+nonzero bytes), built once and passed to every scheme's decode, whose
+syndromes XOR only those bytes' table rows.  Whatever the path, results
+are delivered in job order on the calling thread, which records each
+fresh cell in ``cache`` as it completes, and the threads are joined
+before the sweep returns.  A cell that raises is retried once
+in-process and then propagates (the pure-serial tier of
+:func:`repro.core.pool.run_with_requeue`).  Passing ``cache=`` (a
 :class:`repro.runs.CellCache` or anything with the same
 ``lookup``/``record`` shape) short-circuits already-computed cells through
 the persistent run store and records fresh ones for the next invocation.
@@ -63,24 +53,13 @@ from __future__ import annotations
 import logging
 import os
 import time
-
-# BrokenExecutor and the futures TimeoutError are re-exported here for the
-# degradation tests, which monkeypatch this module's ProcessPoolExecutor
-# and raise these exact types from fake futures.
-from concurrent.futures import BrokenExecutor  # noqa: F401
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout  # noqa: F401
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.pool import (
-    RetryPolicy,
-    pool_worker_init,
-    run_with_requeue,
-)
+from repro.core.pool import RetryPolicy, run_with_requeue
 from repro.core.layout import ENTRY_BYTES
 from repro.core.scheme import ECCScheme
 from repro.faults import active_plan, faultpoint
@@ -314,68 +293,29 @@ def evaluate_pattern(
     )
 
 
-def _scheme_payload(scheme: ECCScheme):
-    """Cheapest picklable handle on a scheme for worker processes.
+def _evaluate_cell(job: _CellJob, with_trace: bool = False
+                   ) -> PatternOutcome | tuple[PatternOutcome, list]:
+    """One (scheme, pattern) cell with its own seed, on whichever thread
+    runs it.
 
-    Registry-built schemes travel as their name (workers rebuild them through
-    the per-process registry cache); anything else is pickled whole.
+    With ``with_trace`` the cell runs under its own tracer and the result
+    travels as ``(outcome, span_records)`` so the calling thread can merge
+    the cell's ``cell`` span into its trace.
     """
-    from repro.core.registry import get_scheme
-
-    try:
-        if get_scheme(scheme.name) is scheme:
-            return scheme.name
-    except KeyError:
-        pass
-    return scheme
-
-
-def _evaluate_cell(
-    payload,
-    pattern: ErrorPattern,
-    samples: int,
-    seed_seq: np.random.SeedSequence,
-    exhaustive_triples: bool,
-    with_trace: bool = False,
-) -> PatternOutcome | tuple[PatternOutcome, list]:
-    """Worker entry point: one (scheme, pattern) cell with its own seed.
-
-    With ``with_trace`` the cell runs under a worker-side tracer and the
-    result travels as ``(outcome, span_records)`` so the parent can merge
-    the worker's ``cell`` span into its trace.
-    """
-    faultpoint("pool.worker.crash", pattern=pattern.name)
-    faultpoint("montecarlo.cell.hang", pattern=pattern.name)
-    if isinstance(payload, str):
-        from repro.core.registry import get_scheme
-
-        scheme = get_scheme(payload)
-    else:
-        scheme = payload
-    name = payload if isinstance(payload, str) else scheme.name
+    faultpoint("pool.worker.crash", pattern=job.pattern.name)
+    faultpoint("montecarlo.cell.hang", pattern=job.pattern.name)
+    evaluate = partial(
+        evaluate_pattern, job.scheme, job.pattern, samples=job.samples,
+        exhaustive_triples=job.exhaustive_triples, seed_seq=job.seed_seq,
+    )
     if not with_trace:
-        return evaluate_pattern(
-            scheme,
-            pattern,
-            samples=samples,
-            exhaustive_triples=exhaustive_triples,
-            seed_seq=seed_seq,
-        )
+        return evaluate()
     from repro.obs import Tracer
 
     tracer = Tracer()
-    with tracer.span("cell", scheme=name, pattern=pattern.name):
-        outcome = evaluate_pattern(
-            scheme,
-            pattern,
-            samples=samples,
-            exhaustive_triples=exhaustive_triples,
-            seed_seq=seed_seq,
-        )
+    with tracer.span("cell", scheme=job.scheme.name, pattern=job.pattern.name):
+        outcome = evaluate()
         tracer.count(events=outcome.events)
-    tag = f"pid:{os.getpid()}"
-    for record in tracer.records:
-        record.worker = tag
     return outcome, tracer.records
 
 
@@ -383,7 +323,7 @@ def _cell_seeds(seed: int) -> list[np.random.SeedSequence]:
     """One independent child seed per Table-2 pattern.
 
     The spawn is a pure function of ``seed``, so any execution order — serial
-    or fanned out over workers — evaluates every cell with the same stream.
+    or on threads — evaluates every cell with the same stream.
     """
     return np.random.SeedSequence(seed).spawn(len(ErrorPattern))
 
@@ -427,17 +367,19 @@ def _cores() -> int:
 def _cell_threads(jobs: list[_CellJob], workers: int | None) -> int:
     """Threads to run ``jobs`` on in this process, or 0 to run them serially.
 
-    Only an unset ``workers`` fans out, and only a sweep worth it: two or
-    more cells with at least one chunk of rows between them, so a served
-    sweep whose exhaustive cells are cached stays serial.  While a fault
-    plan is active the sweep stays serial too, since ``p=``/``after=``/
-    ``times=`` decisions follow the order of hits.
+    One per available core when ``workers`` is unset, else at most
+    ``workers``, and never more than there are cells.  Only a sweep worth
+    it fans out: two or more cells with at least one chunk of rows
+    between them, so a served sweep whose exhaustive cells are cached
+    stays serial.  While a fault plan is active the sweep stays serial
+    too, since ``p=``/``after=``/``times=`` decisions follow the order of
+    hits.
     """
-    if workers is not None or len(jobs) < 2 or active_plan() is not None:
+    if workers == 1 or len(jobs) < 2 or active_plan() is not None:
         return 0
     if sum(job.rows for job in jobs) < _CHUNK:
         return 0
-    return _cores()
+    return min(_cores() if workers is None else workers, len(jobs))
 
 
 def _start_threads(pool, jobs: list[_CellJob], run_cell):
@@ -467,29 +409,23 @@ def _run_cells(
     jobs: list[_CellJob],
     on_cell,
     workers: int | None,
-    cell_timeout: float | None = None,
     tracer=None,
     heartbeat=None,
     retry: RetryPolicy | None = None,
-    warm_pool=None,
 ) -> None:
-    """Evaluate cells, fanned out when asked, robust to worker failure.
+    """Evaluate cells, on threads when the sweep is worth it.
 
-    ``workers=N`` (N > 1) runs the cells on a process pool, delegating
-    the requeue-once-then-serial robustness to
-    :func:`repro.core.pool.run_with_requeue`; an unset ``workers`` runs a
-    large enough sweep on one thread per core (:func:`_cell_threads`),
-    and otherwise the cells run serially in job order.  Threaded cells
-    keep the serial contract: results arrive in job order on the calling
-    thread, and a cell that raises is retried once in-process and then
-    propagates.  Per-cell seeding makes the outcome identical on every
-    path.  ``on_cell(job, outcome)`` receives each cell on the calling
-    thread as it completes.  When ``tracer`` is given, each cell carries its
-    ``cell`` span back with the outcome and the spans merge into the
-    parent trace as results arrive; ``heartbeat`` (a
-    :class:`repro.obs.Heartbeat`) is advanced one cell at a time.
-    ``warm_pool`` (a :class:`repro.core.pool.WarmPool`) supplies the
-    worker pool, reusing processes across sweeps in one invocation.
+    A large enough sweep runs on :func:`_cell_threads` threads in this
+    process; otherwise the cells run serially in job order.  Either way
+    results arrive in job order on the calling thread, and a cell that
+    raises is retried once in-process and then propagates (the pure-serial
+    tier of :func:`repro.core.pool.run_with_requeue`).  Per-cell seeding
+    makes the outcome identical on every path.  ``on_cell(job, outcome)``
+    receives each cell on the calling thread as it completes.  When
+    ``tracer`` is given, each cell carries its ``cell`` span back with the
+    outcome and the spans merge into the parent trace as results arrive;
+    ``heartbeat`` (a :class:`repro.obs.Heartbeat`) is advanced one cell at
+    a time.
     """
     with_trace = tracer is not None
     if heartbeat is not None and heartbeat.total is None:
@@ -498,16 +434,13 @@ def _run_cells(
     def _on_result(job: _CellJob, result) -> None:
         outcome = result[0] if with_trace else result
         if with_trace:
-            tracer.merge(result[1])
+            tracer.merge(result[1], worker=f"pid:{os.getpid()}")
         on_cell(job, outcome)
         if heartbeat is not None:
             heartbeat.update(advance=1, events=outcome.events)
 
     def _run_cell(job: _CellJob):
-        return _evaluate_cell(
-            job.scheme, job.pattern, job.samples, job.seed_seq,
-            job.exhaustive_triples, with_trace,
-        )
+        return _evaluate_cell(job, with_trace)
 
     threads = _cell_threads(jobs, workers)
     pool = None
@@ -518,24 +451,12 @@ def _run_cells(
 
         pool = ThreadPoolExecutor(threads, thread_name_prefix="repro-cell")
     try:
-        _, report = run_with_requeue(
+        run_with_requeue(
             jobs,
             key=lambda job: job.key,
             describe=lambda job: f"cell {job.key[0]}/{job.pattern.name}",
-            submit=lambda pool, job: pool.submit(
-                _evaluate_cell, _scheme_payload(job.scheme), job.pattern,
-                job.samples, job.seed_seq, job.exhaustive_triples,
-                with_trace,
-            ),
             run_serial=(_run_cell if pool is None
                         else _start_threads(pool, jobs, _run_cell)),
-            workers=workers,
-            timeout=cell_timeout,
-            executor_factory=(
-                warm_pool.executor_factory if warm_pool is not None
-                else (lambda: ProcessPoolExecutor(
-                    max_workers=workers, initializer=pool_worker_init))
-            ),
             noun="cells",
             logger=_LOGGER,
             on_result=_on_result,
@@ -544,8 +465,6 @@ def _run_cells(
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    if with_trace:
-        tracer.count(**report.counters())
 
 
 def _collect_cells(
@@ -556,21 +475,21 @@ def _collect_cells(
     exhaustive_triples: bool,
     workers: int | None,
     cache,
-    cell_timeout: float | None,
     tracer=None,
     heartbeat=None,
     retry: RetryPolicy | None = None,
-    warm_pool=None,
 ) -> dict[str, dict[ErrorPattern, PatternOutcome]]:
     """Shared cache-aware engine behind Table 2 and per-scheme evaluation.
 
-    Every scheme's cell of a sampled pattern decodes one shared batch per
-    process (:func:`_shared_batch`); this process's batches are freed
-    when the sweep returns.  Each fresh cell is recorded in ``cache`` as
+    Every scheme's cell of a sampled pattern decodes one shared batch
+    (:func:`_shared_batch`); the batches are freed when the sweep
+    returns.  Each fresh cell is recorded in ``cache`` as
     it completes, in job order, so a sweep cut short keeps what it
     finished.
     """
     _check_samples(samples)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1 (got {workers})")
     cells = list(zip(ErrorPattern, _cell_seeds(seed)))
     table: dict[str, dict[ErrorPattern, PatternOutcome]] = {
         scheme.name: {} for scheme in schemes
@@ -602,8 +521,7 @@ def _collect_cells(
                          job.scheme.cache_token())
 
     try:
-        _run_cells(jobs, _record, workers, cell_timeout, tracer, heartbeat,
-                   retry, warm_pool)
+        _run_cells(jobs, _record, workers, tracer, heartbeat, retry)
     finally:
         _BATCHES.clear()
     if heartbeat is not None:
@@ -627,30 +545,23 @@ def evaluate_scheme(
     exhaustive_triples: bool = False,
     workers: int | None = None,
     cache=None,
-    cell_timeout: float | None = None,
     tracer=None,
     heartbeat=None,
     retry: RetryPolicy | None = None,
-    warm_pool=None,
 ) -> dict[ErrorPattern, PatternOutcome]:
     """All seven Table-2 cells for one scheme.
 
     An unset ``workers`` runs a large enough sweep on one thread per
-    core, ``workers=1`` runs it serially and ``workers=N`` (N > 1) over a
-    process pool; per-cell seeding makes the result bit-identical on
-    every path.
+    core, ``workers=N`` on at most N threads and ``workers=1`` serially;
+    per-cell seeding makes the result bit-identical on every path.
     ``cache`` (e.g. :class:`repro.runs.CellCache`) reloads previously
     computed cells from the persistent run store and records fresh ones;
-    ``cell_timeout`` bounds each cell's wall-clock in the fanned-out path;
-    ``tracer`` (a :class:`repro.obs.Tracer`) collects per-cell spans;
-    ``warm_pool`` (a :class:`repro.core.pool.WarmPool`) reuses worker
-    processes across sweeps instead of spawning per call.
+    ``tracer`` (a :class:`repro.obs.Tracer`) collects per-cell spans.
     """
     return _collect_cells(
         [scheme], samples=samples, seed=seed,
         exhaustive_triples=exhaustive_triples, workers=workers,
-        cache=cache, cell_timeout=cell_timeout, tracer=tracer,
-        heartbeat=heartbeat, retry=retry, warm_pool=warm_pool,
+        cache=cache, tracer=tracer, heartbeat=heartbeat, retry=retry,
     )[scheme.name]
 
 
@@ -698,20 +609,17 @@ def sdc_risk_table(
     exhaustive_triples: bool = False,
     workers: int | None = None,
     cache=None,
-    cell_timeout: float | None = None,
     tracer=None,
     heartbeat=None,
     retry: RetryPolicy | None = None,
-    warm_pool=None,
 ) -> dict[str, dict[ErrorPattern, PatternOutcome]]:
     """Table 2: per-pattern outcomes for a list of schemes.
 
     Every (scheme, pattern) cell is one job: on one thread per core when
-    ``workers`` is unset, serial with ``workers=1``, and one process-pool
-    job each with ``workers=N``.  Seeds are spawned per pattern exactly as
+    ``workers`` is unset, on at most N threads with ``workers=N``, and
+    serial with ``workers=1``.  Seeds are spawned per pattern exactly as
     in :func:`evaluate_scheme`, so the table is bit-identical whatever
-    ``workers`` is; worker failures and cell timeouts degrade to
-    requeue-then-serial instead of killing the sweep.
+    ``workers`` is.
     ``cache`` short-circuits cells already in the persistent run store, so
     an interrupted sweep re-invoked with the same parameters recomputes
     only its unfinished cells.
@@ -719,6 +627,5 @@ def sdc_risk_table(
     return _collect_cells(
         schemes, samples=samples, seed=seed,
         exhaustive_triples=exhaustive_triples, workers=workers,
-        cache=cache, cell_timeout=cell_timeout, tracer=tracer,
-        heartbeat=heartbeat, retry=retry, warm_pool=warm_pool,
+        cache=cache, tracer=tracer, heartbeat=heartbeat, retry=retry,
     )

@@ -99,14 +99,14 @@ _TERMINAL = frozenset({"completed", "failed", "cancelled"})
 
 def add_chaos_arguments(chaos) -> None:
     """Add the ``chaos`` command's arguments to its subparser."""
-    from repro.cli import _campaign_count, _timeout_seconds
+    from repro.cli import _campaign_count, _timeout_seconds, _worker_count
 
     chaos.add_argument("--events", type=_campaign_count, default=1200,
                        help="generator-truth events (>= 2 chunks so the "
                             "worker pool engages; default 1200)")
     chaos.add_argument("--runs", type=_campaign_count, default=1)
     chaos.add_argument("--seed", type=int, default=2021)
-    chaos.add_argument("--workers", type=int, default=2)
+    chaos.add_argument("--workers", type=_worker_count, default=2)
     chaos.add_argument("--engine", choices=["shm", "reference"],
                        default="shm",
                        help="statistics engine for both campaigns "

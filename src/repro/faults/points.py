@@ -16,7 +16,7 @@ The registered fault points, by layer:
 ``store.manifest.pre_rename``             manifest writes (begin + finish)
 ``store.manifest.post_rename``
 ``checkpoint.torn_write``                 before a checkpoint line append
-``pool.worker.crash``                     entry of every pool job
+``pool.worker.crash``                     entry of a pool job or Table-2 cell
 ``engine.chunk.hang``                     entry of a statistics chunk
 ``montecarlo.cell.hang``                  entry of a Table-2 cell
 ``shm.arena.create``                      after a campaign arena exists

@@ -80,9 +80,10 @@ def _resolve_stats(stats: str | None, params: dict) -> str:
 
 
 def _at_least(name: str, low: int):
-    """A resolve hook rejecting a count below ``low``, as the CLI does."""
-    def resolve(value: int, params: dict) -> int:
-        if value < low:
+    """A resolve hook rejecting a count below ``low``, as the CLI does
+    (an unset count passes)."""
+    def resolve(value: int | None, params: dict) -> int | None:
+        if value is not None and value < low:
             raise ValueError(
                 f"parameter {name!r} must be at least {low} (got {value})")
         return value
@@ -90,6 +91,8 @@ def _at_least(name: str, low: int):
 
 
 _resolve_samples = _at_least("samples", 1)
+#: unset, or a thread or process count of at least 1
+_resolve_workers = _at_least("workers", 1)
 
 
 def _above_zero(name: str):
@@ -116,7 +119,8 @@ JOB_KINDS: dict[str, tuple[_Param, ...]] = {
         _Param("stats", str, None, identity=False,
                choices=("materialize", "streaming"),
                resolve=_resolve_stats),
-        _Param("workers", int, None, identity=False),
+        _Param("workers", int, None, identity=False,
+               resolve=_resolve_workers),
         _Param("chunk_timeout", float, None, identity=False,
                resolve=_above_zero("chunk_timeout")),
         _Param("fleet_size", int, None),
@@ -126,16 +130,14 @@ JOB_KINDS: dict[str, tuple[_Param, ...]] = {
         _Param("scheme", str, required=True),
         _Param("samples", int, 20_000, resolve=_resolve_samples),
         _Param("seed", int, 1234),
-        _Param("workers", int, None, identity=False),
-        _Param("cell_timeout", float, None, identity=False,
-               resolve=_above_zero("cell_timeout")),
+        _Param("workers", int, None, identity=False,
+               resolve=_resolve_workers),
     ),
     "fig8": (
         _Param("samples", int, 20_000, resolve=_resolve_samples),
         _Param("seed", int, 1234),
-        _Param("workers", int, None, identity=False),
-        _Param("cell_timeout", float, None, identity=False,
-               resolve=_above_zero("cell_timeout")),
+        _Param("workers", int, None, identity=False,
+               resolve=_resolve_workers),
     ),
 }
 

@@ -17,18 +17,23 @@ DEFAULT_URL = "http://127.0.0.1:8023"
 
 def add_serve_arguments(serve) -> None:
     """Add the ``serve`` command's arguments to its subparser."""
+    from repro.cli import _worker_count
+
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8023,
                        help="TCP port (0 picks a free one; default 8023)")
     serve.add_argument("--runs-dir", default=None, metavar="DIR",
                        help="run-store root (default: $REPRO_RUNS_DIR or "
                             "~/.cache/repro-runs)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="default process fan-out for jobs that don't "
-                            "set their own 'workers' parameter")
+    serve.add_argument("--workers", type=_worker_count, default=None,
+                       metavar="N",
+                       help="default 'workers' of jobs that don't set "
+                            "their own: threads per evaluate/fig8 job, "
+                            "processes per campaign")
     serve.add_argument("--slots", type=int, default=1, metavar="N",
-                       help="jobs run concurrently (default 1; each job "
-                            "fans out over the shared warm pool itself)")
+                       help="jobs run concurrently (default 1; a "
+                            "campaign fans out over the shared warm "
+                            "pool)")
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
                        help="pending-job bound before submissions get "
                             "429 backpressure (default 64)")

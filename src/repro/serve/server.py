@@ -2,9 +2,9 @@
 
 A stdlib-only asyncio HTTP/JSON service over the existing substrate: the
 content-addressed run store supplies caching and crash recovery, the
-shared :class:`~repro.core.pool.WarmPool` supplies persistent workers,
-and the :mod:`repro.obs` heartbeat layer supplies the progress feed that
-is bridged into per-job SSE channels.
+shared :class:`~repro.core.pool.WarmPool` supplies campaigns' persistent
+workers, and the :mod:`repro.obs` heartbeat layer supplies the progress
+feed that is bridged into per-job SSE channels.
 
 API (all under ``/v1``; the prefix is optional)::
 
@@ -30,8 +30,9 @@ API (all under ``/v1``; the prefix is optional)::
 Scheduling: submissions land in the bounded
 :class:`~repro.serve.scheduler.FairShareScheduler` (WDRR across tenants,
 priority within), and a dispatch task starts up to ``--slots`` jobs
-concurrently on a thread pool — each job being a real CLI command body
-whose own process fan-out rides the shared warm pool.  Identical
+concurrently on a thread pool — each job being a real CLI command body;
+a campaign's process fan-out rides the shared warm pool, a Table 2
+job's cells run on threads of its own.  Identical
 concurrent submissions collapse onto one job
 (:class:`~repro.serve.jobs.JobRegistry`), so a thousand clients asking
 for the same sweep cost one computation.

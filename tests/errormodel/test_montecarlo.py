@@ -117,22 +117,47 @@ class TestTiming:
 
 
 class TestWorkers:
-    """The ProcessPoolExecutor fan-out is bit-identical to the serial path."""
+    """``workers=2`` runs the cells on two in-process threads, bit-identical
+    to the serial path."""
 
-    def test_evaluate_scheme_workers_bit_identical(self):
-        scheme = get_scheme("duet")
-        serial = evaluate_scheme(scheme, samples=600, seed=5)
-        fanned = evaluate_scheme(scheme, samples=600, seed=5, workers=2)
-        assert fanned == serial
+    @staticmethod
+    def _threads_seen(monkeypatch) -> list[int]:
+        from repro.errormodel import montecarlo
 
-    def test_sdc_risk_table_workers_bit_identical(self):
+        seen = []
+        original = montecarlo._cell_threads
+
+        def spy(jobs, workers):
+            seen.append(original(jobs, workers))
+            return seen[-1]
+
+        monkeypatch.setattr(montecarlo, "_cell_threads", spy)
+        return seen
+
+    def _assert_threads_match_serial(self, monkeypatch, scheme, seed):
+        # 6,000 samples puts one scheme's sweep above the one-chunk
+        # threshold, so workers=2 really starts two threads
+        serial = evaluate_scheme(scheme, samples=6000, seed=seed, workers=1)
+        seen = self._threads_seen(monkeypatch)
+        threaded = evaluate_scheme(scheme, samples=6000, seed=seed,
+                                   workers=2)
+        assert seen == [2]
+        assert threaded == serial
+
+    def test_evaluate_scheme_workers_bit_identical(self, monkeypatch):
+        self._assert_threads_match_serial(monkeypatch, get_scheme("duet"), 5)
+
+    def test_sdc_risk_table_workers_bit_identical(self, monkeypatch):
         schemes = [get_scheme("ni-secded"), get_scheme("trio")]
-        serial = sdc_risk_table(schemes, samples=600, seed=6)
-        fanned = sdc_risk_table(schemes, samples=600, seed=6, workers=2)
-        assert fanned == serial
+        serial = sdc_risk_table(schemes, samples=600, seed=6, workers=1)
+        seen = self._threads_seen(monkeypatch)
+        threaded = sdc_risk_table(schemes, samples=600, seed=6, workers=2)
+        assert seen == [2]
+        assert threaded == serial
 
-    def test_unregistered_scheme_survives_fanout(self):
-        """A scheme object absent from the registry is pickled, not named."""
+    def test_unregistered_scheme_survives_fanout(self, monkeypatch):
+        """A scheme object absent from the registry runs on the threads
+        like a registered one."""
         from repro.codes.hsiao import hsiao_code
         from repro.core.binary import BinaryEntryScheme
 
@@ -140,9 +165,12 @@ class TestWorkers:
             hsiao_code(), interleaved=False,
             name="local-secded", label="Local SECDED",
         )
-        serial = evaluate_scheme(scheme, samples=400, seed=7)
-        fanned = evaluate_scheme(scheme, samples=400, seed=7, workers=2)
-        assert fanned == serial
+        self._assert_threads_match_serial(monkeypatch, scheme, 7)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="at least 1"):
+            evaluate_scheme(get_scheme("duet"), samples=600, workers=workers)
 
 
 class TestWeightedOutcomes:

@@ -1,10 +1,10 @@
-"""Span aggregation across a real process pool.
+"""Span aggregation across a real process pool and across cell threads.
 
-The acceptance-critical property: when the beam engine or the Monte Carlo
-harness fans out over a genuine ``ProcessPoolExecutor``, the worker-side
-spans come back over the result channel and merge into the parent trace —
-correctly parented, pid-tagged, and with counters that reconcile with the
-work actually done.
+The acceptance-critical property: when the beam engine fans out over a
+genuine ``ProcessPoolExecutor``, the worker-side spans come back over the
+result channel and merge into the parent trace — correctly parented,
+pid-tagged, and with counters that reconcile with the work actually done.
+The Monte Carlo harness's threaded cells merge the same way.
 """
 
 import os
@@ -66,20 +66,29 @@ class TestEngineAggregation:
 
 
 class TestMonteCarloAggregation:
-    def test_cell_spans_arrive_from_multiple_processes(self):
+    def test_thread_cell_spans_nest_in_evaluate(self, monkeypatch):
+        from repro.errormodel import montecarlo
+
+        threads = []
+        original = montecarlo._cell_threads
+
+        def spy(jobs, workers):
+            threads.append(original(jobs, workers))
+            return threads[-1]
+
+        monkeypatch.setattr(montecarlo, "_cell_threads", spy)
         tracer = Tracer()
         with tracer.span("evaluate"):
-            evaluate_scheme(get_scheme("duet"), samples=300, seed=11,
+            # 6,000 samples clear the one-chunk threshold for threads
+            evaluate_scheme(get_scheme("duet"), samples=6000, seed=11,
                             workers=2, tracer=tracer)
+        assert threads == [2]
         cells = [r for r in tracer.records if r.name == "cell"]
         assert len(cells) == 7  # one per Table-1 pattern
         evaluate = next(r for r in tracer.records if r.name == "evaluate")
         assert all(c.parent_id == evaluate.span_id for c in cells)
-        assert all(c.worker and c.worker.startswith("pid:") for c in cells)
-        # a 2-worker pool means at least one cell ran outside this process
-        parent = f"pid:{os.getpid()}"
-        assert any(c.worker != parent for c in cells)
-        assert evaluate.counters["pool_jobs"] == 7
+        # threads never leave this process
+        assert {c.worker for c in cells} == {f"pid:{os.getpid()}"}
 
     def test_serial_tracing_tags_cells_with_the_parent_pid(self):
         tracer = Tracer()

@@ -2,11 +2,8 @@
 
 Covers the acceptance-critical behaviors: warm-cache runs bit-identical to
 cold ones, interrupted sweeps resuming with only the unfinished cells
-recomputed, and fan-out failures degrading to serial instead of killing
-the sweep.
+recomputed, and a failing cell keeping every cell finished before it.
 """
-
-import logging
 
 import pytest
 
@@ -98,7 +95,7 @@ class TestRecordAsCompleted:
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_cells_before_a_late_failure_are_hits(self, store, monkeypatch,
                                                   workers):
-        from repro.core.pool import PoisonedJobs, RetryPolicy
+        from repro.core.pool import RetryPolicy
 
         schemes = [get_scheme("trio"), get_scheme("duet")]
         baseline = sdc_risk_table(schemes, samples=SAMPLES, seed=SEED,
@@ -112,13 +109,11 @@ class TestRecordAsCompleted:
 
         monkeypatch.setattr(montecarlo, "evaluate_pattern", broken)
         first = CellCache(store)
-        with pytest.raises((RuntimeError, PoisonedJobs)) as excinfo:
+        # serial or threaded, the cell's own error reaches the caller
+        with pytest.raises(RuntimeError, match="late cell failed"):
             sdc_risk_table(schemes, samples=SAMPLES, seed=SEED, cache=first,
                            workers=workers,
                            retry=RetryPolicy(backoff_base_s=0.0))
-        # a pool that gave up quarantines the cell; in-process paths
-        # hand the cell's own error to the caller
-        assert isinstance(excinfo.value, PoisonedJobs) == (workers == 2)
         monkeypatch.setattr(montecarlo, "evaluate_pattern", original)
 
         again = CellCache(store)
@@ -129,90 +124,10 @@ class TestRecordAsCompleted:
 
     def test_threaded_sweep_rows_clear_the_threshold(self):
         # the sweep above must take the threaded path when workers is
-        # unset, or its None case would only repeat the serial one
+        # unset or 2, or those cases would only repeat the serial one
         jobs = [montecarlo._CellJob(
             key=(name, pattern), scheme=get_scheme(name), pattern=pattern,
             samples=SAMPLES, seed_seq=None, exhaustive_triples=False)
             for name in ("trio", "duet") for pattern in ErrorPattern]
         assert montecarlo._cell_threads(jobs, None) >= 1
-
-
-class _FakeFuture:
-    def __init__(self, exc):
-        self._exc = exc
-
-    def result(self, timeout=None):
-        raise self._exc
-
-    def cancel(self):
-        pass
-
-
-class _FakePool:
-    """Stands in for ProcessPoolExecutor; every cell fails the same way."""
-
-    exc_factory = None
-
-    def __init__(self, max_workers=None, initializer=None):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        return _FakeFuture(self.exc_factory())
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class TestGracefulDegradation:
-    def _patched(self, monkeypatch, exc_factory):
-        pool = type("_Pool", (_FakePool,), {"exc_factory": staticmethod(exc_factory)})
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool)
-
-    def test_broken_pool_falls_back_to_serial(self, monkeypatch, caplog):
-        self._patched(monkeypatch, lambda: montecarlo.BrokenExecutor("fake"))
-        scheme = get_scheme("trio")
-        serial = evaluate_scheme(scheme, samples=SAMPLES, seed=SEED)
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.errormodel.montecarlo"):
-            fanned = evaluate_scheme(scheme, samples=SAMPLES, seed=SEED,
-                                     workers=4)
-        assert fanned == serial
-        assert any("worker pool broke" in rec.message for rec in caplog.records)
-        assert any("falling back" in rec.message for rec in caplog.records)
-
-    def test_cell_timeout_falls_back_to_serial(self, monkeypatch, caplog):
-        self._patched(monkeypatch, lambda: montecarlo._FuturesTimeout())
-        scheme = get_scheme("trio")
-        serial = evaluate_scheme(scheme, samples=SAMPLES, seed=SEED)
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.errormodel.montecarlo"):
-            fanned = evaluate_scheme(scheme, samples=SAMPLES, seed=SEED,
-                                     workers=4, cell_timeout=0.01)
-        assert fanned == serial
-        assert any("exceeded" in rec.message for rec in caplog.records)
-
-    def test_pool_that_cannot_start_falls_back(self, monkeypatch, caplog):
-        def _raise(max_workers=None, initializer=None):
-            raise OSError("no more processes")
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _raise)
-        scheme = get_scheme("duet")
-        serial = evaluate_scheme(scheme, samples=SAMPLES, seed=SEED)
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.errormodel.montecarlo"):
-            fanned = evaluate_scheme(scheme, samples=SAMPLES, seed=SEED,
-                                     workers=4)
-        assert fanned == serial
-        assert any("cannot start worker pool" in rec.message
-                   for rec in caplog.records)
-
-    @pytest.mark.parametrize("timeout", [-1, 0, float("nan")])
-    def test_non_positive_cell_timeout_raises_before_any_pool(
-            self, monkeypatch, timeout):
-        def _no_pool(max_workers=None, initializer=None):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _no_pool)
-        with pytest.raises(ValueError, match="timeout must be above 0"):
-            evaluate_scheme(get_scheme("trio"), samples=SAMPLES, seed=SEED,
-                            workers=2, cell_timeout=timeout)
+        assert montecarlo._cell_threads(jobs, 2) == 2

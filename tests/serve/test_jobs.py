@@ -70,13 +70,27 @@ class TestNormalization:
         ("fig8", {"cell_timeout": -1}),
     ])
     def test_non_positive_timeouts_rejected(self, kind, params):
-        with pytest.raises(JobError, match="must be above 0 seconds"):
+        # Table-2 cells run on threads, which cannot be timed out, so
+        # cell_timeout is no parameter at all
+        match = ("unknown parameter.*cell_timeout" if "cell_timeout" in params
+                 else "must be above 0 seconds")
+        with pytest.raises(JobError, match=match):
             normalize_params(kind, params)
 
     def test_positive_or_unset_timeouts_accepted(self):
         assert normalize_params(
             "campaign", {"chunk_timeout": 0.5})["chunk_timeout"] == 0.5
-        assert normalize_params("fig8", {})["cell_timeout"] is None
+        assert "cell_timeout" not in normalize_params("fig8", {})
+        with pytest.raises(JobError, match="unknown parameter"):
+            normalize_params("fig8", {"cell_timeout": 5.0})
+
+    @pytest.mark.parametrize("kind", ["campaign", "evaluate", "fig8"])
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, kind, workers):
+        params = {"scheme": "duet"} if kind == "evaluate" else {}
+        with pytest.raises(JobError, match="'workers' must be at least 1"):
+            normalize_params(kind, dict(params, workers=workers))
+        assert normalize_params(kind, dict(params, workers=1))["workers"] == 1
 
     def test_choices_enforced(self):
         with pytest.raises(JobError, match="one of"):

@@ -53,7 +53,7 @@ class TestNamespace:
 class TestJobKeys:
     def test_identity_and_execution_params_split(self, tmp_path):
         keys = job_keys("evaluate", EVAL, runs_dir=tmp_path)
-        tuned = dict(EVAL, workers=8, cell_timeout=5.0)
+        tuned = dict(EVAL, workers=8)
         assert job_keys("evaluate", tuned, runs_dir=tmp_path)["key"] \
             == keys["key"]
         reseeded = dict(EVAL, seed=12)
@@ -150,7 +150,7 @@ class TestFindResumable:
 
     def test_interrupted_matching_run_found(self, tmp_path):
         config = {"scheme": "duet", "samples": 200, "seed": 11,
-                  "workers": None, "cell_timeout": None}
+                  "workers": None}
         session = RunSession.begin("evaluate", config, root=tmp_path)
         # never finished — the manifest stays "running" (a crash)
         store = RunStore(tmp_path)
@@ -162,7 +162,7 @@ class TestFindResumable:
 
     def test_completed_run_not_resumed(self, tmp_path):
         config = {"scheme": "duet", "samples": 200, "seed": 11,
-                  "workers": None, "cell_timeout": None}
+                  "workers": None}
         session = RunSession.begin("evaluate", config, root=tmp_path)
         session.finish("completed")
         assert find_resumable(RunStore(tmp_path), "evaluate",
@@ -170,14 +170,13 @@ class TestFindResumable:
 
     def test_execute_job_resumes_interrupted_run(self, tmp_path):
         config = {"scheme": "duet", "samples": 200, "seed": 11,
-                  "workers": None, "cell_timeout": None}
+                  "workers": None}
         crashed = RunSession.begin("evaluate", config, root=tmp_path)
         result = execute_job("evaluate", EVAL, runs_dir=tmp_path)
         assert result["resumed_from"] == crashed.run_id
 
 
-CONFIG = {"scheme": "duet", "samples": 200, "seed": 11, "workers": None,
-          "cell_timeout": None}
+CONFIG = {"scheme": "duet", "samples": 200, "seed": 11, "workers": None}
 
 
 def fill_completed(root, count):

@@ -130,12 +130,17 @@ class TestBasics:
             for params in ({"runs": -2}, {"events": -1}):
                 status, payload = client.submit("campaign", params)
                 assert status == 400 and "at least 0" in payload["error"]
-            for kind, params in (("campaign", {"chunk_timeout": 0}),
-                                 ("evaluate", {"scheme": "trio",
-                                               "cell_timeout": -1})):
+            status, payload = client.submit("campaign", {"chunk_timeout": 0})
+            assert status == 400
+            assert "must be above 0 seconds" in payload["error"]
+            status, payload = client.submit(
+                "evaluate", {"scheme": "trio", "cell_timeout": -1})
+            assert status == 400 and "unknown parameter" in payload["error"]
+            for kind, params in (("evaluate", {"scheme": "trio",
+                                               "workers": 0}),
+                                 ("campaign", {"workers": -3})):
                 status, payload = client.submit(kind, params)
-                assert status == 400
-                assert "must be above 0 seconds" in payload["error"]
+                assert status == 400 and "at least 1" in payload["error"]
             status, payload = client.submit("campaign",
                                             {"engine": "columnar"})
             assert status == 400 and "must be one of" in payload["error"]
@@ -457,6 +462,35 @@ class TestDurability:
             assert events[-1]["event"] == "failed"
             assert "engine must be one of shm, reference (got 'columnar')" \
                 in events[-1]["data"]["error"]
+            status, payload = client.submit(
+                "campaign", {"runs": 0, "events": 200, "seed": 3})
+            assert status == 201
+            events = list(client.watch(payload["job"]["job_id"]))
+            assert events[-1]["event"] == "completed"
+
+    @pytest.mark.parametrize("cell_timeout", [None, 5.0])
+    def test_replayed_evaluate_job_with_cell_timeout_completes(
+            self, tmp_path, cell_timeout):
+        # A journal written while evaluate still took cell_timeout: replay
+        # does not normalize params again, so the old key reaches the
+        # runner, which ignores it; the job completes and serving goes on.
+        app1 = ServeApp(runs_dir=tmp_path, execute=StubRunner())
+        status, payload = app1.submit({
+            "kind": "evaluate",
+            "params": {"scheme": "duet", "samples": 200, "seed": 27}})
+        assert status == 201
+        job_id = payload["job"]["job_id"]
+        path = app1.journal.path
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        records[0]["params"]["cell_timeout"] = cell_timeout
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        with live_server(runs_dir=tmp_path) as (app, client):
+            assert app.registry.get(job_id).params["cell_timeout"] \
+                == cell_timeout
+            events = list(client.watch(job_id))
+            assert events[-1]["event"] == "completed"
             status, payload = client.submit(
                 "campaign", {"runs": 0, "events": 200, "seed": 3})
             assert status == 201

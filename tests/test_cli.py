@@ -41,7 +41,7 @@ REPRESENTATIVE_ARGV = {
     "evaluate": ["evaluate", "trio", "--samples", "500", "--no-cache"],
     "fig8": ["fig8", "--seed", "3", "--workers", "2"],
     "hardware": ["hardware", "--expansion"],
-    "rank": ["rank", "--samples", "300", "--cell-timeout", "5"],
+    "rank": ["rank", "--samples", "300", "--workers", "3"],
     "campaign": ["campaign", "--runs", "1", "--events", "2500",
                  "--heartbeat", "0", "--engine", "reference"],
     "system": ["system", "--scheme", "duet", "--exaflops", "1", "2"],
@@ -307,6 +307,22 @@ class TestSampleCount:
         assert "invalid sample count" in capsys.readouterr().err
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "trio"], ["fig8"], ["rank"], ["system"], ["report"],
+        ["campaign"], ["chaos"], ["serve"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, argv, workers):
+        # rejected by argparse, before any sweep, campaign or daemon starts
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workers", workers])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "at least 1" in err
+        assert "Traceback" not in err
+
+
 class TestCampaignEdges:
     @pytest.mark.parametrize("flag", ["--events", "--runs"])
     def test_negative_counts_exit_2(self, capsys, flag):
@@ -349,24 +365,29 @@ class TestCampaignEdges:
     ])
     def test_non_positive_timeouts_exit_2(self, capsys, argv):
         # a bound of 0 or less would time out every job and quietly fall
-        # back to serial evaluation
+        # back to serial evaluation; Table-2 cells run on threads, which
+        # cannot be timed out, so --cell-timeout is no option at all
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "must be above 0 seconds" in err
+        if "--cell-timeout" in argv:
+            assert "unrecognized arguments: --cell-timeout" in err
+        else:
+            assert "must be above 0 seconds" in err
         assert "Traceback" not in err
 
-    def test_positive_timeouts_parse(self):
+    def test_positive_timeouts_parse(self, capsys):
         from repro.cli import build_parser
 
         parser = build_parser()
         assert parser.parse_args(
             ["campaign", "--chunk-timeout", "2.5"]).chunk_timeout == 2.5
-        assert parser.parse_args(
-            ["evaluate", "trio", "--cell-timeout", "1e-3"]).cell_timeout \
-            == 1e-3
         assert parser.parse_args(["chaos"]).chunk_timeout is None
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["evaluate", "trio", "--cell-timeout", "1e-3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["campaign", "chaos"])
     def test_removed_columnar_engine_exits_2(self, capsys, command):
