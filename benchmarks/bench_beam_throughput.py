@@ -8,9 +8,11 @@ path clears its floors:
 * ``shm`` vs the retained scalar ``reference``: ≥ 10x at the full
   3,000 events, statistics bit-identical;
 * ``shm`` alone at campaign scale: ≥ 20,000 events/s end to end at
-  1,000,000 events or more, streamed, in a fresh process, leaving no
-  orphaned shared-memory segment (an absolute bound — the scalar oracle
-  is far too slow to race at that size).
+  1,000,000 events or more, in a fresh process, leaving no orphaned
+  shared-memory segment (an absolute bound — the scalar oracle is far
+  too slow to race at that size);
+* the same streamed campaign in bounded memory: peak RSS flat in the
+  event count and under an absolute ceiling at 1,000,000 events.
 
 The campaign-scale legs each run in a *fresh subprocess*: at campaign
 scale the engine is sensitive to inherited heap state (a leg that rides
@@ -65,8 +67,15 @@ SEED = 20211018
 SPEEDUP_FLOOR = 10.0 if EVENTS >= 3000 else 1.0
 #: the shm engine's absolute throughput floor (events/s, end to end)
 #: applies from the full 1e6-event campaign up; smaller runs need only
-#: finish
-SHM_EVENTS_PER_S_FLOOR = 20_000.0 if SHM_EVENTS >= 1_000_000 else 0.0
+#: finish.  A fresh 1e6-event campaign runs at 80,000-84,000 events/s on
+#: a 2-vCPU x86-64 host.
+EVENTS_PER_S_FLOOR = 20_000.0
+SHM_EVENTS_PER_S_FLOOR = EVENTS_PER_S_FLOOR if SHM_EVENTS >= 1_000_000 \
+    else 0.0
+#: the bounded-memory leg's absolute peak-RSS ceiling at full scale (the
+#: CI fleet-smoke job's bound for the same campaign); a fresh 1e6-event
+#: campaign peaks at 209 MB on a 2-vCPU x86-64 host
+STREAM_PEAK_RSS_MB_CEILING = 512
 #: tracing overhead bound: 2% relative plus absolute slack for scheduler
 #: noise; the timed campaign is sized so the 2% exceeds the slack
 TRACE_OVERHEAD = 1.02
@@ -92,39 +101,34 @@ def _assert_stats_identical(a, b):
     assert a.n_observed == b.n_observed
 
 
-def _stage_rows(fast, fast_s, slow, slow_s, fast_name, slow_name, events):
-    rows = [
-        f"{'stage':<12} {slow_name + ' s':>12} {fast_name + ' s':>11} "
-        f"{fast_name + ' events/s':>20}",
-    ]
-    for stage in fast.stage_seconds:
-        rows.append(
-            f"{stage:<12} {slow.stage_seconds[stage]:>12.3f} "
-            f"{fast.stage_seconds[stage]:>11.3f} "
-            f"{fast.events_per_second[stage]:>20,.0f}"
-        )
-    rows.append(
-        f"{'total':<12} {slow_s:>12.3f} {fast_s:>11.3f} "
-        f"{events / fast_s:>20,.0f}"
-    )
+def _stage_rows(name: str, stages: dict, elapsed: float,
+                events: int) -> list[str]:
+    """One engine's stage table: seconds and events/s per stage."""
+    rows = [f"{'stage':<12} {name + ' s':>11} {name + ' events/s':>20}"]
+    for stage, stage_s in stages.items():
+        rows.append(f"{stage:<12} {stage_s:>11.3f} "
+                    f"{events / stage_s if stage_s else 0:>20,.0f}")
+    rows.append(f"{'total':<12} {elapsed:>11.3f} {events / elapsed:>20,.0f}")
     return rows
 
 
 def test_beam_engine_throughput():
     """shm vs reference: identical statistics, >=10x wall-clock.
 
-    Both legs materialize, so their stage rows (synthesize, scan,
-    postprocess) line up.
+    The engines run different stages (shm: scout, synthesize, fold;
+    reference: synthesize, scan, postprocess), so each gets its own
+    stage table.
     """
     run_statistics_campaign(64, seed=SEED)  # warm imports and caches
-    shm, shm_s = _run("shm", stats="materialize")
+    shm, shm_s = _run("shm")
     reference, reference_s = _run("reference")
 
     _assert_stats_identical(shm, reference)
 
     speedup = reference_s / shm_s
-    rows = _stage_rows(shm, shm_s, reference, reference_s,
-                       "shm", "reference", EVENTS)
+    rows = [*_stage_rows("shm", shm.stage_seconds, shm_s, EVENTS), "",
+            *_stage_rows("reference", reference.stage_seconds, reference_s,
+                         EVENTS)]
     rows.append(
         f"\n{EVENTS:,} events, {shm.n_records:,} mismatch records, "
         f"{shm.n_observed:,} observed events"
@@ -142,11 +146,9 @@ _LEG_CODE = """
 import json, resource, sys, time
 from repro.beam.engine import run_statistics_campaign
 
-engine, events, seed, stats = (sys.argv[1], int(sys.argv[2]),
-                               int(sys.argv[3]), sys.argv[4])
+engine, events, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 t0 = time.perf_counter()
-res = run_statistics_campaign(events, seed=seed, engine=engine,
-                              stats=stats)
+res = run_statistics_campaign(events, seed=seed, engine=engine)
 elapsed = time.perf_counter() - t0
 print(json.dumps({
     "elapsed": elapsed,
@@ -161,16 +163,14 @@ print(json.dumps({
 """
 
 
-def _run_fresh(engine: str, events: int,
-               stats: str = "materialize") -> dict:
+def _run_fresh(engine: str, events: int) -> dict:
     """One campaign in a fresh interpreter — no inherited heap state."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, "-c", _LEG_CODE, engine, str(events), str(SEED),
-         stats],
+        [sys.executable, "-c", _LEG_CODE, engine, str(events), str(SEED)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -180,22 +180,13 @@ def _run_fresh(engine: str, events: int,
 def test_beam_shm_engine_throughput():
     """The shm engine at campaign scale: >= 20,000 events/s at 1e6.
 
-    One fresh-process leg on the engine's default statistics mode
-    (streaming), the production path; the materialized path at the same
-    scale is timed by :func:`test_beam_streaming_bounded_memory`.
+    One fresh-process leg: the production path.
     """
-    shm = _run_fresh("shm", SHM_EVENTS, stats="streaming")
+    shm = _run_fresh("shm", SHM_EVENTS)
     assert orphaned_segments() == []  # transport hygiene rides along
 
     events_per_s = SHM_EVENTS / shm["elapsed"]
-    rows = [f"{'stage':<12} {'shm s':>11} {'shm events/s':>20}"]
-    for stage, stage_s in shm["stages"].items():
-        rows.append(
-            f"{stage:<12} {stage_s:>11.3f} "
-            f"{SHM_EVENTS / stage_s if stage_s else 0:>20,.0f}"
-        )
-    rows.append(f"{'total':<12} {shm['elapsed']:>11.3f} "
-                f"{events_per_s:>20,.0f}")
+    rows = _stage_rows("shm", shm["stages"], shm["elapsed"], SHM_EVENTS)
     rows.append(
         f"\n{SHM_EVENTS:,} events, {shm['n_records']:,} mismatch records, "
         f"{shm['n_observed']:,} observed events (fresh process)"
@@ -208,46 +199,42 @@ def test_beam_shm_engine_throughput():
 
 
 def test_beam_streaming_bounded_memory():
-    """Streaming vs materialize: identical statistics in bounded memory.
+    """The streamed campaign holds its statistics in bounded memory.
 
-    Three fresh-process legs on the shm engine: a streamed campaign at
-    ``STREAM_EVENTS``, the materialized oracle at the same size, and a
-    streamed baseline at a tenth the events.  The streamed peak RSS must
-    stay *flat* as the campaign grows (< 2x the baseline — the state is
-    the device-occupancy bitmap plus O(KB) accumulators, not per-event
-    columns), it must not exceed the materialized peak, and the derived
-    statistics must be float-identical.  Numbers land in
+    Two fresh-process legs on the shm engine: a campaign at
+    ``STREAM_EVENTS`` and a baseline at a tenth the events.  The peak
+    RSS must stay *flat* as the campaign grows (< 2x the baseline — the
+    state is the device-occupancy index plus O(KB) accumulators, not
+    per-event columns), and at full scale it must stay under
+    ``STREAM_PEAK_RSS_MB_CEILING`` while clearing
+    ``EVENTS_PER_S_FLOOR`` — absolute bounds, since no second
+    in-engine path is left to race.  The derived statistics must be
+    float-identical to the scalar ``reference`` engine at ``EVENTS``,
+    the size it can run.  Numbers land in
     ``benchmarks/results/BENCH_streaming.json`` for trend tracking; scale
     with ``REPRO_BEAM_BENCH_STREAM_EVENTS`` (1e6/1e7 in the memory table
     of EXPERIMENTS.md).
     """
     baseline_events = max(STREAM_EVENTS // 10, 1000)
-    baseline = _run_fresh("shm", baseline_events, stats="streaming")
-    streamed = _run_fresh("shm", STREAM_EVENTS, stats="streaming")
-    materialized = _run_fresh("shm", STREAM_EVENTS, stats="materialize")
-
-    assert streamed["stats"] == materialized["stats"]  # exact floats
-    assert streamed["n_records"] == materialized["n_records"]
-    assert streamed["n_observed"] == materialized["n_observed"]
+    baseline = _run_fresh("shm", baseline_events)
+    streamed = _run_fresh("shm", STREAM_EVENTS)
     assert orphaned_segments() == []
+    _assert_stats_identical(_run("shm")[0], _run("reference")[0])
 
     flatness = streamed["peak_rss_kb"] / baseline["peak_rss_kb"]
+    peak_mb = streamed["peak_rss_kb"] / 1024
+    events_per_s = STREAM_EVENTS / streamed["elapsed"]
     payload = {
         "events": STREAM_EVENTS,
         "baseline_events": baseline_events,
         "streaming": {
             "elapsed_s": streamed["elapsed"],
-            "events_per_s": STREAM_EVENTS / streamed["elapsed"],
+            "events_per_s": events_per_s,
             "peak_rss_kb": streamed["peak_rss_kb"],
-        },
-        "materialize": {
-            "elapsed_s": materialized["elapsed"],
-            "events_per_s": STREAM_EVENTS / materialized["elapsed"],
-            "peak_rss_kb": materialized["peak_rss_kb"],
         },
         "baseline_streaming_peak_rss_kb": baseline["peak_rss_kb"],
         "rss_flatness": flatness,
-        "statistics_identical": True,
+        "reference_identity_events": EVENTS,
     }
     results_dir = os.path.join(os.path.dirname(__file__), "results")
     os.makedirs(results_dir, exist_ok=True)
@@ -263,28 +250,25 @@ def test_beam_streaming_bounded_memory():
     for label, leg, events in (
         ("streaming (baseline)", baseline, baseline_events),
         ("streaming", streamed, STREAM_EVENTS),
-        ("materialize", materialized, STREAM_EVENTS),
     ):
         rows.append(
             f"{label:<24} {events:>10,} {leg['elapsed']:>8.2f} "
             f"{events / leg['elapsed']:>11,.0f} "
             f"{leg['peak_rss_kb'] / 1024:>12,.0f}"
         )
-    bound = "bound 2x" if STREAM_FULL_SCALE else "bound relaxed below 1e6"
+    bounds = (f"bounds 2x, {STREAM_PEAK_RSS_MB_CEILING} MB, "
+              f"{EVENTS_PER_S_FLOOR:,.0f} events/s"
+              if STREAM_FULL_SCALE else "bounds relaxed below 1e6")
     rows.append(
-        f"\nstreamed RSS flatness {flatness:.2f}x of the "
-        f"{baseline_events:,}-event baseline ({bound}); statistics "
-        "float-identical to the materialized oracle"
+        f"\nRSS flatness {flatness:.2f}x of the {baseline_events:,}-event "
+        f"baseline ({bounds}); statistics float-identical to the scalar "
+        f"reference engine at {EVENTS:,} events"
     )
-    emit("Memory — beam campaign streaming statistics (vs materialize)",
-         "\n".join(rows))
+    emit("Memory — beam campaign streaming statistics", "\n".join(rows))
     if STREAM_FULL_SCALE:
         assert flatness < 2.0
-        assert streamed["peak_rss_kb"] <= materialized["peak_rss_kb"]
-        # 2 sweeps must still be at least competitive with 1 materialized
-        # pass + postprocess (in practice streaming wins: no
-        # concatenation and no column transport)
-        assert streamed["elapsed"] <= materialized["elapsed"] * 1.25
+        assert peak_mb < STREAM_PEAK_RSS_MB_CEILING
+        assert events_per_s >= EVENTS_PER_S_FLOOR
 
 
 def test_beam_engine_workers_fan_out():

@@ -6,7 +6,6 @@ from repro.beam.displacement import DamageParameters, DisplacementDamageModel
 from repro.beam.engine import (
     ENGINES,
     StatisticsResult,
-    resolve_stats_mode,
     run_statistics_campaign,
 )
 from repro.beam.events import (
@@ -44,8 +43,7 @@ __all__ = [
     "AN_CONSTANT", "an_check", "an_decode", "an_encode",
     "BeamCampaign", "CampaignConfig", "CampaignResult", "refresh_sweep",
     "DamageParameters", "DisplacementDamageModel",
-    "ENGINES", "StatisticsResult", "resolve_stats_mode",
-    "run_statistics_campaign",
+    "ENGINES", "StatisticsResult", "run_statistics_campaign",
     "BatchEventSynthesis", "interval_class_mixture",
     "EventClass", "EventParameters", "SoftErrorEvent", "SoftErrorEventGenerator",
     "FlipTable",

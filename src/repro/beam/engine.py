@@ -8,18 +8,16 @@ implementations:
 
 * ``engine="shm"`` — the production path.  Chunks are evaluated in fused
   ranges: :class:`~repro.beam.events.BatchEventSynthesis`' phase streams
-  are replayed vectorized, the (identity) inject/scan stage is skipped,
-  and every range's records are grouped into observed events and folded
-  into a :class:`repro.stats.CampaignAccumulator` — the one vectorized
-  definition of every statistic.  ``stats="streaming"`` (the default)
-  folds worker-side after a scout sweep has answered the global
-  intermittent filter; ``stats="materialize"`` ships the record columns
-  back (through a shared-memory arena when pooled) and folds them as one
-  partition, keeping the grouped events for
-  :attr:`StatisticsResult.observed_events`.
+  are replayed vectorized and the (identity) inject/scan stage is
+  skipped.  A scout sweep answers the global intermittent filter, then
+  every range's records are grouped into observed events and folded
+  worker-side into a :class:`repro.stats.CampaignAccumulator` — the one
+  vectorized definition of every statistic.  Only accumulator states
+  travel back, so host memory stays flat in the event count.
 * ``engine="reference"`` — the retained scalar oracle: per-event draws,
   per-entry injection, the per-entry scalar scan and the record-list
-  post-processing helpers of :mod:`repro.beam.postprocess`.
+  post-processing helpers of :mod:`repro.beam.postprocess`.  It keeps
+  the scalar events as :attr:`StatisticsResult.observed_events`.
 
 Both engines consume identical random streams (chunk ``c`` is seeded by
 ``SeedSequence(seed).spawn(n_chunks)[c]``) and therefore derive
@@ -32,8 +30,8 @@ pool with the shared requeue-once-then-serial robustness of
 seeding, the same results on every path.
 
 Observability: every job runs under its own worker-side
-:class:`repro.obs.Tracer` (``chunk`` → ``synthesize``/``scan``, or
-``scout``/``synthesize``/``fold`` when streaming, spans with
+:class:`repro.obs.Tracer` (``chunk`` → ``synthesize``/``scan`` on
+``reference``, ``scout``/``synthesize``/``fold`` on ``shm``, spans with
 event/record counters, tagged with the worker pid); the parent merges
 the records as jobs complete, wraps the whole run in a ``campaign``
 span, and derives :attr:`StatisticsResult.stage_seconds` from the trace.
@@ -81,14 +79,13 @@ from repro.core.pool import (
     run_with_requeue,
 )
 from repro.core.shm import ShmArena, SliceDescriptor, align, read_attached, \
-    read_columns, write_columns
+    write_columns
 from repro.dram.device import SimulatedHBM2
 from repro.dram.geometry import HBM2Geometry
 from repro.faults import faultpoint
 from repro.obs import Tracer, stage_totals
 
-__all__ = ["StatisticsResult", "run_statistics_campaign", "ENGINES",
-           "STATS_MODES", "resolve_stats_mode"]
+__all__ = ["StatisticsResult", "run_statistics_campaign", "ENGINES"]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -98,63 +95,12 @@ _DATA_BITS = 256
 #: path, ``reference`` its scalar oracle.
 ENGINES = ("shm", "reference")
 
-#: how the statistics are aggregated: ``materialize`` concatenates every
-#: record column and folds them as one partition (keeping the grouped
-#: events); ``streaming`` folds each job into a fixed-size accumulator
-#: worker-side and merges states — same floats, O(state) transport, flat
-#: host memory
-STATS_MODES = ("materialize", "streaming")
-
-
-def resolve_stats_mode(engine: str, stats: str | None = None) -> str:
-    """The statistics mode a campaign runs ``engine`` with.
-
-    ``None`` picks the engine's default: ``streaming`` on ``shm``,
-    ``materialize`` on the scalar reference engine, which has no
-    streaming path.  An unknown engine or mode, or an explicit
-    ``streaming`` on the reference engine, is a :class:`ValueError`.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {', '.join(ENGINES)} (got {engine!r})")
-    if stats is None:
-        return "materialize" if engine == "reference" else "streaming"
-    if stats not in STATS_MODES:
-        raise ValueError(f"stats must be one of {STATS_MODES}")
-    if stats == "streaming" and engine == "reference":
-        raise ValueError(
-            "the reference engine has no streaming statistics path; "
-            "use engine 'shm', or stats 'materialize'"
-        )
-    return stats
-
-
-#: the record columns a fused range produces (event times are derivable
-#: from write cycles, and the grouping never reads them)
-_COLUMN_KEYS = ("write_cycle", "entry_index", "flips_per_record",
-                "flip_bit")
-#: dtypes of an *empty* column set.  The shm transport ships the two
-#: flip-sized columns narrow (flip bits are < 288, per-record flip
-#: counts < 2**15) — a 4x smaller resident set keeps the whole-campaign
-#: postprocess under the allocator's fresh-page regime.
-_COLUMN_DTYPES = {
-    "write_cycle": np.int64,
-    "entry_index": np.int64,
-    "flips_per_record": np.int16,
-    "flip_bit": np.int16,
-}
-
-#: arena budget per event for the shm transport (generous vs the ~1.2 KB
-#: empirical mean; tmpfs pages materialize only when written, and a range
-#: that outgrows its slice degrades to the inline pickled path)
-_SHM_BYTES_PER_EVENT = 4096
-#: flat per-job slice headroom on top of the per-event budget
-_SHM_JOB_HEADROOM = 1 << 20
-
-_STAGES = ("synthesize", "scan", "postprocess")
-#: streaming pipeline stages: the scout sweep (entry placement replay →
-#: occupancy index), the evaluation sweep's synthesis, and the folds
-_STREAM_STAGES = ("scout", "synthesize", "fold")
+#: each engine's pipeline stages: the shm scout sweep (entry placement
+#: replay → occupancy index), its evaluation sweep's synthesis and the
+#: worker-side folds; the reference engine's synthesis, scalar scan and
+#: host-side postprocess
+_STAGES = {"shm": ("scout", "synthesize", "fold"),
+           "reference": ("synthesize", "scan", "postprocess")}
 
 
 def _pattern_by_name(name: str) -> DataPattern:
@@ -192,24 +138,26 @@ class StatisticsResult:
     #: pool-degradation telemetry (requeues, timeouts), empty when serial
     pool_counters: dict = field(default_factory=dict, repr=False,
                                 compare=False)
-    #: which aggregation path produced this result (``STATS_MODES``)
-    stats_mode: str = "materialize"
     #: the campaign's merged :class:`repro.stats.CampaignAccumulator` —
     #: on ``shm`` the source of every statistic above, on ``reference``
     #: folded from its scalar-derived events; carries the raw tallies for
     #: downstream merges (the CLI report, the fleet FIT composition)
     accumulator: object = field(default=None, repr=False, compare=False)
-    #: lazy materializer for :attr:`observed_events` (shm results keep
-    #: the grouped table and only build ObservedEvent objects on use)
-    _observed_factory: object = field(default=None, repr=False, compare=False)
+    #: the reference engine's scalar events; ``None`` on ``shm``
     _observed: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def observed_events(self) -> list:
-        """The recovered events, for merging with campaign observations."""
+        """The recovered events, for merging with campaign observations.
+
+        Only the scalar ``reference`` engine keeps them: ``shm`` folds
+        its events worker-side and never materializes them.
+        """
         if self._observed is None:
-            factory = self._observed_factory
-            self._observed = list(factory()) if factory is not None else []
+            raise RuntimeError(
+                "the shm engine folds its events into accumulators and "
+                "keeps none; rerun with engine='reference' to recover them"
+            )
         return self._observed
 
     @property
@@ -224,8 +172,6 @@ class StatisticsResult:
         """Flat manifest-ready counters (JSON-safe scalars only)."""
         flat: dict = {"engine": self.engine, "events": self.n_events,
                       "records": self.n_records, "observed": self.n_observed}
-        if self.stats_mode != "materialize":
-            flat["stats"] = self.stats_mode
         for stage, seconds in self.stage_seconds.items():
             flat[f"{stage}_s"] = round(seconds, 6)
         for stage, rate in self.events_per_second.items():
@@ -268,7 +214,7 @@ def _fresh_seed(seq: np.random.SeedSequence) -> np.random.SeedSequence:
     object yields different children — but a chunk's streams are defined
     as the *first* spawn of its seed.  Every evaluation therefore spawns
     from a copy (same entropy, same spawn_key, zero children spawned), so
-    replaying a chunk in the same process — the streaming engine's scout
+    replaying a chunk in the same process — the shm engine's scout
     sweep followed by its evaluation sweep, or a serial requeue — sees
     exactly the streams a fresh worker would.
     """
@@ -449,53 +395,6 @@ def _evaluate_chunk(
     return records, _worker_records(tracer)
 
 
-def _evaluate_range(
-    geometry: HBM2Geometry,
-    parameters: EventParameters,
-    job: _RangeJob,
-    segment: str | None = None,
-    offset: int = 0,
-    capacity: int = 0,
-):
-    """Top-level (picklable) fused-range evaluator for the worker pool.
-
-    With ``segment`` set, the result columns go into the arena slice at
-    ``(offset, capacity)`` and only the :class:`SliceDescriptor` rides the
-    result channel; without one (serial path, or a slice the columns
-    outgrew) the columns themselves are returned.  Span names match the
-    reference engine — ``chunk`` → ``synthesize``/``scan`` — so traces
-    and per-stage throughput counters stay structurally comparable; the
-    ``scan`` span here times the (identity) scan's resolution, i.e. the
-    transport write.
-    """
-    faultpoint("pool.worker.crash", chunk=job.chunks[0].index)
-    faultpoint("engine.chunk.hang", chunk=job.chunks[0].index)
-    enable_heap_reuse()
-    tracer = Tracer()
-    with tracer.span("chunk", index=job.chunks[0].index,
-                     chunks=len(job.chunks)):
-        with tracer.span("synthesize"):
-            columns = _fused_range_columns(geometry, parameters, job)
-            tracer.count(events=job.size,
-                         sites=int(columns["entry_index"].size))
-        with tracer.span("scan"):
-            payload = None
-            if segment is not None:
-                payload = write_columns(segment, offset, capacity, columns)
-            tracer.count(records=int(columns["entry_index"].size))
-    return (payload if payload is not None else columns), \
-        _worker_records(tracer)
-
-
-def _no_observed_stream():
-    """:attr:`StatisticsResult.observed_events` factory for streaming
-    results — the whole point is never materializing them."""
-    raise RuntimeError(
-        "streaming campaigns do not materialize observed events; "
-        "rerun with stats='materialize' to recover them"
-    )
-
-
 def _scout_job(
     geometry: HBM2Geometry,
     parameters: EventParameters,
@@ -541,14 +440,12 @@ def _group_records(columns: dict, damaged: np.ndarray) -> FlipTable:
 
     ``damaged`` is the sorted array of entries the intermittent filter
     rejects: entries hit by more than one event anywhere in the campaign
-    (the scout sweep's verdict when streaming; the entries recorded more
-    than once, when the partition is the whole campaign).  Entries are
-    unique *within* an event, so membership — not local multiplicity —
-    decides softness.  Events never span partitions and surviving
-    records stay in (cycle, site) order, so grouping is a run-length
-    pass.  ``pop`` releases each transport column at last use, and every
-    temporary dies on return, which keeps the resident set flat through
-    the fold that follows.
+    (the scout sweep's verdict).  Entries are unique *within* an event,
+    so membership — not local multiplicity — decides softness.  Events
+    never span partitions and surviving records stay in (cycle, site)
+    order, so grouping is a run-length pass.  ``pop`` releases each
+    record column at last use, and every temporary dies on return,
+    which keeps the resident set flat through the fold that follows.
     """
     entry = columns.pop("entry_index")
     counts = columns.pop("flips_per_record")
@@ -563,35 +460,24 @@ def _group_records(columns: dict, damaged: np.ndarray) -> FlipTable:
     new_event = np.empty(cycles.size, dtype=bool)
     new_event[:1] = True
     np.not_equal(cycles[1:], cycles[:-1], out=new_event[1:])
-    n_observed = int(new_event.sum())
     return FlipTable.from_flips(
         np.cumsum(new_event) - 1, entry, counts, flip_bit,
-        n_events=n_observed,
-        event_columns={
-            "run": np.zeros(n_observed, dtype=np.int64),
-            "write_cycle": cycles[new_event],
-            "read_pass": np.zeros(n_observed, dtype=np.int64),
-        },
+        n_events=int(new_event.sum()),
     )
 
 
 def _fold_records(columns: dict, damaged: np.ndarray, n_events: int):
-    """Fold one partition of ``n_events`` events into an accumulator.
-
-    Returns ``(accumulator, grouped)``: the
-    :class:`repro.stats.CampaignAccumulator` and the grouped
-    :class:`~repro.beam.fliptable.FlipTable` (see
-    :func:`_group_records`) it was folded from.  Its integer tallies
-    partition the whole campaign's.
-    """
+    """Fold one partition of ``n_events`` events into a
+    :class:`repro.stats.CampaignAccumulator`, grouped by
+    :func:`_group_records`; its integer tallies partition the whole
+    campaign's."""
     from repro.stats import CampaignAccumulator
 
     accumulator = CampaignAccumulator()
     accumulator.add_raw(n_events=n_events,
                         n_records=int(columns["entry_index"].size))
-    grouped = _group_records(columns, damaged)
-    accumulator.update_from_flip_table(grouped)
-    return accumulator, grouped
+    accumulator.update_from_flip_table(_group_records(columns, damaged))
+    return accumulator
 
 
 def _evaluate_streaming(
@@ -626,7 +512,7 @@ def _evaluate_streaming(
             tracer.count(events=job.size,
                          sites=int(columns["entry_index"].size))
         with tracer.span("fold"):
-            accumulator, _ = _fold_records(columns, damaged, job.size)
+            accumulator = _fold_records(columns, damaged, job.size)
             tracer.count(observed=accumulator.n_observed)
     return accumulator.state(), _worker_records(tracer)
 
@@ -719,69 +605,6 @@ def _range_jobs(
     return ranges
 
 
-def _pooled(jobs: list, workers: int | None) -> bool:
-    """Whether :func:`_run_jobs` will engage a pool for ``jobs``."""
-    return workers is not None and workers > 1 and len(jobs) > 1
-
-
-def _run_ranges(
-    geometry: HBM2Geometry,
-    parameters: EventParameters,
-    jobs: list[_RangeJob],
-    pool: dict,
-):
-    """Evaluate fused ranges; returns ``(results, report, arena)``.
-
-    When the pool will actually engage, a shared-memory arena is created
-    and every range job gets a deterministic ``(offset, capacity)`` slice
-    sized from its event count; workers return descriptors instead of
-    pickled columns.  The caller must read the descriptors back (see
-    :func:`_merge_range_payloads`) and close the arena — returning it
-    instead of closing here keeps the zero-copy reads alive through the
-    postprocess stage.  Arena creation failure (or an outgrown slice) is
-    never fatal: both degrade to the inline pickled path.
-    """
-    arena = None
-    offsets: dict[int, tuple[int, int]] = {}
-    if _pooled(jobs, pool["workers"]):
-        layout = []
-        total = 0
-        for job in jobs:
-            cap = align(job.size * _SHM_BYTES_PER_EVENT + _SHM_JOB_HEADROOM)
-            layout.append((total, cap))
-            total += cap
-        try:
-            arena = ShmArena(total)
-        except OSError as exc:
-            _LOGGER.warning(
-                "shared-memory arena unavailable (%s); "
-                "falling back to pickled results", exc,
-            )
-        else:
-            offsets = {job.index: slot for job, slot in zip(jobs, layout)}
-            if arena.reclaimed:
-                pool["tracer"].count(shm_reclaimed=len(arena.reclaimed))
-
-    def _task(job: _RangeJob):
-        if arena is not None:
-            return (_evaluate_range, geometry, parameters, job,
-                    arena.name, *offsets[job.index])
-        return _evaluate_range, geometry, parameters, job
-
-    try:
-        results, report = _run_jobs(
-            jobs, "chunk ranges", _task,
-            serial_task=lambda job: (_evaluate_range, geometry, parameters,
-                                     job),
-            **pool,
-        )
-    except BaseException:
-        if arena is not None:
-            arena.close()
-        raise
-    return results, report, arena
-
-
 def _run_scout(
     geometry: HBM2Geometry,
     parameters: EventParameters,
@@ -830,21 +653,7 @@ def _run_streaming(
     """
     arena = None
     descriptor = None
-    if _pooled(jobs, pool["workers"]) and damaged.size:
-        try:
-            arena = ShmArena(align(damaged.nbytes))
-        except OSError as exc:
-            _LOGGER.warning(
-                "shared-memory arena unavailable (%s); "
-                "broadcasting damaged entries inline", exc,
-            )
-        else:
-            descriptor = write_columns(
-                arena.name, 0, arena.nbytes, {"damaged": damaged}
-            )
-            if descriptor is None:  # pragma: no cover - capacity is exact
-                arena.close()
-                arena = None
+    workers = pool["workers"]
 
     def _task(job: _RangeJob):
         if descriptor is not None:
@@ -853,6 +662,23 @@ def _run_streaming(
         return _evaluate_streaming, geometry, parameters, job, damaged
 
     try:
+        # only when _run_jobs will engage a pool
+        if workers is not None and workers > 1 and len(jobs) > 1 \
+                and damaged.size:
+            try:
+                arena = ShmArena(align(damaged.nbytes))
+            except OSError as exc:
+                _LOGGER.warning(
+                    "shared-memory arena unavailable (%s); "
+                    "broadcasting damaged entries inline", exc,
+                )
+            else:
+                if arena.reclaimed:
+                    pool["tracer"].count(
+                        shm_reclaimed=len(arena.reclaimed))
+                # capacity is exact, so this never falls back to inline
+                descriptor = write_columns(
+                    arena.name, 0, arena.nbytes, {"damaged": damaged})
         return _run_jobs(
             jobs, "streaming ranges", _task,
             serial_task=lambda job: (_evaluate_streaming, geometry,
@@ -875,25 +701,6 @@ def _merge_streaming_states(results: dict):
             CampaignAccumulator.from_state(results[index][0])
         )
     return accumulator
-
-
-def _merge_range_payloads(results: dict, arena) -> dict:
-    """Concatenate range payloads (descriptors or inline columns) in
-    range order into one column set; copies out of the arena."""
-    parts: dict[str, list[np.ndarray]] = {key: [] for key in _COLUMN_KEYS}
-    for index in sorted(results):
-        payload = results[index][0]
-        if isinstance(payload, SliceDescriptor):
-            columns = read_columns(arena.buf, payload)
-        else:
-            columns = payload
-        for key in _COLUMN_KEYS:
-            parts[key].append(columns[key])
-    return {
-        key: (np.concatenate(blocks) if blocks
-              else np.empty(0, dtype=_COLUMN_DTYPES[key]))
-        for key, blocks in parts.items()
-    }
 
 
 def _finalize_reference(records: list[MismatchRecord], n_events: int):
@@ -939,7 +746,6 @@ def run_statistics_campaign(
     parameters: EventParameters | None = None,
     pattern: str | DataPattern = "an-encoded",
     engine: str = "shm",
-    stats: str | None = None,
     workers: int | None = None,
     chunk: int = 512,
     chunk_timeout: float | None = None,
@@ -954,41 +760,39 @@ def run_statistics_campaign(
     Event ``i`` arrives at ``i × mean_time_to_event_s`` and owns write
     cycle ``i`` of run 0; chunk ``c`` of ``chunk`` events is seeded by
     ``SeedSequence(seed).spawn(n_chunks)[c]``, so the result is a pure
-    function of ``(n_events, seed, chunk)`` — identical across engines,
-    statistics modes and any ``workers`` setting.
+    function of ``(n_events, seed, chunk)`` — identical across engines
+    and any ``workers`` setting.
 
     The run reports through ``tracer`` (a fresh one when omitted): a
     ``campaign`` span wrapping per-job worker spans (and a
-    ``postprocess`` span when materializing); the finished records land
+    ``postprocess`` span on ``reference``); the finished records land
     in :attr:`StatisticsResult.trace`.  ``heartbeat``, when given,
     advances once per completed job (a fused chunk range on ``shm``, a
-    chunk on ``reference``).
+    chunk on ``reference``) in each sweep.
 
     ``engine="shm"`` evaluates chunks in fused ranges (``range_chunks``
     per job, auto-sized by default) and — with ``warm_pool`` set to a
     :class:`repro.core.pool.WarmPool` — reuses worker processes across
-    campaigns in the same invocation (on ``reference`` too).  Every
-    statistic comes from one :class:`repro.stats.CampaignAccumulator`
-    fold, in either ``stats`` mode (``None`` resolves through
-    :func:`resolve_stats_mode`):
+    campaigns in the same invocation (on ``reference`` too).  It runs
+    two sweeps: a *scout* pass replays only the entry-placement streams
+    and answers the global intermittent filter with an occupancy index
+    bounded by the device, then the evaluation sweep folds each job's
+    records worker-side into a :class:`repro.stats.CampaignAccumulator`,
+    the source of every statistic.  Host memory stays flat in the event
+    count, and the result keeps no
+    :attr:`StatisticsResult.observed_events`.
 
-    * ``streaming`` runs two sweeps: a *scout* pass replays only the
-      entry-placement streams and answers the global intermittent filter
-      with an occupancy index bounded by the device, then the evaluation
-      sweep folds each job's records worker-side.  Host memory stays
-      flat in the event count, and a streaming result never materializes
-      :attr:`StatisticsResult.observed_events`.
-    * ``materialize`` ships every range's record columns back (through a
-      shared-memory arena when pooled) and folds them as one partition,
-      keeping the grouped events for ``observed_events``.
-
-    The accumulator's tallies are integers and its floats are computed
-    once, canonically, so both modes — and the scalar ``reference``
-    engine, which only materializes — are float-identical.
+    ``engine="reference"`` materializes every scalar event and derives
+    the statistics with the scalar helpers; its accumulator is folded
+    from the same events.  The accumulator's tallies are integers and
+    its floats are computed once, canonically, so both engines are
+    float-identical.
     """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {', '.join(ENGINES)} (got {engine!r})")
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
-    stats = resolve_stats_mode(engine, stats)
     geometry = geometry or HBM2Geometry.for_gpu(32)
     parameters = parameters or EventParameters()
     pattern_name = pattern if isinstance(pattern, str) else pattern.name
@@ -1011,7 +815,7 @@ def run_statistics_campaign(
     ]
     if engine == "shm":
         jobs = _range_jobs(jobs, workers, range_chunks)
-    sweeps = 2 if stats == "streaming" else 1
+    sweeps = 2 if engine == "shm" else 1
     if heartbeat is not None and heartbeat.total is None:
         heartbeat.total = sweeps * len(jobs)
         if getattr(heartbeat, "total_events", None) is None:
@@ -1019,7 +823,8 @@ def run_statistics_campaign(
 
     pool = dict(workers=workers, timeout=chunk_timeout, tracer=tracer,
                 heartbeat=heartbeat, retry=retry, warm_pool=warm_pool)
-    with tracer.span("campaign", engine=engine, stats=stats):
+    observed = None
+    with tracer.span("campaign", engine=engine):
         tracer.count(events=n_events, chunks=n_chunks)
         if engine == "reference":
             results, report = _run_jobs(
@@ -1033,49 +838,25 @@ def run_statistics_campaign(
                     record for index in sorted(results)
                     for record in results[index][0]
                 ]
-                accumulator, events, stats_tuple = _finalize_reference(
+                accumulator, observed, stats_tuple = _finalize_reference(
                     records, n_events)
-                observed = events.copy
                 tracer.count(records=accumulator.n_records,
                              observed=accumulator.n_observed)
             pool_counters = report.counters()
-        elif stats == "streaming":
+        else:
+            from repro.stats import STATS_KEYS
+
             damaged, scout_report = _run_scout(
                 geometry, parameters, jobs, pool)
             results, report = _run_streaming(
                 geometry, parameters, jobs, damaged, pool)
             accumulator = _merge_streaming_states(results)
-            observed = _no_observed_stream
             tracer.count(records=accumulator.n_records,
                          observed=accumulator.n_observed,
                          damaged_entries=int(damaged.size))
             pool_counters = scout_report.counters()
             for key, value in report.counters().items():
                 pool_counters[key] = pool_counters.get(key, 0) + value
-        else:
-            results, report, arena = _run_ranges(
-                geometry, parameters, jobs, pool)
-            try:
-                with tracer.span("postprocess"):
-                    columns = _merge_range_payloads(results, arena)
-                    # within one campaign, an entry recorded twice was
-                    # hit in two write cycles: the intermittent filter's
-                    # damaged set
-                    entries, hits = np.unique(columns["entry_index"],
-                                              return_counts=True)
-                    accumulator, grouped = _fold_records(
-                        columns, entries[hits > 1], n_events)
-                    del entries, hits
-                    observed = grouped.to_observed_events
-                    tracer.count(records=accumulator.n_records,
-                                 observed=accumulator.n_observed)
-            finally:
-                if arena is not None:
-                    arena.close()
-            pool_counters = report.counters()
-        if engine == "shm":
-            from repro.stats import STATS_KEYS
-
             stats_tuple = (
                 tuple(accumulator.finalize()[key] for key in STATS_KEYS)
                 if accumulator.n_observed else _EMPTY_STATS
@@ -1097,12 +878,9 @@ def run_statistics_campaign(
         bits_per_word_aligned=bits_aligned,
         bits_per_word_non_aligned=bits_non_aligned,
         table1=table1,
-        stage_seconds=stage_totals(
-            trace, _STREAM_STAGES if stats == "streaming" else _STAGES
-        ),
+        stage_seconds=stage_totals(trace, _STAGES[engine]),
         trace=trace,
         pool_counters=pool_counters,
-        stats_mode=stats,
         accumulator=accumulator,
-        _observed_factory=observed,
+        _observed=observed,
     )

@@ -10,9 +10,8 @@ columns — a per-site ``(event, entry)`` pair plus a CSR view of each
 site's flipped data bits.  The batch event synthesizer, the campaign
 engine's event grouping and the streaming accumulator all work on one.
 
-The table converts losslessly from the scalar event objects and back to
-observed events, so the retained reference paths remain first-class
-oracles; the packed
+The table converts losslessly from and back to the scalar event objects,
+so the retained reference paths remain first-class oracles; the packed
 ``(N, 5)`` ``uint64`` views use the entry bit transport of
 :func:`repro.gf.gf2.pack_rows` (bit ``i`` lands in word ``i // 64`` at
 weight ``2**(i % 64)``).
@@ -229,29 +228,3 @@ class FlipTable:
             np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)),
         )
         return rows
-
-    def to_observed_events(self):
-        """Reconstruct scalar :class:`~repro.beam.postprocess.ObservedEvent`
-        objects (requires ``run``/``write_cycle``/``read_pass`` columns)."""
-        from repro.beam.postprocess import ObservedEvent
-
-        runs = self.event_columns["run"]
-        cycles = self.event_columns["write_cycle"]
-        passes = self.event_columns["read_pass"]
-        starts = self.event_site_start()
-        events = []
-        for index in range(self.n_events):
-            flips: dict[int, tuple[int, ...]] = {}
-            for site in range(int(starts[index]), int(starts[index + 1])):
-                lo = int(self.site_flip_start[site])
-                hi = int(self.site_flip_start[site + 1])
-                flips[int(self.site_entry[site])] = tuple(
-                    int(b) for b in self.flip_bit[lo:hi]
-                )
-            events.append(ObservedEvent(
-                run=int(runs[index]),
-                write_cycle=int(cycles[index]),
-                read_pass=int(passes[index]),
-                flips=flips,
-            ))
-        return events

@@ -224,10 +224,10 @@ def _campaign_arguments(parser) -> None:
              "default shm, the fused shared-memory fast path; reference is "
              "the scalar oracle)")
     parser.add_argument(
-        "--stats", choices=["materialize", "streaming"], default=None,
-        help="statistics path: stream mergeable accumulators in bounded "
-             "memory (default), or materialize per-event columns (identical "
-             "numbers; the default and only choice on --engine reference)")
+        "--stats", choices=["streaming"], default=None,
+        help="accepted for old command lines and ignored: --engine shm "
+             "always streams its statistics (goes once the benchmark "
+             "stops passing it)")
     parser.add_argument("--workers", type=_worker_count, default=None,
                         metavar="N",
                         help="fan statistics chunks out over N worker "
@@ -388,8 +388,8 @@ def fig8_session_config(args) -> dict:
 
 def campaign_session_config(args) -> dict:
     # fleet_size/fleet_scheme shape the printed report, so they are
-    # identity-bearing; --stats is an execution strategy with identical
-    # output and deliberately stays out (like --engine/--workers).
+    # identity-bearing; --engine and --workers are execution strategies
+    # with identical output and deliberately stay out.
     return {"runs": args.runs, "seed": args.seed, "events": args.events,
             "fleet_size": getattr(args, "fleet_size", None),
             "fleet_scheme": getattr(args, "fleet_scheme", "trio")}
@@ -575,13 +575,11 @@ def _cmd_campaign(args, out=print):
         BeamCampaign,
         filter_intermittent,
         group_events,
-        resolve_stats_mode,
         run_statistics_campaign,
     )
     from repro.stats import CampaignAccumulator
 
     # fail fast, before the beam simulation runs
-    resolve_stats_mode(args.engine, args.stats)
     if getattr(args, "fleet_size", None):
         _scheme_or_error(getattr(args, "fleet_scheme", "trio"))
     session = _session_or_null(args, "campaign",
@@ -632,7 +630,7 @@ def _cmd_campaign(args, out=print):
         with session.stage("statistics"):
             statistics = run_statistics_campaign(
                 cfg["events"], seed=cfg["seed"], engine=args.engine,
-                stats=args.stats, workers=args.workers,
+                workers=args.workers,
                 chunk_timeout=getattr(args, "chunk_timeout", None),
                 tracer=session.tracer,
                 heartbeat=_make_heartbeat(
@@ -833,13 +831,9 @@ def main(argv: list[str] | None = None) -> int:
     # --version, an unknown name) gets every command for its help or error
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
-    if hasattr(args, "engine"):  # campaign, chaos: the engine's stats mode
-        from repro.beam.engine import resolve_stats_mode
-
-        try:
-            args.stats = resolve_stats_mode(args.engine, args.stats)
-        except ValueError as exc:
-            parser.error(str(exc))
+    if getattr(args, "stats", None) and args.engine == "reference":
+        parser.error("the reference engine has no streaming statistics "
+                     "path; use --engine shm")
     _install_fault_plan(args)
     from repro.core.pool import install_shutdown_hooks
 

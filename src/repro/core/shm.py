@@ -1,25 +1,20 @@
-"""Zero-copy shared-memory column transport for campaign fan-outs.
+"""Zero-copy shared-memory column broadcast for campaign fan-outs.
 
-A campaign that fans chunk ranges out over a process pool used to get its
-result columns back by pickling them through the executor's result queue
-— at 1e6 events that is hundreds of megabytes of numpy arrays serialized,
-piped, and deserialized per run.  This module replaces that channel with
-one ``multiprocessing.shared_memory`` segment per campaign (an *arena*):
+A pooled ``shm`` campaign's evaluation sweep needs one read-only column
+in every worker: the damaged-entry set its scout sweep found.  Pickling
+it into every submit would serialize it once per range job; instead the
+host writes it once into a ``multiprocessing.shared_memory`` segment
+(an *arena*) and each submit carries only a small descriptor:
 
-* the host creates the arena and assigns each range job a fixed slice
-  ``(offset, capacity)`` up front (capacity is proportional to the job's
-  event count, so the layout is deterministic);
-* a worker writes its result columns directly into its slice with
-  :func:`write_columns` and returns only a :class:`SliceDescriptor` —
-  per-column ``(offset, count, dtype)`` blocks plus a CRC32 of the bytes
-  written — over the ordinary result channel;
-* the host maps the descriptors back to zero-copy views with
-  :func:`read_columns`, verifies the checksum, and unlinks the arena when
-  the campaign finishes (or dies trying — see below).
-
-Slices a worker outgrows (the flip-count tail is heavy) degrade to the
-inline pickled path rather than failing: :func:`write_columns` returns
-``None`` and the caller ships the columns the old way.
+* the host creates the arena and writes the columns into a slice
+  ``(offset, capacity)`` with :func:`write_columns`, which returns a
+  :class:`SliceDescriptor` — per-column ``(offset, count, dtype)``
+  blocks plus a CRC32 of the bytes written — or ``None`` when the
+  columns outgrow the slice;
+* a worker maps the descriptor back with :func:`read_attached` (the
+  checksum-verified, zero-copy :func:`read_columns` plus a copy out);
+* the host unlinks the arena when the sweep finishes (or dies trying —
+  see below).
 
 Crash safety: the arena name embeds the creating pid, so a segment whose
 creator is no longer alive is *stale* by construction.
@@ -207,10 +202,9 @@ def write_columns(segment_name: str, offset: int, capacity: int,
 
     Fires ``shm.arena.attach`` before mapping the segment and
     ``shm.arena.detach`` after the bytes (and their checksum) are in
-    place, bracketing exactly the window where a killed worker leaves a
-    partially-written slice behind — which is harmless: descriptors only
-    exist for jobs that returned, and a requeued job deterministically
-    rewrites the same bytes.
+    place, bracketing exactly the window where a killed writer leaves a
+    partially-written slice behind — which is harmless: a descriptor
+    only exists once the write returned.
     """
     total = sum(align(array.nbytes) for array in columns.values())
     if total > capacity:
@@ -273,7 +267,7 @@ def read_attached(descriptor: SliceDescriptor) -> dict:
     """Attach the descriptor's segment, copy its columns out, detach.
 
     The worker-side counterpart of :func:`read_columns`, for host→worker
-    broadcasts (the streaming engine ships its global damaged-entry set
+    broadcasts (the shm engine ships its global damaged-entry set
     this way).  The returned arrays own their data, so they stay valid
     after the segment is unmapped — and after the host unlinks the arena.
     """

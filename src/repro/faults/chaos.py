@@ -111,13 +111,6 @@ def add_chaos_arguments(chaos) -> None:
                        default="shm",
                        help="statistics engine for both campaigns "
                             "(default shm)")
-    chaos.add_argument("--stats", choices=["materialize", "streaming"],
-                       default=None,
-                       help="statistics path for both campaigns (default "
-                            "streaming; materialize on --engine "
-                            "reference).  '--engine shm --stats "
-                            "materialize' exercises the shared-memory "
-                            "arena faultpoints (shm.arena.*)")
     chaos.add_argument("--inject-faults", default=None, metavar="SPEC",
                        help="fault schedule for the faulted side "
                             "(default: a worker crash, a torn artifact and "
@@ -225,7 +218,7 @@ def _job_params(args, seed: int) -> dict:
     """The campaign's parameters, as a served job takes them."""
     return {"runs": args.runs, "events": args.events, "seed": seed,
             "workers": args.workers, "engine": args.engine,
-            "stats": args.stats, "chunk_timeout": args.chunk_timeout}
+            "chunk_timeout": args.chunk_timeout}
 
 
 def _campaign_argv(args, store: Path, seed: int) -> list[str]:

@@ -72,13 +72,6 @@ class _Param:
     resolve: Callable[[object, dict], object] | None = None
 
 
-def _resolve_stats(stats: str | None, params: dict) -> str:
-    """A campaign's stats mode: unset picks the engine's default."""
-    from repro.beam.engine import resolve_stats_mode
-
-    return resolve_stats_mode(params["engine"], stats)
-
-
 def _at_least(name: str, low: int):
     """A resolve hook rejecting a count below ``low``, as the CLI does
     (an unset count passes)."""
@@ -116,9 +109,6 @@ JOB_KINDS: dict[str, tuple[_Param, ...]] = {
         _Param("events", int, 3000, resolve=_at_least("events", 0)),
         _Param("engine", str, "shm", identity=False,
                choices=("shm", "reference")),
-        _Param("stats", str, None, identity=False,
-               choices=("materialize", "streaming"),
-               resolve=_resolve_stats),
         _Param("workers", int, None, identity=False,
                resolve=_resolve_workers),
         _Param("chunk_timeout", float, None, identity=False,

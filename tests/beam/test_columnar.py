@@ -264,7 +264,7 @@ class TestColumnarPostprocess:
 
 class TestStatisticsEngine:
     def test_engines_bit_identical(self):
-        shm = run_statistics_campaign(500, seed=41, stats="materialize")
+        shm = run_statistics_campaign(500, seed=41)
         reference = run_statistics_campaign(500, seed=41, engine="reference")
         assert shm.n_records == reference.n_records
         assert shm.n_observed == reference.n_observed
@@ -276,10 +276,11 @@ class TestStatisticsEngine:
         assert shm.bits_per_word_non_aligned == \
             reference.bits_per_word_non_aligned
         assert shm.table1 == reference.table1
-        assert shm.observed_events == reference.observed_events
-        # every result carries the accumulator its report merges
-        assert shm.accumulator.finalize() \
-            == reference.accumulator.finalize()
+        # every result carries the accumulator its report merges, and
+        # the two engines' integer tallies agree (fold wall-clock aside)
+        states = [dict(result.accumulator.state(), fold_ns=0)
+                  for result in (shm, reference)]
+        assert states[0] == states[1]
 
     def test_workers_bit_identical(self):
         serial = run_statistics_campaign(500, seed=41, chunk=128)
@@ -297,13 +298,12 @@ class TestStatisticsEngine:
         assert set(rates) == set(result.stage_seconds)
         counters = result.counters()
         assert counters["engine"] == "shm"
-        assert counters["stats"] == "streaming"
         assert counters["events"] == 200
         assert "fold_events_per_s" in counters
 
     def test_empty_campaign(self):
-        for stats in ("streaming", "materialize"):
-            result = run_statistics_campaign(0, seed=7, stats=stats)
+        for name in ("shm", "reference"):
+            result = run_statistics_campaign(0, seed=7, engine=name)
             assert result.n_records == 0
             assert result.n_observed == 0
             assert result.table1 == {}

@@ -1,11 +1,13 @@
-"""The fused shared-memory engine and its zero-copy transport.
+"""The fused shared-memory engine and its damaged-set broadcast.
 
 Three contracts, in test-class order: the seed-for-seed equivalence
-matrix (``shm`` vs the scalar ``reference`` — statistics byte
-identical, traces structurally comparable); the arena transport itself
-(round trip, checksum verification, overflow fallback, orphan reclaim,
-lifecycle hygiene); and recovery (a worker killed mid-range must not
-change the statistics or leave a ``/dev/shm`` segment behind).
+matrix (``shm`` vs the scalar ``reference`` — statistics float
+identical, traces structurally comparable); the streaming sweep's
+broadcast of the damaged-entry set and the arena under it (one arena
+per pooled sweep, inline fallback, round trip, checksum verification,
+orphan reclaim, lifecycle hygiene); and recovery (a worker killed
+mid-range must not change the statistics or leave a ``/dev/shm``
+segment behind).
 """
 
 import logging
@@ -39,9 +41,15 @@ from repro.faults import FaultPlan
 SEED = 41
 EVENTS = 600
 CHUNK = 97  # deliberately not a divisor: last chunk is a short one
-#: the arena transport and ``observed_events`` exist on the materialized
-#: path only, so every shm campaign below runs it
-MATERIALIZE = dict(engine="shm", stats="materialize")
+#: ~1k entries under 400 events: entry collisions are certain, so the
+#: scout's damaged set is non-empty and a pooled evaluation sweep
+#: broadcasts it through an arena (7 chunks of 64 events)
+TINY = dict(
+    seed=7, chunk=64,
+    geometry=HBM2Geometry(
+        num_stacks=1, channels_per_stack=1, banks_per_channel=2,
+        subarrays_per_bank=2, rows_per_subarray=16, columns_per_row=16))
+TINY_EVENTS = 400
 
 
 def _segments() -> list[str]:
@@ -53,6 +61,13 @@ def _segments() -> list[str]:
         return []
 
 
+def _tallies(result) -> dict:
+    """The accumulator's integer tallies (fold wall-clock excluded)."""
+    state = dict(result.accumulator.state())
+    state.pop("fold_ns")
+    return state
+
+
 def _assert_stats_identical(a, b):
     assert a.n_records == b.n_records
     assert a.n_observed == b.n_observed
@@ -62,18 +77,25 @@ def _assert_stats_identical(a, b):
     assert a.bits_per_word_aligned == b.bits_per_word_aligned
     assert a.bits_per_word_non_aligned == b.bits_per_word_non_aligned
     assert a.table1 == b.table1
-    assert a.observed_events == b.observed_events
+    assert _tallies(a) == _tallies(b)
 
 
 @pytest.fixture(scope="module")
 def matrix():
-    """One materialized campaign per engine, same seed/chunking."""
+    """One campaign per engine, same seed/chunking."""
     return {
         name: run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, engine=name,
-            stats="materialize")
+            EVENTS, seed=SEED, chunk=CHUNK, engine=name)
         for name in engine.ENGINES
     }
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    """The serial tiny-geometry campaign every pooled one must equal."""
+    result = run_statistics_campaign(TINY_EVENTS, **TINY)
+    assert result.n_observed < TINY_EVENTS  # events were really filtered
+    return result
 
 
 class TestEquivalenceMatrix:
@@ -82,24 +104,23 @@ class TestEquivalenceMatrix:
         _assert_stats_identical(matrix["shm"], matrix[other])
 
     def test_traces_structurally_equal(self, matrix):
-        """Same stage-span vocabulary in both engines, one campaign and
-        one postprocess span each — so per-stage events_per_second stays
-        comparable across engines even though shm fuses dispatch."""
-        names = {name: {r.name for r in result.trace}
-                 for name, result in matrix.items()}
-        assert names["shm"] == names["reference"] == {
-            "campaign", "chunk", "synthesize", "scan", "postprocess"}
-        for result in matrix.values():
+        """Each engine's spans are one campaign span, per-job chunk
+        spans and exactly its own stage vocabulary, so per-stage
+        events_per_second reads off either trace the same way."""
+        for name, result in matrix.items():
             spans = [r.name for r in result.trace]
+            assert set(spans) == {"campaign", "chunk", *engine._STAGES[name]}
             assert spans.count("campaign") == 1
-            assert spans.count("postprocess") == 1
-            assert set(result.stage_seconds) == set(engine._STAGES)
+            assert set(result.stage_seconds) == set(engine._STAGES[name])
+        assert [r.name for r in matrix["reference"].trace].count(
+            "postprocess") == 1
 
     def test_shm_fuses_chunks_into_ranges(self, matrix):
         n_chunks = -(-EVENTS // CHUNK)
         chunk_spans = [r for r in matrix["shm"].trace if r.name == "chunk"]
-        assert len(chunk_spans) < n_chunks  # genuinely fused...
-        assert sum(r.attrs["chunks"] for r in chunk_spans) == n_chunks
+        # two sweeps (scout, evaluation), each over every chunk once...
+        assert len(chunk_spans) < 2 * n_chunks  # ...genuinely fused...
+        assert sum(r.attrs["chunks"] for r in chunk_spans) == 2 * n_chunks
         reference = [r for r in matrix["reference"].trace
                      if r.name == "chunk"]
         assert len(reference) == n_chunks  # ...while reference is per-chunk
@@ -107,8 +128,7 @@ class TestEquivalenceMatrix:
     def test_range_partition_is_statistics_invariant(self, matrix):
         for range_chunks in (1, 3, 64):
             repartitioned = run_statistics_campaign(
-                EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE,
-                range_chunks=range_chunks)
+                EVENTS, seed=SEED, chunk=CHUNK, range_chunks=range_chunks)
             _assert_stats_identical(repartitioned, matrix["shm"])
 
 
@@ -143,34 +163,29 @@ def test_fused_range_columns_equal_table_at():
 
 @pytest.mark.slow
 class TestPooledShm:
-    def test_pooled_matches_serial_and_leaves_no_segments(self, matrix):
+    def test_pooled_matches_serial_and_leaves_no_segments(self, tiny):
         before = _segments()
         pooled = run_statistics_campaign(
-            1200, seed=SEED, chunk=100, **MATERIALIZE, workers=2,
-            range_chunks=3)
-        serial = run_statistics_campaign(
-            1200, seed=SEED, chunk=100, **MATERIALIZE)
-        _assert_stats_identical(pooled, serial)
-        assert pooled.pool_counters.get("pool_completed") == 4  # 12/3 ranges
+            TINY_EVENTS, **TINY, workers=2, range_chunks=2)
+        _assert_stats_identical(pooled, tiny)
+        # 4 ranges of 2 chunks, in each of the two sweeps
+        assert pooled.pool_counters.get("pool_completed") == 8
         assert _segments() == before  # arena unlinked on the way out
 
-    def test_killed_worker_recovers_bit_identically(self):
+    def test_killed_worker_recovers_bit_identically(self, tiny):
         """kill -9 a worker mid-range: the campaign must requeue, finish
         with byte-identical statistics, and unlink the arena."""
         before = _segments()
-        clean = run_statistics_campaign(
-            1200, seed=SEED, chunk=100, **MATERIALIZE)
         faults.install(
             FaultPlan.parse("pool.worker.crash:mode=exit,times=1"),
             export_env=True)
         try:
             crashed = run_statistics_campaign(
-                1200, seed=SEED, chunk=100, **MATERIALIZE, workers=2,
-                range_chunks=3)
+                TINY_EVENTS, **TINY, workers=2, range_chunks=2)
         finally:
             faults.uninstall()
             faults.reset()
-        _assert_stats_identical(crashed, clean)
+        _assert_stats_identical(crashed, tiny)
         assert crashed.pool_counters.get("pool_breaks", 0) >= 1
         assert _segments() == before
         assert orphaned_segments() == []
@@ -188,8 +203,8 @@ class _DoneFuture:
 
 
 class _InlinePool:
-    """Executes submissions in-process: the real transport code path
-    (arena slices, descriptors) without multi-process variance."""
+    """Executes submissions in-process: the real broadcast code path
+    (arena, descriptors) without multi-process variance."""
 
     def __init__(self, max_workers=None, initializer=None):
         pass
@@ -201,16 +216,65 @@ class _InlinePool:
         pass
 
 
+@pytest.fixture
+def arenas(monkeypatch):
+    """Every arena the engine creates during the test, in order."""
+    created = []
+
+    class _Counted(ShmArena):
+        def __init__(self, nbytes, **kwargs):
+            super().__init__(nbytes, **kwargs)
+            created.append(self.name)
+
+    monkeypatch.setattr(engine, "ShmArena", _Counted)
+    return created
+
+
 class TestTransportFallbacks:
-    def test_descriptor_transport_matches_serial(self, monkeypatch, matrix):
+    def test_descriptor_transport_matches_serial(self, monkeypatch, arenas,
+                                                 tiny):
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
+        before = _segments()
+        pooled = run_statistics_campaign(
+            TINY_EVENTS, **TINY, workers=4, range_chunks=2)
+        _assert_stats_identical(pooled, tiny)
+        assert len(arenas) == 1  # one broadcast for the whole sweep
+        assert _segments() == before
+
+    def test_no_arena_without_damaged_entries(self, monkeypatch, arenas,
+                                              matrix):
         monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
         pooled = run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
-            range_chunks=2)
+            EVENTS, seed=SEED, chunk=CHUNK, workers=4, range_chunks=2)
         _assert_stats_identical(pooled, matrix["shm"])
+        campaign, = (r for r in pooled.trace if r.name == "campaign")
+        assert campaign.counters["damaged_entries"] == 0
+        assert arenas == []
+
+    def test_broadcast_reclaims_orphans_into_the_trace(self, monkeypatch,
+                                                       tiny):
+        # a segment left by a dead host: the broadcast arena's creation
+        # reclaims it and the campaign span counts it
+        probe = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True)
+        path = os.path.join("/dev/shm",
+                            f"{PREFIX}-{int(probe.stdout)}-0dd0dead")
+        with open(path, "wb") as handle:
+            handle.write(b"\0" * 64)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
+        try:
+            pooled = run_statistics_campaign(
+                TINY_EVENTS, **TINY, workers=4, range_chunks=2)
+        finally:
+            if os.path.exists(path):
+                os.unlink(path)
+        _assert_stats_identical(pooled, tiny)
+        campaign, = (r for r in pooled.trace if r.name == "campaign")
+        assert campaign.counters["shm_reclaimed"] == 1
 
     def test_arena_unavailable_degrades_to_pickles(self, monkeypatch,
-                                                   caplog, matrix):
+                                                   caplog, tiny):
         def _no_arena(nbytes, **kwargs):
             raise OSError("shm exhausted")
 
@@ -218,23 +282,9 @@ class TestTransportFallbacks:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
         with caplog.at_level(logging.WARNING, logger="repro.beam.engine"):
             pooled = run_statistics_campaign(
-                EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
-                range_chunks=2)
-        _assert_stats_identical(pooled, matrix["shm"])
+                TINY_EVENTS, **TINY, workers=4, range_chunks=2)
+        _assert_stats_identical(pooled, tiny)
         assert any("arena unavailable" in r.message for r in caplog.records)
-
-    def test_outgrown_slice_degrades_to_pickles(self, monkeypatch, matrix):
-        # Slices sized for ~no events: every write_columns overflows and
-        # the workers fall back to returning the columns inline.
-        monkeypatch.setattr(engine, "_SHM_BYTES_PER_EVENT", 1)
-        monkeypatch.setattr(engine, "_SHM_JOB_HEADROOM", 0)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
-        before = _segments()
-        pooled = run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
-            range_chunks=2)
-        _assert_stats_identical(pooled, matrix["shm"])
-        assert _segments() == before
 
     def test_heartbeat_advances_once_per_range(self, monkeypatch):
         class _Broken(_InlinePool):
@@ -254,14 +304,15 @@ class TestTransportFallbacks:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", _Broken)
         heartbeat = _Heartbeat()
         run_statistics_campaign(
-            EVENTS, seed=SEED, chunk=CHUNK, **MATERIALIZE, workers=4,
-            range_chunks=2, heartbeat=heartbeat)
+            TINY_EVENTS, **TINY, workers=4, range_chunks=2,
+            heartbeat=heartbeat)
         # 7 chunks in ranges of 2 -> 4 ranges, each advanced exactly once
-        # on the serial-fallback path that completed it; the engine sizes
-        # the bar in ranges, not chunks.
-        assert heartbeat.total == 4
-        assert len(heartbeat.advances) == 4
-        assert sum(events for _, events in heartbeat.advances) == EVENTS
+        # per sweep (scout, evaluation) on the serial-fallback path that
+        # completed it; the engine sizes the bar in ranges, not chunks.
+        assert heartbeat.total == 8
+        assert len(heartbeat.advances) == 8
+        assert sum(events for _, events in heartbeat.advances) \
+            == 2 * TINY_EVENTS
 
 
 class TestArena:

@@ -35,7 +35,7 @@ from repro.faults.chaos import (
 def _args(**overrides) -> argparse.Namespace:
     base = dict(
         events=1200, runs=1, seed=2021, workers=2, engine="shm",
-        stats=None, inject_faults=None, faults_seed=7, max_restarts=8,
+        inject_faults=None, faults_seed=7, max_restarts=8,
         chunk_timeout=None, keep=False, serve=False, kill_daemon=False,
     )
     base.update(overrides)
@@ -89,13 +89,13 @@ def test_explicit_spec_is_never_replaced(flags, name, default):
 
 
 def test_campaigns_get_the_engine_and_stats_forwarded(tmp_path):
-    args = _args(engine="shm", stats="materialize", chunk_timeout=2.5)
+    args = _args(engine="reference", chunk_timeout=2.5)
     argv = _campaign_argv(args, tmp_path, 2022)
     flags = dict(zip(argv[4::2], argv[5::2]))
-    assert (flags["--engine"], flags["--stats"]) == ("shm", "materialize")
+    assert flags["--engine"] == "reference"
     assert (flags["--seed"], flags["--chunk-timeout"]) == ("2022", "2.5")
-    # unset, the campaign picks the engine's default itself
-    assert "--stats" not in _campaign_argv(_args(), tmp_path, 2021)
+    # each engine has one statistics path, so there is none to forward
+    assert "--stats" not in flags
     # the served job carries the same parameters
     params = _job_params(args, 2022)
     assert {f"--{k.replace('_', '-')}": str(v) for k, v in params.items()} \
@@ -103,12 +103,20 @@ def test_campaigns_get_the_engine_and_stats_forwarded(tmp_path):
 
 
 def test_reference_engine_with_streaming_exits_2(capsys):
+    # chaos takes no --stats: each engine has one statistics path
     with pytest.raises(SystemExit) as excinfo:
         main(["chaos", "--engine", "reference", "--stats", "streaming"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "no streaming statistics path" in err
+    assert "unrecognized arguments: --stats streaming" in err
     assert "Traceback" not in err
+
+
+def test_stats_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--stats", "streaming"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
@@ -406,14 +414,16 @@ def test_shm_arena_leak_is_reclaimed_on_resume(monkeypatch):
     # shared-memory segment exists — a deliberate leak.  The --resume
     # recovery must reclaim it (the harness fails on any surviving
     # repro-shm segment) and still end bit-identical to the clean run.
-    # Only the materialized shm path ships results through an arena.
-    # A clean run takes about 2 s, and the --resume campaign has been
-    # seen to spin without end once, so each campaign invocation gets
-    # 60 s instead of the harness's 120 s: a hang fails in a minute.
+    # The only arena is the streamed sweep's damaged-entry broadcast,
+    # made only when that set is non-empty: at seed 2021 it is empty up
+    # to 10,000 events and holds 4 entries at 30,000.  A clean run takes
+    # about 3 s, and the --resume campaign has been seen to spin without
+    # end once, so each campaign invocation gets 60 s instead of the
+    # harness's 120 s: a hang fails in a minute.
     monkeypatch.setattr(chaos, "_SUBPROCESS_TIMEOUT_S", 60.0)
     spec = ("pool.worker.crash:mode=exit,times=1;"
             "shm.arena.create:mode=exit,host=1,times=1")
-    code, report = _chaos(stats="materialize", inject_faults=spec)
+    code, report = _chaos(events=30_000, inject_faults=spec)
     assert code == 0, report
     assert "PASS" in report
     assert "shm.arena.create: 1" in report
@@ -423,8 +433,8 @@ def test_shm_arena_leak_is_reclaimed_on_resume(monkeypatch):
 
 @pytest.mark.slow
 def test_reference_engine_runs_materialized():
-    # the scalar engine has no streaming path; unset --stats must not
-    # hand it the streaming default
+    # the scalar engine materializes every event, and the chaos
+    # harness drives it like the default shm engine
     code, report = _chaos(
         engine="reference", events=600,
         inject_faults="pool.worker.crash:mode=exit,times=1")

@@ -169,8 +169,7 @@ class TestTraceSubcommand:
             self, root, capsys):
         out = self._render_trace(root, capsys,
                                  ("synthesize", "scan", "postprocess"),
-                                 "--engine", "shm",
-                                 "--stats", "materialize")
+                                 "--engine", "reference")
         assert "[pid:" in out
         assert "slowest" in out
 

@@ -19,8 +19,7 @@ class TestNormalization:
     def test_defaults_filled(self):
         params = normalize_params("campaign", {})
         assert params == {"runs": 3, "seed": 2021, "events": 3000,
-                          "engine": "shm", "stats": "streaming",
-                          "workers": None, "chunk_timeout": None,
+                          "engine": "shm", "workers": None, "chunk_timeout": None,
                           "fleet_size": None, "fleet_scheme": "trio"}
 
     def test_unknown_kind(self):
@@ -97,24 +96,28 @@ class TestNormalization:
             normalize_params("campaign", {"engine": "warp"})
 
     def test_reference_engine_implies_materialize(self):
+        # each engine has one statistics path, so the engine alone
+        # picks it: no stats parameter is normalized in
         params = normalize_params("campaign", {"engine": "reference"})
-        assert params["stats"] == "materialize"
-        explicit = normalize_params("campaign", {"engine": "shm",
-                                                 "stats": "materialize"})
-        assert explicit["stats"] == "materialize"
+        assert params["engine"] == "reference"
+        assert "stats" not in params
 
     def test_reference_engine_rejects_streaming(self):
-        with pytest.raises(JobError, match="no streaming statistics path"):
-            normalize_params("campaign", {"engine": "reference",
-                                          "stats": "streaming"})
+        # stats is no parameter at all, whatever the engine or mode
+        for engine in ("shm", "reference"):
+            for stats in ("materialize", "streaming"):
+                with pytest.raises(JobError,
+                                   match="unknown parameter.*stats"):
+                    normalize_params("campaign", {"engine": engine,
+                                                  "stats": stats})
 
 
 class TestIdentity:
     def test_execution_params_excluded(self):
         base = normalize_params("campaign", {})
         tuned = normalize_params(
-            "campaign", {"engine": "shm", "stats": "streaming",
-                         "workers": 8, "chunk_timeout": 30.0})
+            "campaign", {"engine": "reference", "workers": 8,
+                         "chunk_timeout": 30.0})
         assert job_identity("campaign", base) \
             == job_identity("campaign", tuned)
 

@@ -103,13 +103,13 @@ class TestExecuteJob:
 
         params = normalize_params("campaign", {"runs": 1, "events": 400,
                                                "seed": seed})
-        assert (params["engine"], params["stats"]) == ("shm", "streaming")
+        assert params["engine"] == "shm"
         served = execute_job("campaign", params, runs_dir=tmp_path / "a")
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink):
             assert main(["campaign", "--runs", "1", "--events", "400",
                          "--seed", str(seed), "--engine", "reference",
-                         "--stats", "materialize", "--heartbeat", "0",
+                         "--heartbeat", "0",
                          "--runs-dir", str(tmp_path / "b")]) == 0
         assert report_lines(served["report"]) \
             == report_lines(sink.getvalue())

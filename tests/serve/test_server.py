@@ -136,6 +136,11 @@ class TestBasics:
             status, payload = client.submit(
                 "evaluate", {"scheme": "trio", "cell_timeout": -1})
             assert status == 400 and "unknown parameter" in payload["error"]
+            for stats in ("materialize", "streaming"):
+                status, payload = client.submit("campaign", {"stats": stats})
+                assert status == 400
+                assert "unknown parameter(s) for 'campaign': stats" \
+                    in payload["error"]
             for kind, params in (("evaluate", {"scheme": "trio",
                                                "workers": 0}),
                                  ("campaign", {"workers": -3})):
@@ -489,6 +494,34 @@ class TestDurability:
         with live_server(runs_dir=tmp_path) as (app, client):
             assert app.registry.get(job_id).params["cell_timeout"] \
                 == cell_timeout
+            events = list(client.watch(job_id))
+            assert events[-1]["event"] == "completed"
+            status, payload = client.submit(
+                "campaign", {"runs": 0, "events": 200, "seed": 3})
+            assert status == 201
+            events = list(client.watch(payload["job"]["job_id"]))
+            assert events[-1]["event"] == "completed"
+
+    @pytest.mark.parametrize("stats", ["materialize", "streaming"])
+    def test_replayed_campaign_job_with_stats_completes(self, tmp_path,
+                                                        stats):
+        # A journal written while campaign still took stats: replay does
+        # not normalize params again, so the old key reaches the runner,
+        # which ignores it; the job completes and serving goes on.
+        app1 = ServeApp(runs_dir=tmp_path, execute=StubRunner())
+        status, payload = app1.submit({
+            "kind": "campaign",
+            "params": {"runs": 0, "events": 200, "seed": 27}})
+        assert status == 201
+        job_id = payload["job"]["job_id"]
+        path = app1.journal.path
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        records[0]["params"]["stats"] = stats
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        with live_server(runs_dir=tmp_path) as (app, client):
+            assert app.registry.get(job_id).params["stats"] == stats
             events = list(client.watch(job_id))
             assert events[-1]["event"] == "completed"
             status, payload = client.submit(

@@ -27,9 +27,10 @@ EVENTS = 600
 
 @pytest.fixture(scope="module")
 def observed():
-    """One materialized campaign's observed events — the test stream."""
+    """One scalar reference campaign's observed events — the test
+    stream."""
     return run_statistics_campaign(
-        EVENTS, seed=SEED, stats="materialize").observed_events
+        EVENTS, seed=SEED, engine="reference").observed_events
 
 
 def _fold(events) -> CampaignAccumulator:

@@ -188,15 +188,28 @@ class TestCommands:
         assert "SBSE" in out
 
     def test_campaign_streaming_matches_materialize(self, capsys):
+        # --stats streaming is a no-op kept for old command lines: it
+        # prints the default's bytes, which equal the scalar reference
+        # engine's (the one path that materializes every event)
         argv = ["campaign", "--runs", "1", "--events", "200", "--seed",
                 "3", "--fleet-size", "100", "--no-cache"]
         assert main([*argv, "--stats", "streaming"]) == 0
         streamed = capsys.readouterr().out
-        assert main([*argv, "--stats", "materialize"]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == streamed
+        assert main([*argv, "--engine", "reference"]) == 0
         materialized = capsys.readouterr().out
         assert "Fleet model: 100 GPUs" in streamed
         assert "MTBF" in streamed and "FIT" in streamed
         assert streamed == materialized  # byte-identical reports
+
+    def test_removed_materialize_mode_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--events", "200", "--stats", "materialize"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "Traceback" not in err
 
     def test_reference_engine_implies_materialize(self, capsys):
         assert main(["campaign", "--runs", "1", "--events", "200",
@@ -221,8 +234,7 @@ class TestCommands:
                 str(seed), "--no-cache", "--heartbeat", "0"]
         assert main(argv) == 0
         default = capsys.readouterr().out
-        assert main([*argv, "--engine", "reference",
-                     "--stats", "materialize"]) == 0
+        assert main([*argv, "--engine", "reference"]) == 0
         assert default == capsys.readouterr().out
         assert "Derived Table 1" in default
 
@@ -252,8 +264,7 @@ class TestCommands:
         table1 = derive_table1(observed)
         class_fractions = breadth_class_fractions(observed)
 
-        streamed = run_statistics_campaign(events, seed=seed, engine="shm",
-                                           stats="streaming")
+        streamed = run_statistics_campaign(events, seed=seed, engine="shm")
         accumulator = CampaignAccumulator()
         accumulator.update_from_events(beam_observed)
         final = accumulator.merge(streamed.accumulator).finalize()
